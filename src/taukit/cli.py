@@ -35,6 +35,7 @@ from .verify import (
     check_qdiff,
     check_remark1,
     check_toda,
+    compare_windowed,
     det_oracle_tau,
 )
 
@@ -168,6 +169,8 @@ def cmd_verify(args) -> int:
         params = {"N": args.nvars, "K": args.nvars}
         if args.q:
             params["q"] = parse_rational(args.q)
+        elif args.mode in ("q-spec", "dual"):
+            raise ValueError(f"remark1 --mode {args.mode} needs --q")
         report = check_remark1(args.mode, params, args.degree)
     elif name == "prop4":
         r = _load_rspec(args.rspec)
@@ -175,12 +178,12 @@ def cmd_verify(args) -> int:
         if len(bs) != 1:
             raise ValueError("prop4 needs --b with exactly one rational")
         left, right = prop4_pair(r, bs[0], args.charge, args.degree, GenericTimes())
-        passed = left == right
+        failure = compare_windowed(left, right, args.degree, args.degree)
         report = CheckReport(
             name="prop4",
-            passed=passed,
+            passed=failure is None,
             max_checked_grade=args.degree,
-            first_failure=None if passed else ("series", "left", "right"),
+            first_failure=failure,
             params={"b": format_rational(bs[0]), "M": args.charge, "d": args.degree},
         )
     else:

@@ -440,8 +440,12 @@ def is_integral(x: Fraction) -> bool:
 # -- rational parsing / formatting ------------------------------------------
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a ``p/q`` or integer string into an exact rational."""
+def parse_rational(text: str | int) -> Fraction:
+    """Parse a ``p/q`` or integer string, or an int, into an exact rational; floats are not exact."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Fraction(text)
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational: {text!r} (give an integer or a 'p/q' string)")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

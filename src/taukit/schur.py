@@ -13,18 +13,24 @@ A Schur value is computed from a "times" specification:
   the principal family; Schur values collapse to hook-product formulas
   1/H_lam (``q=None``) or q^{n(lam)}/H_lam(q).
 
-Evaluated kinds go through the same Jacobi-Trudi determinant as the
-generic kind (never through a bialternant ratio, which would hit 0/0 at
-coincident points); the closed hook/content product form is kept separate
-in ``schur_principal_value`` so the two routes can be compared in tests.
+Generic = characters: the coefficient of prod t_k^{m_k} in s_lam(t) is
+chi^lam(rho) / prod m_k!, rho having m_k parts equal to k.  Evaluated =
+Jacobi-Trudi, a determinant of numeric p_m values (never a bialternant
+ratio, which would hit 0/0 at coincident points); tests use it as the
+independent oracle for the characters, and the closed hook/content form
+in ``schur_principal_value`` likewise.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from math import factorial, lcm, prod
+from operator import mul
+from types import MappingProxyType
+from typing import Mapping
 
 from .partitions import (
     Partition,
@@ -34,6 +40,7 @@ from .partitions import (
     contains,
     hook_data,
     n_statistic,
+    partitions_of,
 )
 from .poly import FAMILY_T, GradedPoly, Var, rational_pow
 
@@ -87,9 +94,6 @@ class PrincipalInfinityTimes:
             object.__setattr__(self, "q", Fraction(self.q))
 
 
-TimesSpec = object  # any of the dataclasses above
-
-
 def miwa_times(x, sign: str | int, d: int) -> NumericTimes:
     """Numeric times t_m = +-sum_i x_i^m / m for m = 1..d."""
     s = {"+": 1, "-": -1, 1: 1, -1: -1}[sign]
@@ -134,30 +138,111 @@ def times_values(times, d: int) -> list[Fraction]:
     raise TypeError(f"not an evaluated times spec: {times!r}")
 
 
-# -- power sums ----------------------------------------------------------------
+# -- characters: the generic kind ------------------------------------------------
 
 
-def power_sums_basis(d: int, family: str = FAMILY_T) -> list[GradedPoly]:
-    """Polynomials p_0..p_d with sum p_m z^m = exp(sum t_i z^i)."""
-    return list(_power_sums_basis_cached(d, family))
+def _strips(lam: Partition, k: int) -> list[tuple[Partition, int]]:
+    """(lam minus a k-rim hook, (-1)^height) for every k-rim hook of lam.
+
+    On the beta-set {lam_i + l - i} a k-rim hook is a bead moved from b to
+    a free position b - k >= 0; its height is the number of beads passed.
+    """
+    n = len(lam)
+    beta = [part + n - i for i, part in enumerate(lam, start=1)]
+    out = []
+    for i, b in enumerate(beta):
+        c = b - k
+        if c < 0 or c in beta:
+            continue
+        moved = sorted(beta[:i] + [c] + beta[i + 1 :], reverse=True)
+        shape = tuple(x - n + j for j, x in enumerate(moved, start=1) if x - n + j)
+        out.append((shape, (-1) ** sum(c < x < b for x in beta)))
+    return out
 
 
 @lru_cache(maxsize=None)
-def _power_sums_basis_cached(d: int, family: str) -> tuple[GradedPoly, ...]:
+def characters(outer: Partition, inner: Partition = ()) -> Mapping[Partition, int]:
+    """rho -> chi^{outer/inner}(rho) for every partition rho of |outer/inner|.
+
+    Murnaghan-Nakayama: remove a rim hook of size rho_1 from outer that
+    keeps inner, and recurse on the rest of rho.  The table is read-only.
+    """
+    n = sum(outer) - sum(inner)
+    if n == 0:
+        return MappingProxyType({(): 1})
+    strips: dict = {}
+    table = {}
+    for rho in partitions_of(n):
+        k = rho[0]
+        if k not in strips:
+            strips[k] = [(sh, sign) for sh, sign in _strips(outer, k) if contains(sh, inner)]
+        table[rho] = sum(sign * characters(sh, inner)[rho[1:]] for sh, sign in strips[k])
+    return MappingProxyType(table)
+
+
+def _rho_monomial(rho: Partition, family: str) -> tuple[tuple, int]:
+    """(prod t_k^{m_k}, prod m_k!) for the partition rho with m_k parts equal to k."""
+    mults = sorted(Counter(rho).items())
+    return tuple((Var(family, k), e) for k, e in mults), prod(factorial(e) for _, e in mults)
+
+
+def _schur_generic(outer: Partition, inner: Partition, family: str, d: int) -> GradedPoly:
+    """s_{outer/inner}(t) = sum_rho chi(rho) prod t_k^{m_k} / m_k!, since p_k = k t_k."""
+    n = sum(outer) - sum(inner)
+    if n > d:
+        raise ValueError(f"weight {n} of {outer}/{inner} exceeds truncation grade {d}")
+    terms = {}
+    for rho, chi in characters(outer, inner).items():
+        if chi:
+            m, fact = _rho_monomial(rho, family)
+            terms[m] = Fraction(chi, fact)
+    return GradedPoly(d, terms)
+
+
+def power_sums_basis(d: int, family: str = FAMILY_T) -> list[GradedPoly]:
+    """Polynomials p_0..p_d with sum p_m z^m = exp(sum t_i z^i), i.e. p_m = s_(m)."""
     if d < 0:
         raise ValueError("d must be >= 0")
-    ps = [GradedPoly.constant(1, d)]
-    for m in range(1, d + 1):
-        # m * p_m = sum_{k=1..m} k * t_k * p_{m-k}
-        acc = GradedPoly.zero(d)
-        for k in range(1, m + 1):
-            acc = acc + (GradedPoly.variable(Var(family, k), d) * ps[m - k]).scale(k)
-        ps.append(acc.scale(Fraction(1, m)))
-    return tuple(ps)
+    return [_schur_generic((m,) if m else (), (), family, d) for m in range(d + 1)]
+
+
+def schur_pair_sum(coeffs: dict, t_family: str, b_family: str, d: int) -> GradedPoly:
+    """sum over |lam| <= d of coeffs[lam] s_lam(t) s_lam(b), both time sets generic.
+
+    Grade n is the symmetric block chi^T diag(coeffs) chi, scaled by
+    1 / (prod m(rho)! prod m(sigma)!).  It is summed in integers over one
+    denominator per grade, with one division per entry.
+    """
+    f1, f2 = sorted((t_family, b_family))
+    terms = {}
+    for n in range(d + 1):
+        lams = [lam for lam in partitions_of(n) if coeffs.get(lam)]
+        if not lams:
+            continue
+        rs = [Fraction(coeffs[lam]) for lam in lams]
+        den = lcm(*(r.denominator for r in rs))
+        ints = [int(r * den) for r in rs]
+        tables = [characters(lam) for lam in lams]
+        rhos = list(partitions_of(n))
+        cols = [[chi[rho] for chi in tables] for rho in rhos]
+        first = [_rho_monomial(rho, f1) for rho in rhos]
+        second = [_rho_monomial(rho, f2)[0] for rho in rhos]
+        for i, col in enumerate(cols):
+            weighted = list(map(mul, ints, col))
+            for j in range(i, len(rhos)):
+                total = sum(map(mul, weighted, cols[j]))
+                if total:
+                    c = Fraction(total, den * first[i][1] * first[j][1])
+                    terms[first[i][0] + second[j]] = c
+                    terms[first[j][0] + second[i]] = c
+    return GradedPoly(2 * d, terms, (d, d))
+
+
+# -- evaluated kinds: Jacobi-Trudi ------------------------------------------------
 
 
 def numeric_power_sums(values: list[Fraction], d: int) -> list[Fraction]:
-    """p_0..p_d evaluated at numeric times (same recursion as the generic case)."""
+    """p_0..p_d at numeric times, by m p_m = sum_{k=1..m} k t_k p_{m-k}."""
     ps = [Fraction(1)]
     for m in range(1, d + 1):
         acc = Fraction(0)
@@ -165,9 +250,6 @@ def numeric_power_sums(values: list[Fraction], d: int) -> list[Fraction]:
             acc += k * values[k - 1] * ps[m - k]
         ps.append(acc / m)
     return ps
-
-
-# -- determinants ---------------------------------------------------------------
 
 
 def det_fraction_matrix(rows: list[list[Fraction]]) -> Fraction:
@@ -195,81 +277,11 @@ def det_fraction_matrix(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def det_poly_matrix(rows: list[list[GradedPoly]]) -> GradedPoly:
-    """Determinant of a small GradedPoly matrix by permutation expansion."""
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    total = None
-    for perm in permutations(range(n)):
-        if any(rows[i][perm[i]].is_zero() for i in range(n)):
-            continue
-        sign = _perm_sign(perm)
-        term = rows[0][perm[0]]
-        for i in range(1, n):
-            term = term * rows[i][perm[i]]
-        total = term.scale(sign) if total is None else total + term.scale(sign)
-    if total is None:
-        caps = rows[0][0].cap
-        return GradedPoly.zero(caps, rows[0][0].fam_caps)
-    return total
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
-
-
-# -- Schur values ---------------------------------------------------------------
-
-
 def _jacobi_trudi_rows(lam: Partition, mu: Partition = ()) -> list[list[int]]:
     """Indices p_{lam_r - mu_c - r + c} of the skew Jacobi-Trudi matrix."""
     n = len(lam)
     padded = tuple(mu) + (0,) * (n - len(mu))
     return [[lam[r] - padded[c] - (r + 1) + (c + 1) for c in range(n)] for r in range(n)]
-
-
-@lru_cache(maxsize=None)
-def _schur_generic_cached(lam: Partition, family: str, d: int) -> GradedPoly:
-    if not lam:
-        return GradedPoly.constant(1, d)
-    # Work on the shorter side of the diagram: s_lam(t) equals the
-    # determinant for the conjugate shape over the sign-twisted basis
-    # p_m(t') with t'_k = (-1)^(k-1) t_k (the classical involution).
-    if len(lam) > lam[0]:
-        lam = conjugate(lam)
-        base = _power_sums_twisted_cached(d, family)
-    else:
-        base = _power_sums_basis_cached(d, family)
-    idx = _jacobi_trudi_rows(lam)
-    zero = GradedPoly.zero(d)
-    rows = [[base[k] if 0 <= k <= d else zero for k in row] for row in idx]
-    return det_poly_matrix(rows)
-
-
-@lru_cache(maxsize=None)
-def _power_sums_twisted_cached(d: int, family: str) -> tuple[GradedPoly, ...]:
-    """p_m at the sign-twisted times t_k -> (-1)^(k-1) t_k."""
-    ps = [GradedPoly.constant(1, d)]
-    for m in range(1, d + 1):
-        acc = GradedPoly.zero(d)
-        for k in range(1, m + 1):
-            sign = (-1) ** (k - 1)
-            acc = acc + (GradedPoly.variable(Var(family, k), d) * ps[m - k]).scale(sign * k)
-        ps.append(acc.scale(Fraction(1, m)))
-    return tuple(ps)
 
 
 def _schur_numeric(lam: Partition, mu: Partition, values: list[Fraction], d: int) -> Fraction:
@@ -287,18 +299,20 @@ def _schur_numeric(lam: Partition, mu: Partition, values: list[Fraction], d: int
     return det_fraction_matrix(rows)
 
 
+# -- Schur values -----------------------------------------------------------------
+
+
 def schur_poly(lam, times, d: int):
     """Schur value s_lam for the given times; GradedPoly or exact rational.
 
-    Jacobi-Trudi determinant of the p_m basis, with p_k = 0 for k < 0 and
-    s_empty = 1.  The infinity markers resolve to 1/H_lam and
+    Generic times go through the characters, evaluated times through the
+    Jacobi-Trudi determinant of the p_m values (p_k = 0 for k < 0,
+    s_empty = 1).  The infinity markers resolve to 1/H_lam and
     q^{n(lam)}/H_lam(q).
     """
     lam = check_partition(lam)
     if isinstance(times, GenericTimes):
-        if sum(lam) > d:
-            raise ValueError(f"|lam| = {sum(lam)} exceeds truncation grade {d}")
-        return _schur_generic_cached(lam, times.family, d)
+        return _schur_generic(lam, (), times.family, d)
     if isinstance(times, PrincipalInfinityTimes):
         hd = hook_data(lam, times.q)
         if times.q is None:
@@ -309,34 +323,21 @@ def schur_poly(lam, times, d: int):
 
 
 def skew_schur_poly(outer, inner, times, d: int):
-    """Skew Schur value det(p_{lam_r - mu_c - r + c}); equals schur_poly at inner = ()."""
+    """Skew Schur value s_{outer/inner}; equals schur_poly at inner = ()."""
     outer = check_partition(outer)
     inner = check_partition(inner)
     if not contains(outer, inner):
         raise ValueError(f"inner {inner} not contained in outer {outer}")
+    if isinstance(times, GenericTimes):
+        return _schur_generic(outer, inner, times.family, d)
     if outer == inner:
-        if isinstance(times, GenericTimes):
-            return GradedPoly.constant(1, d)
         return Fraction(1)
     if not inner:
         return schur_poly(outer, times, d)
-    if isinstance(times, GenericTimes):
-        if sum(outer) - sum(inner) > d:
-            raise ValueError("skew weight exceeds truncation grade")
-        return _skew_generic_cached(outer, inner, times.family, d)
     if isinstance(times, PrincipalInfinityTimes):
         raise TypeError("principal-infinity times are defined for straight shapes only")
     values = times_values(times, outer[0] + len(outer))
     return _schur_numeric(outer, inner, values, d)
-
-
-@lru_cache(maxsize=None)
-def _skew_generic_cached(outer: Partition, inner: Partition, family: str, d: int) -> GradedPoly:
-    base = _power_sums_basis_cached(d, family)
-    idx = _jacobi_trudi_rows(outer, inner)
-    zero = GradedPoly.zero(d)
-    rows = [[base[k] if 0 <= k <= d else zero for k in row] for row in idx]
-    return det_poly_matrix(rows)
 
 
 def schur_principal_value(lam, a, q: Fraction | None = None) -> Fraction:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 
 from .partitions import contains, enumerate_up_to, hook_data, n_statistic
@@ -36,6 +35,7 @@ from .schur import (
     MiwaTimes,
     PrincipalInfinityTimes,
     PrincipalTimes,
+    schur_pair_sum,
     schur_poly,
     skew_schur_poly,
 )
@@ -73,41 +73,14 @@ def _lifted(value, cap: int, fam_caps) -> GradedPoly:
     return GradedPoly.constant(value, cap, fam_caps)
 
 
-@lru_cache(maxsize=None)
-def _schur_pair_cached(lam, t_family: str, b_family: str, d: int) -> GradedPoly:
-    cap, fam_caps = 2 * d, (d, d)
-    vt = schur_poly(lam, GenericTimes(t_family), d)
-    vb = schur_poly(lam, GenericTimes(b_family), d)
-    return _lifted(vt, cap, fam_caps) * _lifted(vb, cap, fam_caps)
-
-
 def _render_pairs(coeffs: dict, t, beta, d: int):
     """sum_lam coeffs[lam] * s_lam(t) * s_lam(beta) as a polynomial or a number."""
-    gen_t, gen_b = _is_generic(t), _is_generic(beta)
-    if gen_t and gen_b and t.family == beta.family:
-        raise ValueError("generic time sets on the two slots must use distinct families")
-    if not gen_t and not gen_b:
-        total = Fraction(0)
-        for lam, c in coeffs.items():
-            if not c:
-                continue
-            total += c * schur_poly(lam, t, d) * schur_poly(lam, beta, d)
-        return total
-    cap = 2 * d if (gen_t and gen_b) else d
-    fam_caps = (d, d) if (gen_t and gen_b) else (None, None)
-    acc: dict = {}
-    for lam, c in coeffs.items():
-        if not c:
-            continue
-        if gen_t and gen_b:
-            piece = _schur_pair_cached(lam, t.family, beta.family, d)
-        elif gen_t:
-            piece = schur_poly(lam, t, d).scale(schur_poly(lam, beta, d))
-        else:
-            piece = schur_poly(lam, beta, d).scale(schur_poly(lam, t, d))
-        for mono_, coef in piece.terms.items():
-            acc[mono_] = acc.get(mono_, 0) + c * coef
-    return GradedPoly(cap, acc, fam_caps)
+    if _is_generic(t) and _is_generic(beta):
+        if t.family == beta.family:
+            raise ValueError("generic time sets on the two slots must use distinct families")
+        return schur_pair_sum(coeffs, t.family, beta.family, d)
+    gen, other = (t, beta) if _is_generic(t) else (beta, t)
+    return _render_single({lam: c * schur_poly(lam, other, d) for lam, c in coeffs.items() if c}, gen, d)
 
 
 def tau_series(r: RSpec, m: int, d: int, t, beta):
@@ -254,15 +227,21 @@ def _render_single(coeffs: dict, t, d: int):
     return GradedPoly(d, acc)
 
 
+def _basic_q(q) -> Fraction:
+    """q as a rational base of a basic series: nonzero and not a root of unity."""
+    q = Fraction(q)
+    if q == 0 or abs(q) == 1:
+        raise ValueError(f"q must be nonzero and not a root of unity; q={q}")
+    return q
+
+
 def qphi_multivar(a, b, m: int, q, x, d: int) -> Fraction:
     """Multiple basic series sum over lam with l(lam) <= len(x):
 
     prod (q^{a_k+M}; q)_lam / prod (q^{b_k+M}; q)_lam
         * q^{n(lam)} / H_lam(q) * s_lam(x).
     """
-    q = Fraction(q)
-    if q == 0 or abs(q) == 1:
-        raise ValueError("q must be nonzero and not a root of unity")
+    q = _basic_q(q)
     xs = tuple(Fraction(v) for v in x)
     total = Fraction(0)
     for lam in enumerate_up_to(d):
@@ -285,7 +264,7 @@ def qphi_multivar(a, b, m: int, q, x, d: int) -> Fraction:
 
 def qphi_one_var_coeffs(a, b, m: int, q, order: int) -> list[Fraction]:
     """Coefficients of the one-variable basic series, through the partition layer."""
-    q = Fraction(q)
+    q = _basic_q(q)
     out = []
     for n in range(order + 1):
         row = (n,) if n else ()

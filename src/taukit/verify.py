@@ -106,8 +106,16 @@ def _generic_tau(r: RSpec, m: int, d: int) -> GradedPoly:
     return tau_series(r, m, d, GenericTimes(FAMILY_T), GenericTimes(FAMILY_B))
 
 
+def _bilinear_window(name: str, d: int) -> int:
+    """The diagonal grade d - 1 a bilinear check compares up to; refuses an empty window."""
+    if d < 1:
+        raise ValueError(f"{name} compares grades up to d - 1: degree d = {d} compares nothing, use d >= 1")
+    return d - 1
+
+
 def check_hirota(r: RSpec, m: int, d: int) -> CheckReport:
     """tau(M) d_b1 d_t1 tau(M) - d_t1 tau(M) d_b1 tau(M) = r(M) tau(M-1) tau(M+1)."""
+    window = _bilinear_window("hirota", d)
     t1, b1 = tvar(1), bvar(1)
     tau_lo = _generic_tau(r, m - 1, d)
     tau_mid = _generic_tau(r, m, d)
@@ -115,9 +123,9 @@ def check_hirota(r: RSpec, m: int, d: int) -> CheckReport:
     mixed = derivative(derivative(tau_mid, t1), b1)
     lhs = tau_mid * mixed - derivative(tau_mid, t1) * derivative(tau_mid, b1)
     rhs = (tau_lo * tau_hi).scale(r_eval(r, m))
-    failure = compare_windowed(lhs, rhs, d - 1, d - 1)
+    failure = compare_windowed(lhs, rhs, window, window)
     return _report(
-        "hirota", failure, d - 1, {"rspec": rspec_to_json(r), "M": m, "d": d}
+        "hirota", failure, window, {"rspec": rspec_to_json(r), "M": m, "d": d}
     )
 
 
@@ -130,6 +138,7 @@ def check_toda(r: RSpec, m: int, d: int, gauge: str = "generalized") -> CheckRep
     """
     if gauge not in ("generalized", "standard"):
         raise ValueError(f"unknown gauge {gauge!r}")
+    window = _bilinear_window("toda", d)
     t1, b1 = tvar(1), bvar(1)
     taus = {n: _generic_tau(r, n, d) for n in range(m - 1, m + 3)}
     logs = {n: log_series(taus[n]) for n in taus}
@@ -146,9 +155,9 @@ def check_toda(r: RSpec, m: int, d: int, gauge: str = "generalized") -> CheckRep
         h = h_from_r(r, m - 2, m + 1)
         lhs = -lhs
         rhs = hop_up.scale(h[m] / h[m + 1]) - hop_down.scale(h[m - 1] / h[m])
-    failure = compare_windowed(lhs, rhs, d - 1, d - 1)
+    failure = compare_windowed(lhs, rhs, window, window)
     return _report(
-        "toda", failure, d - 1,
+        "toda", failure, window,
         {"rspec": rspec_to_json(r), "M": m, "d": d, "gauge": gauge},
     )
 
@@ -201,8 +210,6 @@ def check_ode(a, b, order: int) -> CheckReport:
 def check_qdiff(a, b, q, order: int) -> CheckReport:
     """(x^{-1}(1 - q^{x d_x}) - r_q(x d_x)) Phi = 0 termwise."""
     q = Fraction(q)
-    if q == 0 or abs(q) == 1:
-        raise ValueError("q must be nonzero and not a root of unity")
     a = [Fraction(v) for v in a]
     b = [Fraction(v) for v in b]
     coeffs = qphi_one_var_coeffs(a, b, 0, q, order)
@@ -345,6 +352,17 @@ def det_oracle_tau(r: RSpec, m: int, d: int, window: int | None = None, extra_wi
 # -- truncation checks -------------------------------------------------------------------
 
 
+def _vanishing_failure(parts, should_vanish, *value_fns):
+    """First lam where a value is zero although it should not be, or the reverse."""
+    for lam in parts:
+        vanish = should_vanish(lam)
+        for value_of in value_fns:
+            value = value_of(lam)
+            if (value == 0) != vanish:
+                return (str(list(lam)), format_rational(value), "0" if vanish else "nonzero")
+    return None
+
+
 def check_remark1(mode: str, params: dict, d: int) -> CheckReport:
     """Length restrictions of the series: content zeros versus Schur vanishing.
 
@@ -353,45 +371,28 @@ def check_remark1(mode: str, params: dict, d: int) -> CheckReport:
     dual:   the conjugate statements via (1 - q^{-K+D}) and the negated
             Miwa substitution on K variables.
     """
-    failure = None
-    parts = enumerate_up_to(d)
     if mode == "q-spec":
         n_cut, q = int(params["N"]), Fraction(params["q"])
         spec = RSpec(num=(QLinFactor(Fraction(1), Fraction(n_cut)),), q=q)
-        for lam in parts:
-            value = content_product(spec, lam, 0)
-            should_vanish = len(lam) > n_cut
-            if (value == 0) != should_vanish:
-                failure = (str(list(lam)), format_rational(value), "0" if should_vanish else "nonzero")
-                break
+        vanishes = lambda lam: len(lam) > n_cut
+        routes = [lambda lam: content_product(spec, lam, 0)]
         echo = {"mode": mode, "N": n_cut, "q": format_rational(q), "d": d}
     elif mode == "miwa":
         n_cut = int(params["N"])
         xs = params.get("x") or tuple(Fraction(1, i + 2) for i in range(n_cut))
         times = MiwaTimes(tuple(Fraction(v) for v in xs))
-        for lam in parts:
-            value = schur_poly(lam, times, d)
-            should_vanish = len(lam) > n_cut
-            if (value == 0) != should_vanish:
-                failure = (str(list(lam)), format_rational(value), "0" if should_vanish else "nonzero")
-                break
+        vanishes = lambda lam: len(lam) > n_cut
+        routes = [lambda lam: schur_poly(lam, times, d)]
         echo = {"mode": mode, "N": n_cut, "d": d}
     elif mode == "dual":
         k_cut, q = int(params["K"]), Fraction(params["q"])
         spec = RSpec(num=(QLinFactor(Fraction(1), Fraction(-k_cut)),), q=q)
         xs = params.get("x") or tuple(Fraction(1, i + 2) for i in range(k_cut))
         times = MiwaTimes(tuple(Fraction(v) for v in xs), sign=-1)
-        for lam in parts:
-            should_vanish = len(conjugate(lam)) > k_cut
-            value = content_product(spec, lam, 0)
-            if (value == 0) != should_vanish:
-                failure = (str(list(lam)), format_rational(value), "0" if should_vanish else "nonzero")
-                break
-            sval = schur_poly(lam, times, d)
-            if (sval == 0) != should_vanish:
-                failure = (str(list(lam)), format_rational(sval), "0" if should_vanish else "nonzero")
-                break
+        vanishes = lambda lam: len(conjugate(lam)) > k_cut
+        routes = [lambda lam: content_product(spec, lam, 0), lambda lam: schur_poly(lam, times, d)]
         echo = {"mode": mode, "K": k_cut, "q": format_rational(q), "d": d}
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    failure = _vanishing_failure(enumerate_up_to(d), vanishes, *routes)
     return _report("remark1", failure, d, echo)

@@ -182,6 +182,46 @@ def test_pole_reports_offending_point(capsys):
     assert "pole at integer point 1" in err
 
 
+def test_rspec_json_integer_is_exact(capsys):
+    code, out, _ = run(capsys, "expand", "--rspec", '{"num":[{"lin":{"shift":1}}]}', "-d", "2")
+    assert code == 0
+    assert out == '{"[]":"1","[1]":"1","[2]":"2","[1,1]":"0"}'
+
+
+def test_rspec_json_float_is_usage_error(capsys):
+    code, _, err = run(capsys, "expand", "--rspec", '{"num":[{"lin":{"shift":0.5}}]}', "-d", "2")
+    assert code == 2 and "0.5" in err
+
+
+def test_remark1_q_modes_need_q(capsys):
+    for mode in ("q-spec", "dual"):
+        code, _, err = run(capsys, "verify", "remark1", "--mode", mode, "--nvars", "2", "-d", "3")
+        assert code == 2 and "--q" in err
+
+
+def test_eval_qphi_rejects_unit_q(capsys):
+    code, _, err = run(capsys, "eval", "qphi", "--a", "2", "--b", "3", "--q", "1", "--order", "4")
+    assert code == 2 and "root of unity" in err and "pole" not in err
+
+
+def test_bilinear_checks_refuse_empty_window(capsys):
+    for check in ("hirota", "toda"):
+        code, _, err = run(capsys, "verify", check, "--rspec", RATIO_SPEC, "-d", "0")
+        assert code == 2 and "d = 0" in err
+
+
+def test_verify_prop4_failure_names_monomial(capsys, monkeypatch):
+    from taukit import cli
+    from taukit.poly import GradedPoly, mono, tvar
+
+    left = GradedPoly(2, {(): F(1), mono([(tvar(1), 1)]): F(1, 2)})
+    right = GradedPoly(2, {(): F(1), mono([(tvar(1), 1)]): F(1, 3)})
+    monkeypatch.setattr(cli, "prop4_pair", lambda *args: (left, right))
+    code, out, _ = run(capsys, "verify", "prop4", "--rspec", RATIO_SPEC, "--b", "1/5", "-d", "2")
+    assert code == 1
+    assert json.loads(out)["failure"] == {"at": "t1", "lhs": "1/2", "rhs": "1/3"}
+
+
 def test_unknown_subcommand_usage(capsys):
     code, _, _ = run(capsys, "nonsense")
     assert code == 2

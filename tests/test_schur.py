@@ -1,15 +1,17 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from taukit.partitions import conjugate, enumerate_up_to, hook_data, n_statistic
+from taukit.partitions import conjugate, contains, enumerate_up_to, hook_data, n_statistic
 from taukit.poly import GradedPoly, mono, mono_wdeg, tvar
 from taukit.schur import (
     GenericTimes,
     MiwaTimes,
     PrincipalInfinityTimes,
     PrincipalTimes,
+    _schur_numeric,
+    characters,
     det_fraction_matrix,
     miwa_times,
     power_sums_basis,
@@ -80,6 +82,42 @@ def test_schur_column_two():
 
 def test_schur_vanishes_beyond_variable_count():
     assert schur_poly((1, 1), MiwaTimes((F(1, 2),)), 4) == 0
+
+
+def test_characters_by_hand():
+    assert characters((2, 1))[(1, 1, 1)] == 2
+    assert characters((2, 1))[(3,)] == -1
+    assert characters((2, 2))[(2, 2)] == 2
+    assert characters((2, 1), (1,)) == {(2,): 0, (1, 1): 2}
+    assert characters((3,), (3,)) == {(): 1}
+
+
+# generic rationals, so a wrong character cannot cancel by accident
+NUMERIC = [F(3, 7), F(-2, 5), F(5, 3), F(-1, 4), F(7, 9), F(2, 11), F(-9, 8), F(4, 13), F(-3, 2)]
+
+
+def substitute(p, values):
+    total = F(0)
+    for m, c in p.terms.items():
+        for v, e in m:
+            c *= values[v.index - 1] ** e
+        total += c
+    return total
+
+
+def test_generic_schur_matches_numeric_jacobi_trudi():
+    for lam in enumerate_up_to(9):
+        generic = substitute(schur_poly(lam, T, 9), NUMERIC)
+        assert generic == _schur_numeric(lam, (), NUMERIC, 9), lam
+
+
+def test_generic_skew_matches_numeric_jacobi_trudi():
+    parts = enumerate_up_to(7)
+    for outer in parts:
+        for inner in parts:
+            if inner and inner != outer and contains(outer, inner):
+                generic = substitute(skew_schur_poly(outer, inner, T, 7), NUMERIC)
+                assert generic == _schur_numeric(outer, inner, NUMERIC, 7), (outer, inner)
 
 
 def test_quasi_homogeneity():
@@ -234,7 +272,8 @@ def test_cached_schur_not_corrupted_by_callers():
     assert again.terms == snapshot
 
 
-@given(st.integers(0, 5))
+@given(st.integers(0, 8))
+@example(8)
 @settings(max_examples=10)
 def test_schur_sum_squares_cauchy(n):
     # sum over |lam| = n of (coeff of t1^n in s_lam)^2 * n!^2 = number of SYT pairs = n!

@@ -116,6 +116,26 @@ def test_tau_expansion_caches_coefficients():
     assert exp.render(T, B) == tau_series(D, 1, 4, T, B)
 
 
+def schur_product_tau(r, m, d):
+    """sum r_lam s_lam(t) s_lam(b), multiplied out with GradedPoly products."""
+    total = GradedPoly.zero(2 * d, (d, d))
+    for lam in enumerate_up_to(d):
+        st = GradedPoly(2 * d, schur_poly(lam, T, d).terms, (d, d))
+        sb = GradedPoly(2 * d, schur_poly(lam, B, d).terms, (d, d))
+        total = total + (st * sb).scale(content_product(r, lam, m))
+    return total
+
+
+def test_generic_tau_equals_schur_products():
+    qspec = RSpec(num=(QLinFactor(F(2, 3), F(0)),), den=(QLinFactor(F(3, 5), F(1)),), q=F(1, 2))
+    for r in (lin(F(1, 2), den=(F(1, 3),)), qspec, lin(F(-1), F(3, 4), den=(F(5, 2),))):
+        for m in (-1, 0, 1):
+            for d in range(7):
+                want = schur_product_tau(r, m, d)
+                assert tau_series(r, m, d, T, B) == want, (r, m, d)
+            assert tau_series(r, m, 6, B, T) == want
+
+
 def test_tau_rejects_same_family_on_both_slots():
     with pytest.raises(ValueError):
         tau_series(D, 0, 3, T, T)
@@ -262,6 +282,12 @@ def test_qphi_one_var_matches_classical():
     assert qphi_one_var_coeffs(a, b, 1, q, 8) == classical_reference(
         [v + 1 for v in a], [v + 1 for v in b], 8, q=q
     )
+
+
+@pytest.mark.parametrize("q", [F(0), F(1), F(-1)])
+def test_qphi_one_var_rejects_bad_q(q):
+    with pytest.raises(ValueError, match="root of unity"):
+        qphi_one_var_coeffs([F(2)], [F(3)], 0, q, 4)
 
 
 def test_qphi_no_ratio_matches_tau_series_with_principal_beta():

@@ -16,6 +16,7 @@ from taukit.verify import (
     check_qdiff,
     check_remark1,
     check_toda,
+    _vanishing_failure,
     compare_windowed,
     det_oracle_tau,
 )
@@ -69,6 +70,12 @@ def test_hirota_qspec_all_charges():
         assert check_hirota(QSPEC, m, 4).passed
 
 
+def test_hirota_rejects_empty_window():
+    for d in (0, -1):
+        with pytest.raises(ValueError, match=f"d = {d}"):
+            check_hirota(RATIO, 0, d)
+
+
 def test_hirota_pole_propagates():
     bad = RSpec(den=(LinFactor(F(-1)),), num=(LinFactor(F(1, 2)),))
     with pytest.raises(PoleError):
@@ -85,6 +92,12 @@ def test_toda_identity_spec_both_gauges():
 
 def test_toda_zero_kills_one_hop():
     assert check_toda(D, 0, 4, "generalized").passed
+
+
+def test_toda_rejects_empty_window():
+    for gauge in ("generalized", "standard"):
+        with pytest.raises(ValueError, match="d = 0"):
+            check_toda(RATIO, 0, 0, gauge)
 
 
 def test_toda_standard_rejects_integer_zero():
@@ -204,6 +217,16 @@ def test_remark1_miwa_vanishing():
 
 def test_remark1_dual():
     assert check_remark1("dual", {"K": 1, "q": F(1, 3)}, 6).passed
+
+
+def test_remark1_failure_names_first_mismatch():
+    parts = [(), (1,), (1, 1), (2, 1)]
+    long = lambda lam: len(lam) > 1
+    assert _vanishing_failure(parts, long, lambda lam: int(not long(lam))) is None
+    late = lambda lam: sum(lam) + 1
+    assert _vanishing_failure(parts, long, late) == ("[1, 1]", "3", "0")
+    # partitions come first, value routes second: the early miss of the second route wins
+    assert _vanishing_failure(parts, long, late, lambda lam: 0) == ("[]", "0", "nonzero")
 
 
 def test_remark1_rejects_unknown_mode():
