@@ -101,7 +101,7 @@ def _pass(name: str, params: dict) -> CheckReport:
 
 def _fail(name: str, why: str, params: dict) -> CheckReport:
     return CheckReport(
-        name=name, passed=False, max_checked_grade=0,
+        name=name, passed=False, max_checked_grade=params.get("d", 0),
         first_failure=(why, "", ""), params=params,
     )
 

@@ -260,17 +260,26 @@ def factor_to_obj(f) -> dict:
     raise TypeError(f"unknown factor {f!r}")
 
 
+_FACTOR_FIELDS = {
+    "lin": (LinFactor, ("shift",)),
+    "qlin": (QLinFactor, ("coeff", "shift")),
+    "qpair": (QPairFactor, ("amp", "cos")),
+}
+
+
 def factor_from_obj(obj: dict):
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"malformed factor object: {obj!r}")
     (kind, body), = obj.items()
-    if kind == "lin":
-        return LinFactor(parse_rational(body["shift"]))
-    if kind == "qlin":
-        return QLinFactor(parse_rational(body["coeff"]), parse_rational(body["shift"]))
-    if kind == "qpair":
-        return QPairFactor(parse_rational(body["amp"]), parse_rational(body["cos"]))
-    raise ValueError(f"unknown factor kind {kind!r}")
+    if kind not in _FACTOR_FIELDS:
+        raise ValueError(f"unknown factor kind {kind!r}")
+    cls, fields = _FACTOR_FIELDS[kind]
+    if not isinstance(body, dict):
+        raise ValueError(f"{kind!r} factor body must be an object with {list(fields)}, got {body!r}")
+    for name in fields:
+        if name not in body:
+            raise ValueError(f"{kind!r} factor is missing field {name!r}")
+    return cls(*(parse_rational(body[name]) for name in fields))
 
 
 def rspec_to_json(r: RSpec) -> str:

@@ -289,24 +289,24 @@ def _window_block(r: RSpec, m: int, d: int, window: int) -> BandMatrix:
     return BandMatrix(lo=-window, hi=0, charge=m, entries=entries)
 
 
-def _unit_gauss_det(block: BandMatrix, lo: int | None = None) -> GradedPoly:
-    """Determinant by Gaussian elimination with unit pivots.
+def _corner_dets(block: BandMatrix) -> list:
+    """Determinants of the windows hi-k..hi, k = 0, 1, ..., from one elimination.
 
-    The block is the identity plus terms of positive grade, so every pivot
-    has a nonzero constant term and an exact series inverse.  A larger
-    window may be sliced down via lo (the block entries do not depend on
-    the window, only its extent does).
+    Pivots are taken in index order hi, hi-1, ..., lo, so entry k, the product
+    of the first k + 1 pivots, is a leading principal minor read from the
+    corner.  The block is the identity plus positive-grade terms, so each pivot
+    is a unit; the last one has no rows below it and is never inverted.
     """
-    idx = list(range(block.lo if lo is None else lo, block.hi + 1))
-    n = len(idx)
+    idx = range(block.hi, block.lo - 1, -1)
     a = [[block.at(j, k) for k in idx] for j in idx]
-    det = None
+    n = len(a)
+    dets: list = []
     for col in range(n):
         piv = a[col][col]
         if piv.constant_term() == 0:
             raise ArithmeticError("non-unit pivot in triangular factorization")
-        det = piv if det is None else det * piv
-        inv = inverse(piv)
+        dets.append(dets[-1] * piv if dets else piv)
+        inv = inverse(piv) if col + 1 < n else None
         for row in range(col + 1, n):
             if a[row][col].is_zero():
                 continue
@@ -315,29 +315,29 @@ def _unit_gauss_det(block: BandMatrix, lo: int | None = None) -> GradedPoly:
                 a[row][c] - factor * a[col][c] if c > col else a[row][c]
                 for c in range(n)
             ]
-    return det
+    return dets
 
 
 def det_oracle_tau(r: RSpec, m: int, d: int, window: int | None = None, extra_windows=(1,)):
     """Tau as the determinant of the non-positive block of triangular exponentials.
 
     Returns (determinant, CheckReport); the report records the coefficient
-    match against the series route and the stabilization of the
-    determinant across windows window + w for w in extra_windows.
+    match against the series route and the stabilization of the determinant
+    across windows window + w, w in extra_windows (each >= 1), all read from
+    one corner-first elimination of the widest block.
     """
     if window is None:
         window = d
     if window < d:
         raise ValueError("window must be >= d")
-    widest = window + max(extra_windows, default=0)
-    block = _window_block(r, m, d, widest)
-    det_w = _unit_gauss_det(block, lo=-window)
+    if not extra_windows or min(extra_windows) < 1:
+        raise ValueError(f"extra_windows must be non-empty with every entry >= 1, got {extra_windows!r}")
+    dets = _corner_dets(_window_block(r, m, d, window + max(extra_windows)))
+    det_w = dets[window]
     stable_failure = None
     for extra in extra_windows:
-        det_other = _unit_gauss_det(block, lo=-(window + extra))
-        stable_failure = stable_failure or compare_windowed(det_w, det_other, d, d)
-    tau = _generic_tau(r, m, d)
-    failure = compare_windowed(det_w, tau, d, d)
+        stable_failure = stable_failure or compare_windowed(det_w, dets[window + extra], d, d)
+    failure = compare_windowed(det_w, _generic_tau(r, m, d), d, d)
     params = {
         "rspec": rspec_to_json(r),
         "M": m,

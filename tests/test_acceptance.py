@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from taukit.acceptance import CRITERIA, run_criterion, run_suite
+from taukit.acceptance import CRITERIA, _fail, run_criterion, run_suite
 
 SEED = int(os.environ.get("TAUKIT_SEED", "1729"))
 
@@ -28,3 +28,8 @@ def test_suite_runner_aggregates_under_fresh_seed():
     assert len(reports) == len(CRITERIA)
     failed = [r.name for r in reports if not r.passed]
     assert not failed, failed
+
+
+def test_fail_reports_the_criterion_grade():
+    assert _fail("criterion-x", "why", {"d": 6}).max_checked_grade == 6
+    assert _fail("criterion-x", "why", {}).max_checked_grade == 0

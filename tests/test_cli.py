@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from taukit.cli import build_parser, emit, main
 from taukit.tau import classical_reference
 
@@ -173,6 +175,21 @@ def test_verify_failed_check_exits_one(capsys):
 def test_malformed_rspec_is_usage_error(capsys):
     code, _, err = run(capsys, "expand", "--rspec", "{oops", "-d", "2")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("factor, message", [
+    ('{"lin":{}}', "'lin' factor is missing field 'shift'"),
+    ('{"lin":3}', "'lin' factor body must be an object"),
+    ('{"qlin":{"coeff":"1"}}', "'qlin' factor is missing field 'shift'"),
+    ('{"qlin":"1"}', "'qlin' factor body must be an object"),
+    ('{"qpair":{"cos":"1/2"}}', "'qpair' factor is missing field 'amp'"),
+    ('{"qpair":[]}', "'qpair' factor body must be an object"),
+], ids=["lin-field", "lin-body", "qlin-field", "qlin-body", "qpair-field", "qpair-body"])
+def test_malformed_factor_names_kind_and_field(capsys, factor, message):
+    spec = '{"q":"1/2","num":[%s]}' % factor
+    code, out, err = run(capsys, "expand", "--rspec", spec, "-d", "2")
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
 
 
 def test_pole_reports_offending_point(capsys):

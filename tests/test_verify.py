@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +17,9 @@ from taukit.verify import (
     check_qdiff,
     check_remark1,
     check_toda,
+    _corner_dets,
     _vanishing_failure,
+    _window_block,
     compare_windowed,
     det_oracle_tau,
 )
@@ -200,6 +203,46 @@ def test_oracle_rejects_small_window():
 def test_oracle_qspec():
     _, rep = det_oracle_tau(QSPEC, 2, 3)
     assert rep.passed
+
+
+@pytest.mark.parametrize("extra", [(0,), (), (-1,)])
+def test_oracle_rejects_extra_windows_below_one(extra):
+    # (0,) would compare a window with itself and () nothing; -1 has no window
+    with pytest.raises(ValueError, match="extra_windows.*" + re.escape(repr(extra))):
+        det_oracle_tau(RATIO, 0, 3, extra_windows=extra)
+
+
+def _cofactor_det(block, idx):
+    """det of block over idx by Laplace expansion along rows, memoized on the columns left."""
+    one = GradedPoly.constant(1, block.at(0, 0).cap, block.at(0, 0).fam_caps)
+    minors = {(): one}
+
+    def minor(cols):
+        if cols not in minors:
+            row = idx[len(idx) - len(cols)]
+            total = GradedPoly.zero(one.cap, one.fam_caps)
+            for i, col in enumerate(cols):
+                term = block.at(row, col) * minor(cols[:i] + cols[i + 1:])
+                total = total + term if i % 2 == 0 else total - term
+            minors[cols] = total
+        return minors[cols]
+
+    return minor(tuple(idx))
+
+
+# r has an integer zero at -2, which falls inside the block at both charges
+ZERO_INSIDE = RSpec(num=(LinFactor(F(2)),), den=(LinFactor(F(1, 3)),))
+
+
+@pytest.mark.parametrize("spec", [ZERO_INSIDE, QSPEC], ids=["rational-zero", "q-rational"])
+@pytest.mark.parametrize("m", [-1, 1])
+def test_corner_dets_match_cofactor_expansion(spec, m):
+    # every width 1..5, including the windows narrower than d that no report compares
+    block = _window_block(spec, m, 3, 4)
+    dets = _corner_dets(block)
+    assert len(dets) == 5
+    for k, det in enumerate(dets):
+        assert det == _cofactor_det(block, list(range(-k, 1)))
 
 
 # -- series truncation modes -------------------------------------------------------------------
