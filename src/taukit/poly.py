@@ -257,6 +257,22 @@ class GradedPoly:
         return GradedPoly(min(cap, self.cap), self.terms, fam_caps or self.fam_caps)
 
 
+def lift(p, cap: int, fam_caps=(None, None)) -> GradedPoly:
+    """A GradedPoly or a scalar as a GradedPoly under the given caps."""
+    if isinstance(p, GradedPoly):
+        return GradedPoly(cap, p.terms, fam_caps)
+    return GradedPoly.constant(p, cap, fam_caps)
+
+
+def weighted_sum(pieces, cap: int, fam_caps=(None, None)) -> GradedPoly:
+    """sum of c * p over the (scalar c, GradedPoly p) pairs, under the given caps."""
+    acc: dict[Monomial, Fraction] = {}
+    for c, p in pieces:
+        for m, coef in p.terms.items():
+            acc[m] = acc.get(m, 0) + c * coef
+    return GradedPoly(cap, acc, fam_caps)
+
+
 # -- spec operations --------------------------------------------------------
 
 

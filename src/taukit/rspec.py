@@ -17,9 +17,8 @@ matching exact rational root, keeping every evaluation in the rationals.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .partitions import check_partition, contains
 from .poly import format_rational, parse_rational, rational_pow
@@ -70,6 +69,8 @@ class RSpec:
     num: tuple = ()
     den: tuple = ()
     q: Fraction | None = None
+    # n -> r(n), filled by r_eval; poles are never stored
+    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "constant", Fraction(self.constant))
@@ -125,23 +126,22 @@ def rspec_shift(r: RSpec, m: int) -> RSpec:
     )
 
 
-@lru_cache(maxsize=None)
-def _r_eval_cached(r: RSpec, n: int) -> Fraction:
-    den = Fraction(1)
-    for f in r.den:
-        v = f.value(n, r.q)
-        if v == 0:
-            raise PoleError(n)
-        den *= v
-    num = r.constant
-    for f in r.num:
-        num *= f.value(n, r.q)
-    return num / den
-
-
 def r_eval(r: RSpec, n: int) -> Fraction:
     """Exact value r(n) at an integer; raises PoleError on a denominator zero."""
-    return _r_eval_cached(r, int(n))
+    n = int(n)
+    value = r._values.get(n)
+    if value is None:
+        den = Fraction(1)
+        for f in r.den:
+            v = f.value(n, r.q)
+            if v == 0:
+                raise PoleError(n)
+            den *= v
+        num = r.constant
+        for f in r.num:
+            num *= f.value(n, r.q)
+        value = r._values[n] = num / den
+    return value
 
 
 def content_product(r: RSpec, lam, m: int) -> Fraction:

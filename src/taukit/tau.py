@@ -6,10 +6,11 @@ The central object is the series
         r_lam(M) * s_lam(t) * s_lam(beta),
 
 truncated at a grade d (all |lam| <= d), with r_lam(M) the content product
-of an operator symbol r(D) shifted by the integer charge M.  Specializing
-the time sets produces the classical and basic hypergeometric families,
-which are also implemented directly (through Pochhammer and hook products)
-so the two routes can be cross-checked coefficient by coefficient.
+of an operator symbol r(D) shifted by the integer charge M.  The classical
+and basic hypergeometric families are this series for the symbol
+r(D) = prod (a_k + D) / prod (b_k + D), or its q-form, with beta at the
+principal-infinity times; ``classical_reference`` is the independent
+term-ratio recursion they are checked against.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .partitions import contains, enumerate_up_to, hook_data, n_statistic
-from .poly import GradedPoly, is_integral, rational_nth_root, rational_pow
+from .partitions import contains, enumerate_up_to
+from .poly import is_integral, lift, rational_nth_root, rational_pow, weighted_sum
 from .rspec import (
     LinFactor,
     PoleError,
@@ -27,7 +28,6 @@ from .rspec import (
     QPairFactor,
     RSpec,
     content_product,
-    poch_partition,
     skew_content_product,
 )
 from .schur import (
@@ -65,12 +65,6 @@ class TauExpansion:
 
 def _is_generic(times) -> bool:
     return isinstance(times, GenericTimes)
-
-
-def _lifted(value, cap: int, fam_caps) -> GradedPoly:
-    if isinstance(value, GradedPoly):
-        return GradedPoly(cap, value.terms, fam_caps)
-    return GradedPoly.constant(value, cap, fam_caps)
 
 
 def _render_pairs(coeffs: dict, t, beta, d: int):
@@ -163,68 +157,37 @@ def tau_general(chain: ChainSpec, m: int, d: int):
         fams = {tm.family for _, tm in chain.left + chain.right if _is_generic(tm)}
         if len(fams) < 2:
             raise ValueError("generic time sets on the two sides must use distinct families")
+    if not gen_left and not gen_right:
+        return sum((left[lam] * right[lam] for lam in parts), Fraction(0))
     cap = 2 * d if (gen_left and gen_right) else d
     fam_caps = (d, d) if (gen_left and gen_right) else (None, None)
-    total_scalar = Fraction(0)
-    acc: dict = {}
-    for lam in parts:
-        lv, rv = left[lam], right[lam]
-        if isinstance(lv, Fraction) and isinstance(rv, Fraction):
-            total_scalar += lv * rv
-            continue
-        piece = _lifted(lv, cap, fam_caps) * _lifted(rv, cap, fam_caps)
-        for mono_, coef in piece.terms.items():
-            acc[mono_] = acc.get(mono_, 0) + coef
-    if not gen_left and not gen_right:
-        return total_scalar
-    acc[()] = acc.get((), 0) + total_scalar
-    return GradedPoly(cap, acc, fam_caps)
+    pieces = ((1, lift(left[lam], cap, fam_caps) * lift(right[lam], cap, fam_caps)) for lam in parts)
+    return weighted_sum(pieces, cap, fam_caps)
 
 
 # -- hypergeometric families -------------------------------------------------------
 
 
-def _ratio_coeff_plain(a, b, m: int, lam) -> Fraction:
-    num = Fraction(1)
-    for ak in a:
-        num *= poch_partition(Fraction(ak) + m, lam)
-    den = Fraction(1)
-    for bk in b:
-        f = poch_partition(Fraction(bk) + m, lam)
-        if f == 0:
-            raise PoleError(int(-(Fraction(bk))), f"Pochhammer of {bk}+M vanishes on {lam}")
-        den *= f
-    return num / den
+def _family_symbol(a, b, q=None) -> RSpec:
+    """r(D) = prod (a_k + D) / prod (b_k + D), or prod (1 - q^{a_k+D}) / prod (1 - q^{b_k+D})."""
+    factor = LinFactor if q is None else (lambda v: QLinFactor(Fraction(1), v))
+    return RSpec(num=tuple(factor(Fraction(v)) for v in a), den=tuple(factor(Fraction(v)) for v in b), q=q)
 
 
 def pfs_multivar(a, b, m: int, t, d: int):
     """sum_lam prod (a_k+M)_lam / prod (b_k+M)_lam * s_lam(t) / H_lam.
 
-    The hook denominator is the value of the second Schur factor at times
-    (1, 0, 0, ...); the result is a polynomial for generic t, otherwise a
-    number.  Computed through Pochhammer and hook products, independently
-    of the content-product route.
+    This is the tau-series of the family symbol with beta at the
+    principal-infinity times, where s_lam(beta) = 1 / H_lam; the result is
+    a polynomial for generic t, otherwise a number.
     """
-    coeffs = {}
-    for lam in enumerate_up_to(d):
-        coeffs[lam] = _ratio_coeff_plain(a, b, m, lam) / hook_data(lam).product
-    return _render_single(coeffs, t, d)
+    return tau_series(_family_symbol(a, b), m, d, PrincipalInfinityTimes(), t)
 
 
 def _render_single(coeffs: dict, t, d: int):
     if not _is_generic(t):
-        total = Fraction(0)
-        for lam, c in coeffs.items():
-            if c:
-                total += c * schur_poly(lam, t, d)
-        return total
-    acc: dict = {}
-    for lam, c in coeffs.items():
-        if not c:
-            continue
-        for mono_, coef in schur_poly(lam, t, d).terms.items():
-            acc[mono_] = acc.get(mono_, 0) + c * coef
-    return GradedPoly(d, acc)
+        return sum((c * schur_poly(lam, t, d) for lam, c in coeffs.items() if c), Fraction(0))
+    return weighted_sum(((c, schur_poly(lam, t, d)) for lam, c in coeffs.items() if c), d)
 
 
 def _basic_q(q) -> Fraction:
@@ -239,55 +202,34 @@ def qphi_multivar(a, b, m: int, q, x, d: int) -> Fraction:
     """Multiple basic series sum over lam with l(lam) <= len(x):
 
     prod (q^{a_k+M}; q)_lam / prod (q^{b_k+M}; q)_lam
-        * q^{n(lam)} / H_lam(q) * s_lam(x).
+        * q^{n(lam)} / H_lam(q) * s_lam(x),
+
+    the q-family tau-series at beta = principal-infinity times.  Longer
+    partitions have s_lam(x) = 0 and are skipped, so a denominator zero
+    that only they reach is never evaluated.
     """
     q = _basic_q(q)
     xs = tuple(Fraction(v) for v in x)
-    total = Fraction(0)
-    for lam in enumerate_up_to(d):
-        if len(lam) > len(xs):
-            continue
-        num = Fraction(1)
-        for ak in a:
-            num *= poch_partition(Fraction(ak) + m, lam, q)
-        den = Fraction(1)
-        for bk in b:
-            f = poch_partition(Fraction(bk) + m, lam, q)
-            if f == 0:
-                raise PoleError(int(-(Fraction(bk))), f"(q^{bk}+M; q) vanishes on {lam}")
-            den *= f
-        hd = hook_data(lam, q)
-        term = num / den * q ** n_statistic(lam) / hd.q_product
-        total += term * schur_poly(lam, MiwaTimes(xs), d)
-    return total
+    r = _family_symbol(a, b, q)
+    coeffs = {lam: content_product(r, lam, m) for lam in enumerate_up_to(d) if len(lam) <= len(xs)}
+    return _render_pairs(coeffs, MiwaTimes(xs), PrincipalInfinityTimes(q), d)
+
+
+def _row_coeffs(r: RSpec, m: int, order: int) -> list[Fraction]:
+    """r_(n)(M) s_(n)(beta) at principal-infinity beta, n = 0..order: the one-variable series."""
+    beta = PrincipalInfinityTimes(r.q)
+    rows = [(n,) if n else () for n in range(order + 1)]
+    return [content_product(r, row, m) * schur_poly(row, beta, order) for row in rows]
 
 
 def qphi_one_var_coeffs(a, b, m: int, q, order: int) -> list[Fraction]:
-    """Coefficients of the one-variable basic series, through the partition layer."""
-    q = _basic_q(q)
-    out = []
-    for n in range(order + 1):
-        row = (n,) if n else ()
-        num = Fraction(1)
-        for ak in a:
-            num *= poch_partition(Fraction(ak) + m, row, q)
-        den = Fraction(1)
-        for bk in b:
-            f = poch_partition(Fraction(bk) + m, row, q)
-            if f == 0:
-                raise PoleError(int(-(Fraction(bk))), f"(q^{bk}+M; q) vanishes at n={n}")
-            den *= f
-        out.append(num / den / hook_data(row, q).q_product)
-    return out
+    """Coefficients of the one-variable basic series, one row partition per order."""
+    return _row_coeffs(_family_symbol(a, b, _basic_q(q)), m, order)
 
 
 def pfq_one_var_coeffs(a, b, m: int, order: int) -> list[Fraction]:
-    """Coefficients of the one-variable classical series, through the partition layer."""
-    out = []
-    for n in range(order + 1):
-        row = (n,) if n else ()
-        out.append(_ratio_coeff_plain(a, b, m, row) / hook_data(row).product)
-    return out
+    """Coefficients of the one-variable classical series, one row partition per order."""
+    return _row_coeffs(_family_symbol(a, b), m, order)
 
 
 def classical_reference(a, b, order: int, q=None) -> list[Fraction]:

@@ -28,10 +28,12 @@ from .poly import (
     format_rational,
     hirota_D,
     inverse,
+    lift,
     log_series,
     mono_famdeg,
     mono_wdeg,
     tvar,
+    weighted_sum,
 )
 from .rspec import (
     LinFactor,
@@ -167,8 +169,10 @@ def check_kp_bilinear(r: RSpec, m: int, d: int) -> CheckReport:
 
     Every monomial of the expression has t-weight = b-weight - 4, and the
     coefficients with b-weight <= d are exact, so the window filters on the
-    b-weight alone.
+    b-weight alone; below d = 4 it holds no coefficient.
     """
+    if d < 4:
+        raise ValueError(f"kp compares b-weights 4..d: degree d = {d} compares nothing, use d >= 4")
     tau = _generic_tau(r, m, d)
     expr = (
         hirota_D(tau, tau, [(tvar(1), 4)])
@@ -252,10 +256,6 @@ class BandMatrix:
         return self.entries.get((j, k), default)
 
 
-def _mul_lifted(p: GradedPoly, q: GradedPoly, cap: int, fam_caps) -> GradedPoly:
-    return GradedPoly(cap, p.terms, fam_caps) * GradedPoly(cap, q.terms, fam_caps)
-
-
 def _window_block(r: RSpec, m: int, d: int, window: int) -> BandMatrix:
     """Non-positive-index block of U+(t) U-(M, beta) over the index window.
 
@@ -263,15 +263,17 @@ def _window_block(r: RSpec, m: int, d: int, window: int) -> BandMatrix:
     shift^{-1} r(diag + M))) has entries p_{j-k}(beta) r(k+M)...r(j-1+M).
     Both exponentials are finite sums because the truncated shifts are
     nilpotent; entry sums stop where the graded truncation kills them.
+    Each product p_a(t) p_b(beta) is formed once and shared by the entries.
     """
     cap, fam_caps = 2 * d, (d, d)
-    pt = power_sums_basis(d, FAMILY_T)
-    pb = power_sums_basis(d, FAMILY_B)
+    pt = [lift(p, cap, fam_caps) for p in power_sums_basis(d, FAMILY_T)]
+    pb = [lift(p, cap, fam_caps) for p in power_sums_basis(d, FAMILY_B)]
+    pair = {(a, b): pt[a] * pb[b] for a in range(d + 1) for b in range(d + 1)}
     rval = {n: r_eval(r, n + m) for n in range(-window, d)}
     entries: dict = {}
     for j in range(-window, 1):
         for k in range(-window, 1):
-            acc: dict = {}
+            pieces = []
             prod_r = Fraction(1)
             for i in range(k, max(j, k)):
                 prod_r *= rval[i]
@@ -280,12 +282,9 @@ def _window_block(r: RSpec, m: int, d: int, window: int) -> BandMatrix:
                     break
                 if l > max(j, k):
                     prod_r *= rval[l - 1]
-                if prod_r == 0:
-                    continue
-                piece = _mul_lifted(pt[l - j], pb[l - k], cap, fam_caps)
-                for mono_, c in piece.terms.items():
-                    acc[mono_] = acc.get(mono_, 0) + prod_r * c
-            entries[(j, k)] = GradedPoly(cap, acc, fam_caps)
+                if prod_r:
+                    pieces.append((prod_r, pair[l - j, l - k]))
+            entries[(j, k)] = weighted_sum(pieces, cap, fam_caps)
     return BandMatrix(lo=-window, hi=0, charge=m, entries=entries)
 
 

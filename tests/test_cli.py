@@ -222,9 +222,9 @@ def test_eval_qphi_rejects_unit_q(capsys):
 
 
 def test_bilinear_checks_refuse_empty_window(capsys):
-    for check in ("hirota", "toda"):
-        code, _, err = run(capsys, "verify", check, "--rspec", RATIO_SPEC, "-d", "0")
-        assert code == 2 and "d = 0" in err
+    for check, d in (("hirota", "0"), ("toda", "0"), ("kp", "3")):
+        code, _, err = run(capsys, "verify", check, "--rspec", RATIO_SPEC, "-d", d)
+        assert code == 2 and f"d = {d}" in err
 
 
 def test_verify_prop4_failure_names_monomial(capsys, monkeypatch):

@@ -254,21 +254,41 @@ def test_pfs_single_box_coefficient():
     assert got == (a[0] + m) / (b[0] + m)
 
 
+def poch_ratio(a, b, m, lam, q=None):
+    """prod (a_k+M)_lam / prod (b_k+M)_lam from partition Pochhammers."""
+    out = F(1)
+    for ak in a:
+        out *= poch_partition(ak + m, lam, q)
+    for bk in b:
+        out /= poch_partition(bk + m, lam, q)
+    return out
+
+
 def test_pfs_equals_tau_series_route():
+    # pfs_multivar is the tau-series route; the Pochhammer x hook sum is formed here
     a, b = [F(1, 3), F(3, 2)], [F(2, 7)]
-    spec = RSpec(
-        num=tuple(LinFactor(v) for v in a),
-        den=tuple(LinFactor(v) for v in b),
-    )
     for m in (-1, 0, 1):
         direct = pfs_multivar(a, b, m, T, 5)
-        via_tau = tau_series(spec, m, 5, PrincipalInfinityTimes(), T)
-        assert direct == via_tau
+        want = GradedPoly(5)
+        for lam in enumerate_up_to(5):
+            want = want + schur_poly(lam, T, 5).scale(poch_ratio(a, b, m, lam) / hook_data(lam).product)
+        assert direct == want
 
 
 def test_pfs_pole_raises():
     with pytest.raises(PoleError):
         pfs_multivar([F(1)], [F(-2)], 0, T, 5)  # (b+M) hits 0 on row contents
+
+
+def test_family_poles_name_minus_b_with_charge():
+    with pytest.raises(PoleError) as err:
+        pfq_one_var_coeffs([F(1, 2)], [F(-2)], 0, 6)
+    assert err.value.point == 2
+    # with M = 3 the row contents j - 1 + M start at 3, past the pole at -b = 2
+    assert pfq_one_var_coeffs([F(1, 2)], [F(-2)], 3, 6) == classical_reference([F(7, 2)], [F(1)], 6)
+    with pytest.raises(PoleError) as err:
+        qphi_one_var_coeffs([F(2), F(3)], [F(1)], -1, F(1, 2), 5)
+    assert err.value.point == -1
 
 
 def test_qphi_empty_x_is_one():
@@ -309,19 +329,35 @@ def test_qphi_no_ratio_matches_tau_series_with_principal_beta():
 
 
 def test_qphi_full_ratio_matches_tau_series_route():
+    # qphi_multivar is the tau-series route; the Pochhammer x hook sum is formed here.
     # b = 7 keeps the denominator exponent clear of every content in range
     q = F(1, 2)
     a, b = [F(2)], [F(7)]
     xs = (F(1, 3), F(1, 7))
-    spec = RSpec(
-        num=tuple(QLinFactor(F(1), v) for v in a),
-        den=tuple(QLinFactor(F(1), v) for v in b),
-        q=q,
-    )
     for m in (0, 1):
         got = qphi_multivar(a, b, m, q, xs, 5)
-        want = tau_series(spec, m, 5, MiwaTimes(xs), PrincipalInfinityTimes(q))
+        want = sum(
+            (
+                poch_ratio(a, b, m, lam, q)
+                * q ** n_statistic(lam)
+                / hook_data(lam, q).q_product
+                * schur_poly(lam, MiwaTimes(xs), 5)
+                for lam in enumerate_up_to(5)
+                if len(lam) <= len(xs)
+            ),
+            F(0),
+        )
         assert got == want
+
+
+def test_qphi_multivar_skips_partitions_longer_than_x():
+    # (q^{2+D}; q) vanishes at content -2, which only l(lam) >= 3 reaches
+    q, xs = F(1, 2), (F(1, 3), F(1, 5))
+    assert qphi_multivar([F(3)], [F(2)], 0, q, xs, 4) == F(6745346, 1771875)
+    spec = RSpec(num=(QLinFactor(F(1), F(3)),), den=(QLinFactor(F(1), F(2)),), q=q)
+    with pytest.raises(PoleError) as err:
+        tau_series(spec, 0, 4, MiwaTimes(xs), PrincipalInfinityTimes(q))
+    assert err.value.point == -2
 
 
 def test_two_variable_set_series_from_components():

@@ -122,6 +122,13 @@ def test_toda_rejects_unknown_gauge():
 # -- KP bilinear ------------------------------------------------------------------------------
 
 
+def test_kp_rejects_empty_window():
+    # every monomial has t-weight = b-weight - 4, so b-weight <= 3 holds none
+    for d in (3, 0):
+        with pytest.raises(ValueError, match=f"d = {d}"):
+            check_kp_bilinear(RATIO, 0, d)
+
+
 def test_kp_trivial_and_families():
     assert check_kp_bilinear(RSpec(), 0, 4).passed
     assert check_kp_bilinear(RSpec(num=(LinFactor(F(2, 3)),)), 1, 5).passed
