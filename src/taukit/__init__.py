@@ -20,13 +20,9 @@ from .partitions import (
 )
 from .poly import (
     GradedPoly,
-    Scalar,
     Var,
-    arith,
     bvar,
-    coeff,
     derivative,
-    exp_log,
     exp_series,
     format_monomial,
     format_rational,

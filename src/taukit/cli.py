@@ -93,6 +93,8 @@ def cmd_expand(args) -> int:
 
 def cmd_eval(args) -> int:
     fmt = args.format
+    if args.family in ("pfq", "qphi") and args.order < 0:
+        raise ValueError(f"--order must be >= 0 for eval {args.family}, got {args.order}")
     if args.family == "pfq":
         a, b = _rat_list(args.a), _rat_list(args.b)
         coeffs = pfq_one_var_coeffs(a, b, args.charge, args.order)

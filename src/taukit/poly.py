@@ -11,20 +11,33 @@ Optionally a polynomial carries per-family caps as well.  Monomials whose
 t-weight (or b-weight) exceeds the family cap are likewise discarded; the
 surviving monomials again form a quotient ring, which keeps box-truncated
 computations exact.
+
+The caps are the window a product is formed in; nothing outside it is
+formed.  ``p * q`` keeps the tighter caps, and ``derivative`` lowers them by
+the weight of its variable, where an arbitrary truncated polynomial stays
+exact.  A caller that knows another window (a tau truncated at grade d
+misses only monomials whose two weights both exceed d) passes it to
+``mul_in`` or ``lift``.
+
+Products work on a packed form that each polynomial builds once beside the
+public ``terms``: every monomial is one int, the exponent of t_k in slot
+2k - 2 and that of b_k in slot 2k - 1, so multiplying monomials adds ints
+(a slot is wider than the cap, so no carry occurs); the coefficients are
+integer numerators over one denominator; the terms sit in buckets keyed by
+(t-weight, b-weight).  A product visits only the bucket pairs that fit the
+caps and divides once per result term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import product as _iproduct
-from math import comb
+from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, NamedTuple
-
-Scalar = Fraction
 
 FAMILY_T = "t"
 FAMILY_B = "b"
-FAMILIES = (FAMILY_T, FAMILY_B)
 
 
 class Var(NamedTuple):
@@ -63,37 +76,15 @@ def mono(pairs: Iterable[tuple[Var, int]]) -> Monomial:
     return tuple(sorted(acc.items()))
 
 
-def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    acc = dict(m1)
-    for v, e in m2:
-        acc[v] = acc.get(v, 0) + e
-    return tuple(sorted(acc.items()))
-
-
-_DEGREES: dict[Monomial, tuple[int, int, int]] = {}
-
-
-def _degrees(m: Monomial) -> tuple[int, int, int]:
-    """(total, t-weight, b-weight) of a monomial, memoized."""
-    got = _DEGREES.get(m)
-    if got is None:
-        t = sum(v.index * e for v, e in m if v.family == FAMILY_T)
-        b = sum(v.index * e for v, e in m if v.family == FAMILY_B)
-        got = (t + b, t, b)
-        _DEGREES[m] = got
-    return got
-
-
-def mono_wdeg(m: Monomial) -> int:
-    return _degrees(m)[0]
-
-
-def mono_famdeg(m: Monomial, family: str) -> int:
-    return _degrees(m)[1] if family == FAMILY_T else _degrees(m)[2]
+def mono_weights(m: Monomial) -> tuple[int, int]:
+    """(t-weight, b-weight) of a monomial."""
+    t = b = 0
+    for v, e in m:
+        if v.family == FAMILY_T:
+            t += v.index * e
+        else:
+            b += v.index * e
+    return t, b
 
 
 def format_monomial(m: Monomial) -> str:
@@ -107,46 +98,57 @@ def format_monomial(m: Monomial) -> str:
 
 
 def _min_cap(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+    """The tighter of two caps; None is no cap."""
+    return b if a is None else a if b is None else min(a, b)
+
+
+def _fits(cap: int, fam_caps):
+    """Test of a (t-weight, b-weight) bucket against a window; None is no family cap."""
+    tcap, bcap = (cap if c is None else c for c in fam_caps)
+    return lambda tb: tb[0] <= tcap and tb[1] <= bcap and tb[0] + tb[1] <= cap
+
+
+# -- packed monomials ---------------------------------------------------------------
+
+
+def _width(cap: int) -> int:
+    """Bits per exponent slot for polynomials under ``cap``: no exponent exceeds the cap."""
+    return max(8, cap.bit_length())
+
+
+def _shift(v: Var, width: int) -> int:
+    """Bit offset of the slot of v: t_k in slot 2k - 2, b_k in slot 2k - 1."""
+    return (2 * v.index - 1 - (v.family == FAMILY_T)) * width
+
+
+@lru_cache(maxsize=1 << 12)
+def _unpack(part: int, family: str, width: int) -> Monomial:
+    """The (Var, exponent) pairs held in one family's slots of a packed monomial."""
+    pairs, index, mask = [], 1, (1 << width) - 1
+    rest = part if family == FAMILY_T else part >> width
+    while rest:
+        if rest & mask:
+            pairs.append((Var(family, index), rest & mask))
+        rest >>= 2 * width
+        index += 1
+    return tuple(pairs)
 
 
 class GradedPoly:
     """Immutable truncated polynomial; do not mutate ``terms`` after creation."""
 
-    __slots__ = ("cap", "fam_caps", "terms")
+    __slots__ = ("cap", "fam_caps", "terms", "_packed")
 
     def __init__(self, cap, terms=None, fam_caps=(None, None)):
         if cap < 0:
             raise ValueError("cap must be >= 0")
-        self.cap = cap
-        self.fam_caps = fam_caps
-        tcap, bcap = fam_caps
-        kept: dict[Monomial, Fraction] = {}
-        for m, c in (terms or {}).items():
-            if not c:
-                continue
-            w, t, b = _degrees(m)
-            if w > cap:
-                continue
-            if tcap is not None and t > tcap:
-                continue
-            if bcap is not None and b > bcap:
-                continue
-            kept[m] = Fraction(c)
-        self.terms = kept
-
-    @classmethod
-    def _raw(cls, cap, terms, fam_caps):
-        """Internal: wrap an already-truncated, zero-free terms dict."""
-        self = object.__new__(cls)
-        self.cap = cap
-        self.fam_caps = fam_caps
-        self.terms = terms
-        return self
+        self.cap, self.fam_caps, self._packed = cap, fam_caps, None
+        fits = _fits(cap, fam_caps)
+        self.terms = {
+            m: c if type(c) is Fraction else Fraction(c)
+            for m, c in (terms or {}).items()
+            if c and fits(mono_weights(m))
+        }
 
     # -- constructors ------------------------------------------------------
 
@@ -162,65 +164,87 @@ class GradedPoly:
     def variable(v: Var, cap: int, fam_caps=(None, None)) -> "GradedPoly":
         return GradedPoly(cap, {mono([(v, 1)]): Fraction(1)}, fam_caps)
 
+    # -- packed form ---------------------------------------------------------
+
+    def _pack(self, width: int):
+        """(denominator, {(t-weight, b-weight): {packed monomial: numerator}}) at ``width``."""
+        if self._packed is None or self._packed[0] != width:
+            den = lcm(*(c.denominator for c in self.terms.values()))
+            buckets: dict = {}
+            for m, c in self.terms.items():
+                key = sum(e << _shift(v, width) for v, e in m)
+                buckets.setdefault(mono_weights(m), {})[key] = c.numerator * (den // c.denominator)
+            self._packed = (width, den, buckets)
+        return self._packed[1:]
+
+    @classmethod
+    def _from_sums(cls, cap, fam_caps, width, den, sums) -> "GradedPoly":
+        """Wrap bucketed {packed monomial: numerator over den} sums, keeping the packed form."""
+        common = gcd(den, *(n for acc in sums.values() for n in acc.values()))
+        den //= common
+        tmask = ((1 << width) - 1) * ((1 << 2 * width * cap) - 1) // ((1 << 2 * width) - 1)
+        bmask = tmask << width
+        terms, buckets = {}, {}
+        while sums:
+            tb, acc = sums.popitem()
+            bucket = {k: n // common for k, n in acc.items() if n}
+            if bucket:
+                buckets[tb] = bucket
+                terms.update(
+                    (_unpack(k & bmask, FAMILY_B, width) + _unpack(k & tmask, FAMILY_T, width), Fraction(n, den))
+                    for k, n in bucket.items()
+                )
+        out = object.__new__(cls)
+        out.cap, out.fam_caps, out.terms, out._packed = cap, fam_caps, terms, (width, den, buckets)
+        return out
+
     # -- ring structure ----------------------------------------------------
 
     def _join_caps(self, other: "GradedPoly") -> tuple[int, tuple]:
-        cap = min(self.cap, other.cap)
-        fc = (
-            _min_cap(self.fam_caps[0], other.fam_caps[0]),
-            _min_cap(self.fam_caps[1], other.fam_caps[1]),
-        )
-        return cap, fc
+        return min(self.cap, other.cap), tuple(map(_min_cap, self.fam_caps, other.fam_caps))
 
     def __add__(self, other):
         if not isinstance(other, GradedPoly):
             other = GradedPoly.constant(other, self.cap, self.fam_caps)
-        cap, fc = self._join_caps(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, 0) + c
-        if (cap, fc) == (self.cap, self.fam_caps) == (other.cap, other.fam_caps):
-            return GradedPoly._raw(cap, {m: c for m, c in acc.items() if c}, fc)
-        return GradedPoly(cap, acc, fc)
+        return weighted_sum(((1, self), (1, other)), *self._join_caps(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPoly(self.cap, {m: -c for m, c in self.terms.items()}, self.fam_caps)
+        return self.scale(-1)
 
     def __sub__(self, other):
         if not isinstance(other, GradedPoly):
             other = GradedPoly.constant(other, self.cap, self.fam_caps)
-        return self + (-other)
+        return weighted_sum(((1, self), (-1, other)), *self._join_caps(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def scale(self, value) -> "GradedPoly":
-        value = Fraction(value)
-        return GradedPoly(self.cap, {m: c * value for m, c in self.terms.items()}, self.fam_caps)
+        return weighted_sum(((value, self),), self.cap, self.fam_caps)
 
     def __mul__(self, other):
         if not isinstance(other, GradedPoly):
             return self.scale(other)
         cap, fc = self._join_caps(other)
-        tcap, bcap = fc
-        acc: dict[Monomial, Fraction] = {}
-        # degrees add under multiplication, so filtering needs no product degrees
-        a, b = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
-        bitems = [(m, *_degrees(m), c) for m, c in b.items()]
-        for m1, c1 in a.items():
-            w1, t1, b1 = _degrees(m1)
-            for m2, w2, t2, b2, c2 in bitems:
-                if w1 + w2 > cap:
+        fits = _fits(cap, fc)
+        width = _width(max(self.cap, other.cap))
+        den_a, left = self._pack(width)
+        den_b, right = other._pack(width)
+        sums: dict = {}
+        for (t1, b1), bucket1 in left.items():
+            for (t2, b2), bucket2 in right.items():
+                tb = (t1 + t2, b1 + b2)
+                if not fits(tb):
                     continue
-                if tcap is not None and t1 + t2 > tcap:
-                    continue
-                if bcap is not None and b1 + b2 > bcap:
-                    continue
-                m = mono_mul(m1, m2)
-                acc[m] = acc.get(m, 0) + c1 * c2
-        return GradedPoly._raw(cap, {m: c for m, c in acc.items() if c}, fc)
+                acc = sums.setdefault(tb, {})
+                get = acc.get
+                for k1, n1 in bucket1.items():
+                    for k2, n2 in bucket2.items():
+                        k = k1 + k2
+                        acc[k] = get(k, 0) + n1 * n2
+        return GradedPoly._from_sums(cap, fc, width, den_a * den_b, sums)
 
     __rmul__ = __mul__
 
@@ -237,9 +261,8 @@ class GradedPoly:
     def __repr__(self):
         if not self.terms:
             return "<GradedPoly 0>"
-        body = " + ".join(
-            f"{c}*{format_monomial(m)}" for m, c in sorted(self.terms.items(), key=lambda kv: (mono_wdeg(kv[0]), kv[0]))
-        )
+        order = sorted(self.terms.items(), key=lambda kv: (sum(mono_weights(kv[0])), kv[0]))
+        body = " + ".join(f"{c}*{format_monomial(m)}" for m, c in order)
         return f"<GradedPoly {body}>"
 
     # -- queries -----------------------------------------------------------
@@ -253,104 +276,86 @@ class GradedPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def retruncate(self, cap: int, fam_caps=None) -> "GradedPoly":
-        return GradedPoly(min(cap, self.cap), self.terms, fam_caps or self.fam_caps)
-
 
 def lift(p, cap: int, fam_caps=(None, None)) -> GradedPoly:
-    """A GradedPoly or a scalar as a GradedPoly under the given caps."""
+    """A GradedPoly or a scalar as a GradedPoly in the window (cap, fam_caps).
+
+    Terms of p outside the window are dropped.  The window may also be
+    larger than the caps of p: the caller then states that p is exact there.
+    """
     if isinstance(p, GradedPoly):
         return GradedPoly(cap, p.terms, fam_caps)
     return GradedPoly.constant(p, cap, fam_caps)
 
 
+def mul_in(p: GradedPoly, q: GradedPoly, cap: int, fam_caps) -> GradedPoly:
+    """p * q formed in the window (cap, fam_caps) alone, whatever the caps of p and q.
+
+    The window is the caller's statement of where the product is exact.
+    """
+    return lift(p, cap, fam_caps) * lift(q, cap, fam_caps)
+
+
 def weighted_sum(pieces, cap: int, fam_caps=(None, None)) -> GradedPoly:
-    """sum of c * p over the (scalar c, GradedPoly p) pairs, under the given caps."""
-    acc: dict[Monomial, Fraction] = {}
-    for c, p in pieces:
-        for m, coef in p.terms.items():
-            acc[m] = acc.get(m, 0) + c * coef
-    return GradedPoly(cap, acc, fam_caps)
+    """sum of c * p over the (scalar c, GradedPoly p) pairs, in the window (cap, fam_caps).
+
+    Summed in integers over one common denominator, one division per term.
+    """
+    pieces = [(Fraction(c), p) for c, p in pieces if c]
+    fits = _fits(cap, fam_caps)
+    width = _width(max([cap] + [p.cap for _, p in pieces]))
+    packed = [(c, *p._pack(width)) for c, p in pieces]
+    den = lcm(*(c.denominator * d for c, d, _ in packed))
+    sums: dict = {}
+    for c, d, buckets in packed:
+        factor = c.numerator * (den // (c.denominator * d))
+        for tb, bucket in buckets.items():
+            if fits(tb):
+                acc = sums.setdefault(tb, {})
+                get = acc.get
+                for k, n in bucket.items():
+                    acc[k] = get(k, 0) + factor * n
+    return GradedPoly._from_sums(cap, tuple(fam_caps), width, den, sums)
 
 
 # -- spec operations --------------------------------------------------------
 
 
-def arith(p: GradedPoly, q: GradedPoly, kind: str, cap: int) -> GradedPoly:
-    """Exact add/sub/mul; the result cap is min(cap, p.cap, q.cap)."""
-    if kind == "add":
-        r = p + q
-    elif kind == "sub":
-        r = p - q
-    elif kind == "mul":
-        r = p * q
-    else:
-        raise ValueError(f"unknown arithmetic kind {kind!r}")
-    return r.retruncate(cap)
-
-
 def derivative(p: GradedPoly, v: Var) -> GradedPoly:
-    """Formal partial derivative; the validity caps drop by wdeg(v)."""
-    acc: dict[Monomial, Fraction] = {}
-    for m, c in p.terms.items():
-        d = dict(m)
-        e = d.get(v)
-        if not e:
-            continue
-        if e == 1:
-            del d[v]
-        else:
-            d[v] = e - 1
-        acc[tuple(sorted(d.items()))] = c * e
-    cap = max(p.cap - v.index, 0)
-    tcap, bcap = p.fam_caps
-    if v.family == FAMILY_T and tcap is not None:
-        tcap = max(tcap - v.index, 0)
-    if v.family == FAMILY_B and bcap is not None:
-        bcap = max(bcap - v.index, 0)
-    return GradedPoly(cap, acc, (tcap, bcap))
+    """Formal partial derivative; the caps drop by wdeg(v), where an arbitrary p stays exact."""
+    width = _width(p.cap)
+    den, buckets = p._pack(width)
+    shift, mask = _shift(v, width), (1 << width) - 1
+    drop = (v.index, 0) if v.family == FAMILY_T else (0, v.index)
+    sums = {}
+    for (t, b), bucket in buckets.items():
+        acc = {k - (1 << shift): n * e for k, n in bucket.items() if (e := k >> shift & mask)}
+        if acc:
+            sums[t - drop[0], b - drop[1]] = acc
+    fam_caps = tuple(c if c is None else max(c - w, 0) for c, w in zip(p.fam_caps, drop))
+    return GradedPoly._from_sums(max(p.cap - v.index, 0), fam_caps, width, den, sums)
 
 
 def _nilpotent_series(p: GradedPoly, coeffs: list[Fraction]) -> GradedPoly:
     """sum coeffs[k] * p**k for a p with zero constant term (finite sum)."""
-    out = GradedPoly.constant(coeffs[0], p.cap, p.fam_caps)
-    power = GradedPoly.constant(1, p.cap, p.fam_caps)
-    for k in range(1, len(coeffs)):
-        power = power * p
-        if power.is_zero():
-            break
-        if coeffs[k]:
-            out = out + power.scale(coeffs[k])
-    return out
+    powers = [GradedPoly.constant(1, p.cap, p.fam_caps), p]
+    while len(powers) < len(coeffs) and not powers[-1].is_zero():
+        powers.append(powers[-1] * p)
+    return weighted_sum(zip(coeffs, powers), p.cap, p.fam_caps)
 
 
 def exp_series(p: GradedPoly) -> GradedPoly:
     """Truncated exp; requires constant term 0."""
     if p.constant_term() != 0:
         raise ValueError("exp requires zero constant term")
-    coeffs = [Fraction(1)]
-    for k in range(1, p.cap + 1):
-        coeffs.append(coeffs[-1] / k)
-    return _nilpotent_series(p, coeffs)
+    return _nilpotent_series(p, [Fraction(1, factorial(k)) for k in range(p.cap + 1)])
 
 
 def log_series(p: GradedPoly) -> GradedPoly:
     """Truncated log; requires constant term 1."""
     if p.constant_term() != 1:
         raise ValueError("log requires constant term 1")
-    x = p - 1
-    coeffs = [Fraction(0)]
-    for k in range(1, p.cap + 1):
-        coeffs.append(Fraction((-1) ** (k + 1), k))
-    return _nilpotent_series(x, coeffs)
-
-
-def exp_log(p: GradedPoly, direction: str) -> GradedPoly:
-    if direction == "exp":
-        return exp_series(p)
-    if direction == "log":
-        return log_series(p)
-    raise ValueError(f"unknown direction {direction!r}")
+    return _nilpotent_series(p - 1, [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, p.cap + 1)])
 
 
 def inverse(p: GradedPoly) -> GradedPoly:
@@ -367,32 +372,32 @@ def hirota_D(f: GradedPoly, g: GradedPoly, alpha: Iterable[tuple[Var, int]]) -> 
     """Hirota derivative D^alpha f.g = [d_y^alpha f(x+y) g(x-y)] at y=0.
 
     Expanded by the Leibniz rule:
-    D^a f.g = sum_{b<=a} (-1)^{|a-b|} C(a,b) (d^b f)(d^{a-b} g).
+    D^a f.g = sum_{b<=a} (-1)^{|a-b|} C(a,b) (d^b f)(d^{a-b} g),
+    each partial d^b taken once, from a partial one order lower.
     """
     pairs = [(v, e) for v, e in alpha if e]
     if not pairs:
         return f * g
     vars_, exps = zip(*pairs)
-    total = None
-    for beta in _iproduct(*[range(e + 1) for e in exps]):
-        df, dg = f, g
-        for v, b, e in zip(vars_, beta, exps):
-            for _ in range(b):
-                df = derivative(df, v)
-            for _ in range(e - b):
-                dg = derivative(dg, v)
-        sign = (-1) ** (sum(exps) - sum(beta))
-        weight = 1
-        for b, e in zip(beta, exps):
-            weight *= comb(e, b)
-        term = (df * dg).scale(sign * weight)
-        total = term if total is None else total + term
-    return total
+    box = list(_iproduct(*[range(e + 1) for e in exps]))
 
+    def partials(p):
+        # lexicographic order: each partial is taken from one already in the table
+        table = {}
+        for beta in box:
+            i = next((i for i, b in enumerate(beta) if b), None)
+            table[beta] = p if i is None else derivative(table[beta[:i] + (beta[i] - 1,) + beta[i + 1 :]], vars_[i])
+        return table
 
-def coeff(p: GradedPoly, m: Monomial) -> Fraction:
-    """Exact coefficient of a monomial; 0 if absent."""
-    return p.coeff(m)
+    of_f = partials(f)
+    of_g = of_f if g is f else partials(g)
+    terms = []
+    for beta in box:
+        rest = tuple(e - b for b, e in zip(beta, exps))
+        weight = (-1) ** sum(rest) * prod(comb(e, b) for b, e in zip(beta, exps))
+        terms.append((weight, of_f[beta] * of_g[rest]))
+    fam_caps = tuple(reduce(_min_cap, caps) for caps in zip(*(p.fam_caps for _, p in terms)))
+    return weighted_sum(terms, min(p.cap for _, p in terms), fam_caps)
 
 
 # -- exact scalar helpers -----------------------------------------------------

@@ -7,7 +7,7 @@ missing only monomials whose t-weight and b-weight both exceed d, so a
 bilinear combination is uncorrupted at diagonal degrees <= d - 1 (each
 side draws on tau coefficients at most one grade higher), and a purely
 t-differentiated bilinear expression is uncorrupted wherever its b-weight
-stays <= d.
+stays <= d.  Products are formed in the compare window alone (``mul_in``).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .poly import (
     inverse,
     lift,
     log_series,
-    mono_famdeg,
-    mono_wdeg,
+    mono_weights,
+    mul_in,
     tvar,
     weighted_sum,
 )
@@ -78,13 +78,10 @@ class CheckReport:
 
 def compare_windowed(lhs: GradedPoly, rhs: GradedPoly, t_max: int, b_max: int):
     """First differing coefficient with t-weight <= t_max and b-weight <= b_max."""
-    keys = set(lhs.terms) | set(rhs.terms)
     keys = [
-        m
-        for m in keys
-        if mono_famdeg(m, FAMILY_T) <= t_max and mono_famdeg(m, FAMILY_B) <= b_max
+        m for m in lhs.terms.keys() | rhs.terms.keys() if all(w <= top for w, top in zip(mono_weights(m), (t_max, b_max)))
     ]
-    for m in sorted(keys, key=lambda m: (mono_wdeg(m), m)):
+    for m in sorted(keys, key=lambda m: (sum(mono_weights(m)), m)):
         cl, cr = lhs.coeff(m), rhs.coeff(m)
         if cl != cr:
             return format_monomial(m), format_rational(cl), format_rational(cr)
@@ -118,13 +115,12 @@ def _bilinear_window(name: str, d: int) -> int:
 def check_hirota(r: RSpec, m: int, d: int) -> CheckReport:
     """tau(M) d_b1 d_t1 tau(M) - d_t1 tau(M) d_b1 tau(M) = r(M) tau(M-1) tau(M+1)."""
     window = _bilinear_window("hirota", d)
+    w = (2 * window, (window, window))
     t1, b1 = tvar(1), bvar(1)
-    tau_lo = _generic_tau(r, m - 1, d)
-    tau_mid = _generic_tau(r, m, d)
-    tau_hi = _generic_tau(r, m + 1, d)
-    mixed = derivative(derivative(tau_mid, t1), b1)
-    lhs = tau_mid * mixed - derivative(tau_mid, t1) * derivative(tau_mid, b1)
-    rhs = (tau_lo * tau_hi).scale(r_eval(r, m))
+    tau_lo, tau_mid, tau_hi = (_generic_tau(r, n, d) for n in (m - 1, m, m + 1))
+    d_t, d_b = derivative(tau_mid, t1), derivative(tau_mid, b1)
+    lhs = mul_in(tau_mid, derivative(d_t, b1), *w) - mul_in(d_t, d_b, *w)
+    rhs = mul_in(tau_lo, tau_hi, *w).scale(r_eval(r, m))
     failure = compare_windowed(lhs, rhs, window, window)
     return _report(
         "hirota", failure, window, {"rspec": rspec_to_json(r), "M": m, "d": d}
@@ -137,13 +133,16 @@ def check_toda(r: RSpec, m: int, d: int, gauge: str = "generalized") -> CheckRep
     The field comes from the tau-ratio: exp(-phi_n) = tau(n+1)/tau(n).  The
     standard gauge multiplies the exponential couplings by ratios of the
     h-table, which requires r to have no integer zeros in the touched range.
+    Only phi_M is differentiated, so only log tau(M) and log tau(M+1) are
+    formed in the taus' box (d, d); the rest is formed in the compare window.
     """
     if gauge not in ("generalized", "standard"):
         raise ValueError(f"unknown gauge {gauge!r}")
     window = _bilinear_window("toda", d)
+    w = (2 * window, (window, window))
     t1, b1 = tvar(1), bvar(1)
     taus = {n: _generic_tau(r, n, d) for n in range(m - 1, m + 3)}
-    logs = {n: log_series(taus[n]) for n in taus}
+    logs = {n: log_series(tau if n in (m, m + 1) else lift(tau, *w)) for n, tau in taus.items()}
     phi = {n: logs[n] - logs[n + 1] for n in range(m - 1, m + 2)}
     lhs = derivative(derivative(phi[m], t1), b1)
     hop_down = exp_series(phi[m - 1] - phi[m])
@@ -191,6 +190,8 @@ def check_kp_bilinear(r: RSpec, m: int, d: int) -> CheckReport:
 
 def check_ode(a, b, order: int) -> CheckReport:
     """(d_x - r(x d_x)) F = 0 termwise: (k+1) c_{k+1} = r(k) c_k."""
+    if order < 1:
+        raise ValueError(f"ode compares x^0..x^(order-1): order = {order} compares nothing, use --order >= 1")
     a = [Fraction(v) for v in a]
     b = [Fraction(v) for v in b]
     coeffs = pfq_one_var_coeffs(a, b, 0, order)
@@ -213,6 +214,8 @@ def check_ode(a, b, order: int) -> CheckReport:
 
 def check_qdiff(a, b, q, order: int) -> CheckReport:
     """(x^{-1}(1 - q^{x d_x}) - r_q(x d_x)) Phi = 0 termwise."""
+    if order < 1:
+        raise ValueError(f"qdiff compares x^0..x^(order-1): order = {order} compares nothing, use --order >= 1")
     q = Fraction(q)
     a = [Fraction(v) for v in a]
     b = [Fraction(v) for v in b]

@@ -227,6 +227,19 @@ def test_bilinear_checks_refuse_empty_window(capsys):
         assert code == 2 and f"d = {d}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "ode", "--a", "1/2", "--b", "3/2", "--order", "-1"),
+    ("verify", "ode", "--a", "1/2", "--b", "3/2", "--order", "0"),
+    ("verify", "qdiff", "--a", "2", "--b", "3", "--q", "1/2", "--order", "0"),
+    ("eval", "pfq", "--a", "1/2", "--b", "3/2", "--order", "-1"),
+    ("eval", "qphi", "--a", "2", "--b", "3", "--q", "1/2", "--order", "-1"),
+], ids=["ode-negative", "ode-zero", "qdiff-zero", "pfq-negative", "qphi-negative"])
+def test_orders_that_compare_nothing_are_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--order" in err and "Traceback" not in err
+
+
 def test_verify_prop4_failure_names_monomial(capsys, monkeypatch):
     from taukit import cli
     from taukit.poly import GradedPoly, mono, tvar

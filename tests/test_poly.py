@@ -6,14 +6,12 @@ from hypothesis import given, settings, strategies as st
 from taukit.poly import (
     GradedPoly,
     ONE_MONO,
-    arith,
     bvar,
-    coeff,
     derivative,
-    exp_log,
     exp_series,
     hirota_D,
     inverse,
+    lift,
     log_series,
     mono,
     parse_rational,
@@ -38,23 +36,23 @@ def var(v, cap=6):
 
 
 def test_mul_basic():
-    p = arith(var(T1, 2), var(T1, 2), "mul", 2)
+    p = var(T1, 2) * var(T1, 2)
     assert p == poly_of(2, ([(T1, 2)], 1))
 
 
 def test_mul_truncates():
     sq = poly_of(2, ([(T1, 2)], 1))
-    assert arith(sq, var(T1, 2), "mul", 2).is_zero()
+    assert (sq * var(T1, 2)).is_zero()
 
 
 def test_add_cancels():
     a = var(T1, 4) + var(B1, 4)
     b = var(T1, 4) - var(B1, 4)
-    assert arith(a, b, "add", 4) == var(T1, 4).scale(2)
+    assert a + b == var(T1, 4).scale(2)
 
 
 def test_result_cap_is_min():
-    p = arith(var(T1, 5), var(T1, 3), "mul", 4)
+    p = lift(var(T1, 5), 4) * var(T1, 3)
     assert p.cap == 3
 
 
@@ -77,13 +75,13 @@ def test_derivative_cap_drops():
 
 
 def test_exp_xi_series():
-    got = exp_log(var(T1, 3), "exp")
+    got = exp_series(var(T1, 3))
     want = poly_of(3, ([], 1), ([(T1, 1)], 1), ([(T1, 2)], F(1, 2)), ([(T1, 3)], F(1, 6)))
     assert got == want
 
 
 def test_log_series():
-    got = exp_log(1 + var(T1, 2), "log")
+    got = log_series(1 + var(T1, 2))
     assert got == poly_of(2, ([(T1, 1)], 1), ([(T1, 2)], F(-1, 2)))
 
 
@@ -258,14 +256,59 @@ def test_hirota_parity(p):
     assert odd_fg == -odd_gf
 
 
+VARS = [T1, T2, T3, B1, bvar(2)]
+CAPS = st.one_of(st.none(), st.integers(0, 6))
+
+
+@st.composite
+def capped_polys(draw):
+    """Polynomials under random caps: each family cap set or unset, some caps past 255."""
+    cap = draw(st.one_of(st.integers(0, 10), st.just(300)))
+    fam_caps = (draw(CAPS), draw(CAPS))
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        pairs = draw(st.lists(st.tuples(st.sampled_from(VARS), st.integers(1, 3)), max_size=3))
+        if draw(st.booleans()) and cap == 300:
+            pairs.append((T1, draw(st.integers(100, 290))))
+        terms[mono(pairs)] = F(draw(st.integers(-9, 9)), draw(st.integers(1, 12)))
+    return GradedPoly(cap, terms, fam_caps)
+
+
+def pairwise_product(p, q):
+    """p * q by every pair of terms, kept where the tighter caps allow."""
+    cap = min(p.cap, q.cap)
+    fam = [min(c for c in pair if c is not None) if any(c is not None for c in pair) else None
+           for pair in zip(p.fam_caps, q.fam_caps)]
+    acc = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = mono(m1 + m2)
+            t = sum(v.index * e for v, e in m if v.family == "t")
+            b = sum(v.index * e for v, e in m if v.family == "b")
+            if t + b <= cap and (fam[0] is None or t <= fam[0]) and (fam[1] is None or b <= fam[1]):
+                acc[m] = acc.get(m, 0) + c1 * c2
+    return GradedPoly(cap, acc, tuple(fam))
+
+
+@given(capped_polys(), capped_polys(), capped_polys())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_pairwise_product(p, q, r):
+    pq = p * q
+    want = pairwise_product(p, q)
+    assert pq.terms == want.terms
+    assert (pq.cap, pq.fam_caps) == (want.cap, want.fam_caps)
+    # the product's own packed form feeds the next product
+    assert (pq * r).terms == pairwise_product(want, r).terms
+
+
 # -- scalars ----------------------------------------------------------------------------
 
 
 def test_coeff_lookup():
     p = poly_of(4, ([(T1, 2)], F(1, 2)), ([(T2, 1)], 1))
-    assert coeff(p, mono([(T2, 1)])) == 1
-    assert coeff(p, mono([(T1, 1)])) == 0
-    assert coeff(p, ONE_MONO) == 0
+    assert p.coeff(mono([(T2, 1)])) == 1
+    assert p.coeff(mono([(T1, 1)])) == 0
+    assert p.coeff(ONE_MONO) == 0
 
 
 def test_parse_format_rational():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from taukit.partitions import conjugate, contains, enumerate_up_to, hook_data, n_statistic
-from taukit.poly import GradedPoly, mono, mono_wdeg, tvar
+from taukit.poly import GradedPoly, mono, mono_weights, tvar
 from taukit.schur import (
     GenericTimes,
     MiwaTimes,
@@ -124,7 +124,7 @@ def test_quasi_homogeneity():
     for lam in enumerate_up_to(6):
         p = schur_poly(lam, T, 6)
         for m in p.terms:
-            assert mono_wdeg(m) == sum(lam)
+            assert sum(mono_weights(m)) == sum(lam)
 
 
 # -- bialternant oracle ----------------------------------------------------------------

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from taukit.poly import GradedPoly, bvar, mono, tvar
+from taukit import verify
+from taukit.poly import GradedPoly, bvar, derivative, mono, mono_weights, mul_in, tvar
 from taukit.rspec import LinFactor, PoleError, QLinFactor, RSpec
 from taukit.schur import GenericTimes
 from taukit.tau import tau_series
@@ -50,6 +51,9 @@ def test_compare_windowed_finds_first_failure():
     where, lv, rv = compare_windowed(lhs, rhs, 4, 4)
     assert where == "t1" and lv == "1" and rv == "2"
     assert compare_windowed(lhs, rhs, 0, 0) is None  # outside the window
+    corner = GradedPoly(4, {mono([(tvar(1), 1), (bvar(2), 1)]): F(1, 2)})
+    assert compare_windowed(corner, GradedPoly.zero(4), 1, 2) == ("b2*t1", "1/2", "0")
+    assert compare_windowed(corner, GradedPoly.zero(4), 1, 1) is None
 
 
 # -- Hirota bilinear --------------------------------------------------------------------
@@ -83,6 +87,81 @@ def test_hirota_pole_propagates():
     bad = RSpec(den=(LinFactor(F(-1)),), num=(LinFactor(F(1, 2)),))
     with pytest.raises(PoleError):
         check_hirota(bad, 0, 4)
+
+
+@pytest.mark.slow
+def test_hirota_grade_ten():
+    assert check_hirota(RATIO, 0, 10).passed
+
+
+def test_explicit_window_keeps_what_derivative_caps_drop():
+    # d_t1 tau keeps t-weight <= d - 1 and d_b1 tau b-weight <= d - 1; their
+    # product is exact for t-weight <= d, b-weight <= d - 1, and so is
+    # t2 * d_t1 tau, whose coefficient at (d, d - 1) the caps alone would drop
+    d = 5
+    t1, t2, b1 = tvar(1), tvar(2), bvar(1)
+    tau = tau_series(RATIO, 0, d, GenericTimes("t"), GenericTimes("b"))
+    exact = tau_series(RATIO, 0, d + 2, GenericTimes("t"), GenericTimes("b"))
+    window = (2 * d - 1, (d, d - 1))
+
+    def in_window(terms):
+        return {m: c for m, c in terms.items() if c and mono_weights(m)[0] <= d and mono_weights(m)[1] <= d - 1}
+
+    def pairwise(p, q):
+        acc = {}
+        for m1, c1 in p.terms.items():
+            for m2, c2 in q.terms.items():
+                m = mono(m1 + m2)
+                acc[m] = acc.get(m, 0) + c1 * c2
+        return acc
+
+    variable = GradedPoly.variable(t2, 2 * d + 4)
+    cases = [
+        ((derivative(tau, t1), derivative(tau, b1)), (derivative(exact, t1), derivative(exact, b1))),
+        ((variable, derivative(tau, t1)), (variable, derivative(exact, t1))),
+    ]
+    for (p, q), (p_exact, q_exact) in cases:
+        got = mul_in(p, q, *window)
+        assert got.fam_caps == (d, d - 1)
+        assert got.terms == in_window(pairwise(p_exact, q_exact))
+    dropped = variable * derivative(tau, t1)
+    assert dropped.fam_caps == (d - 1, d)
+    top = mono([(b1, d - 1), (t2, 1), (t1, d - 2)])
+    assert got.coeff(top) != 0 and dropped.coeff(top) == 0
+
+
+# CheckReport JSON at d = 8 for r = (D+1/2)/(D+1/3), M = 0, captured while products still
+# visited every pair of terms; "mutated" adds 1/5 t1^2 b2 to every tau the checker renders.
+GOLDEN_REPORTS = {
+    ('hirota', 'true'): '{"name":"hirota","pass":true,"grade":7,"failure":null,"params":{"rspec":"{\\"constant\\":\\"1\\",\\"num\\":[{\\"lin\\":{\\"shift\\":\\"1/2\\"}}],\\"den\\":[{\\"lin\\":{\\"shift\\":\\"1/3\\"}}]}","M":0,"d":8}}',
+    ('toda-generalized', 'true'): '{"name":"toda","pass":true,"grade":7,"failure":null,"params":{"rspec":"{\\"constant\\":\\"1\\",\\"num\\":[{\\"lin\\":{\\"shift\\":\\"1/2\\"}}],\\"den\\":[{\\"lin\\":{\\"shift\\":\\"1/3\\"}}]}","M":0,"d":8,"gauge":"generalized"}}',
+    ('toda-standard', 'true'): '{"name":"toda","pass":true,"grade":7,"failure":null,"params":{"rspec":"{\\"constant\\":\\"1\\",\\"num\\":[{\\"lin\\":{\\"shift\\":\\"1/2\\"}}],\\"den\\":[{\\"lin\\":{\\"shift\\":\\"1/3\\"}}]}","M":0,"d":8,"gauge":"standard"}}',
+    ('kp', 'true'): '{"name":"kp","pass":true,"grade":8,"failure":null,"params":{"rspec":"{\\"constant\\":\\"1\\",\\"num\\":[{\\"lin\\":{\\"shift\\":\\"1/2\\"}}],\\"den\\":[{\\"lin\\":{\\"shift\\":\\"1/3\\"}}]}","M":0,"d":8}}',
+    ('hirota', 'mutated'): '{"name":"hirota","pass":false,"grade":7,"failure":{"at":"b2*t1^2","lhs":"-363/1120","rhs":"129/224"},"params":{"rspec":"{\\"constant\\":\\"1\\",\\"num\\":[{\\"lin\\":{\\"shift\\":\\"1/2\\"}}],\\"den\\":[{\\"lin\\":{\\"shift\\":\\"1/3\\"}}]}","M":0,"d":8}}',
+    ('toda-generalized', 'mutated'): '{"name":"toda","pass":false,"grade":7,"failure":{"at":"b2*t1^2","lhs":"-8541/4480","rhs":"-7533/4480"},"params":{"rspec":"{\\"constant\\":\\"1\\",\\"num\\":[{\\"lin\\":{\\"shift\\":\\"1/2\\"}}],\\"den\\":[{\\"lin\\":{\\"shift\\":\\"1/3\\"}}]}","M":0,"d":8,"gauge":"generalized"}}',
+    ('toda-standard', 'mutated'): '{"name":"toda","pass":false,"grade":7,"failure":{"at":"b2*t1^2","lhs":"8541/4480","rhs":"7533/4480"},"params":{"rspec":"{\\"constant\\":\\"1\\",\\"num\\":[{\\"lin\\":{\\"shift\\":\\"1/2\\"}}],\\"den\\":[{\\"lin\\":{\\"shift\\":\\"1/3\\"}}]}","M":0,"d":8,"gauge":"standard"}}',
+    ('kp', 'mutated'): '{"name":"kp","pass":false,"grade":8,"failure":{"at":"b1^2*b2","lhs":"27/4","rhs":"0"},"params":{"rspec":"{\\"constant\\":\\"1\\",\\"num\\":[{\\"lin\\":{\\"shift\\":\\"1/2\\"}}],\\"den\\":[{\\"lin\\":{\\"shift\\":\\"1/3\\"}}]}","M":0,"d":8}}',
+}
+
+
+@pytest.mark.parametrize("check, tau", list(GOLDEN_REPORTS), ids=["/".join(k) for k in GOLDEN_REPORTS])
+def test_golden_reports(check, tau, monkeypatch):
+    if tau == "mutated":
+        render = verify._generic_tau
+
+        def mutated(r, m, d):
+            base = render(r, m, d)
+            extra = GradedPoly(base.cap, {mono([(tvar(1), 2), (bvar(2), 1)]): F(1, 5)}, base.fam_caps)
+            return base + extra
+
+        monkeypatch.setattr(verify, "_generic_tau", mutated)
+    if check == "hirota":
+        report = check_hirota(RATIO, 0, 8)
+    elif check == "kp":
+        report = check_kp_bilinear(RATIO, 0, 8)
+    else:
+        report = check_toda(RATIO, 0, 8, check.split("-")[1])
+    assert report.to_json() == GOLDEN_REPORTS[check, tau]
 
 
 # -- Toda ----------------------------------------------------------------------------------
@@ -164,6 +243,15 @@ def test_qdiff_binomial_series():
 def test_qdiff_compatible_fractional_parameters():
     # the printed point (a=1/2, b=3/2) needs q with an exact square root
     assert check_qdiff([F(1, 2)], [F(3, 2)], F(1, 9), 10).passed
+
+
+def test_termwise_checks_refuse_empty_order():
+    for order in (-1, 0):
+        with pytest.raises(ValueError, match=f"order = {order}"):
+            check_ode([F(1, 2)], [F(3, 2)], order)
+        with pytest.raises(ValueError, match=f"order = {order}"):
+            check_qdiff([F(2)], [F(3)], F(1, 2), order)
+    assert check_ode([F(1, 2)], [F(3, 2)], 1).passed
 
 
 def test_qdiff_rejects_bad_q():
