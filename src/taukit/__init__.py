@@ -8,15 +8,11 @@ lattice identities these series satisfy.
 
 from .partitions import (
     HookData,
-    SkewShape,
     conjugate,
     contains,
     enumerate_up_to,
-    frobenius,
-    from_frobenius,
     hook_data,
     n_statistic,
-    skew_cells,
 )
 from .poly import (
     GradedPoly,
@@ -39,7 +35,6 @@ from .rspec import (
     QLinFactor,
     QPairFactor,
     RSpec,
-    c_constants,
     content_product,
     h_from_r,
     poch_partition,
@@ -57,9 +52,7 @@ from .schur import (
     NumericTimes,
     PrincipalInfinityTimes,
     PrincipalTimes,
-    miwa_times,
     power_sums_basis,
-    principal_times,
     schur_poly,
     schur_principal_value,
     skew_schur_poly,
@@ -85,7 +78,6 @@ from .tau import (
     tau_two_sided,
 )
 from .verify import (
-    BandMatrix,
     CheckReport,
     check_hirota,
     check_kp_bilinear,

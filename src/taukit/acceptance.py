@@ -95,33 +95,29 @@ def draw_qlin_rspec(rng: random.Random, q: Fraction, span: int, max_factors: int
     raise RuntimeError("could not draw a clean q-spec")
 
 
-def _pass(name: str, params: dict) -> CheckReport:
-    return CheckReport(name=name, passed=True, max_checked_grade=0, params=params)
-
-
-def _fail(name: str, why: str, params: dict) -> CheckReport:
+def _verdict(name: str, params: dict, why: str | None = None) -> CheckReport:
+    """A criterion's report at the grade its params name; ``why`` is set on a failure."""
     return CheckReport(
-        name=name, passed=False, max_checked_grade=params.get("d", 0),
-        first_failure=(why, "", ""), params=params,
+        name=name, passed=why is None, max_checked_grade=params.get("d", 0),
+        first_failure=None if why is None else (why, "", ""), params=params,
     )
 
 
-_BATTERY_CACHE: dict[int, tuple] = {}
+def _first_failure(reports) -> CheckReport | None:
+    """The first report that did not pass; the checks behind later reports never run."""
+    return next((report for report in reports if not report.passed), None)
 
 
 def battery_specs(seed: int) -> tuple:
     """Five rational draws plus one q-rational draw per listed q value.
 
-    Keyed by the suite seed so the bilinear and lattice criteria exercise
-    the identical battery.
+    Drawn from the suite seed alone, so the bilinear and lattice criteria
+    exercise equal batteries.
     """
-    if seed not in _BATTERY_CACHE:
-        rng = random.Random(f"{seed}/battery")
-        specs = [draw_lin_rspec(rng) for _ in range(5)]
-        for q in (F(1, 2), F(1, 3), F(2, 5)):
-            specs.append(draw_qlin_rspec(rng, q, span=9))
-        _BATTERY_CACHE[seed] = tuple(specs)
-    return _BATTERY_CACHE[seed]
+    rng = random.Random(f"{seed}/battery")
+    specs = [draw_lin_rspec(rng) for _ in range(5)]
+    specs += [draw_qlin_rspec(rng, q, span=9) for q in (F(1, 2), F(1, 3), F(2, 5))]
+    return tuple(specs)
 
 
 def criterion_01_oracle(seed: int) -> CheckReport:
@@ -132,56 +128,51 @@ def criterion_01_oracle(seed: int) -> CheckReport:
         RSpec(num=(QLinFactor(F(2, 3), F(0)),), den=(QLinFactor(F(3, 5), F(1)),), q=F(1, 2)),
     ]
     started = time.monotonic()
-    for spec in specs:
-        for m in (-1, 0, 1, 2):
-            _, report = det_oracle_tau(spec, m, d, window=d, extra_windows=(1, 2))
-            if not report.passed:
-                return report
+    reports = (
+        det_oracle_tau(spec, m, d, window=d, extra_windows=(1, 2))[1]
+        for spec in specs
+        for m in (-1, 0, 1, 2)
+    )
+    failed = _first_failure(reports)
+    if failed:
+        return failed
     elapsed = time.monotonic() - started
-    report = _pass("criterion-01-oracle", {"d": d, "elapsed_s": round(elapsed, 2)})
-    report.passed = elapsed < 60
-    if not report.passed:
-        report.first_failure = (f"elapsed {elapsed:.1f}s", "<60s", "runtime")
-    report.max_checked_grade = d
-    return report
+    why = None if elapsed < 60 else f"elapsed {elapsed:.1f}s, over the 60s limit"
+    return _verdict("criterion-01-oracle", {"d": d, "elapsed_s": round(elapsed, 2)}, why)
 
 
 def criterion_02_hirota(seed: int) -> CheckReport:
     d = 5
-    for spec in battery_specs(seed):
-        for m in (-1, 0, 1):
-            report = check_hirota(spec, m, d)
-            if not report.passed:
-                return report
-    return _pass("criterion-02-hirota", {"d": d, "specs": 8, "charges": [-1, 0, 1]})
+    reports = (check_hirota(spec, m, d) for spec in battery_specs(seed) for m in (-1, 0, 1))
+    return _first_failure(reports) or _verdict(
+        "criterion-02-hirota", {"d": d, "specs": 8, "charges": [-1, 0, 1]}
+    )
+
+
+def _toda_gauges(spec: RSpec) -> tuple:
+    """Both gauges when spec has no integer zero on [-3, 3]; the standard one needs that."""
+    if any(kind == "zero" for _, kind in zero_pole_scan(spec, -3, 3)):
+        return ("generalized",)
+    return ("generalized", "standard")
 
 
 def criterion_03_toda(seed: int) -> CheckReport:
     d = 5
-    for spec in battery_specs(seed):
-        zero_free = not any(
-            kind == "zero" for _, kind in zero_pole_scan(spec, -3, 3)
-        )
-        for m in (-1, 0, 1):
-            report = check_toda(spec, m, d, "generalized")
-            if not report.passed:
-                return report
-            if zero_free:
-                report = check_toda(spec, m, d, "standard")
-                if not report.passed:
-                    return report
-    return _pass("criterion-03-toda", {"d": d, "specs": 8})
+    reports = (
+        check_toda(spec, m, d, gauge)
+        for spec in battery_specs(seed)
+        for m in (-1, 0, 1)
+        for gauge in _toda_gauges(spec)
+    )
+    return _first_failure(reports) or _verdict("criterion-03-toda", {"d": d, "specs": 8})
 
 
 def criterion_04_kp(seed: int) -> CheckReport:
     rng = random.Random(f"{seed}/kp")
     d = 5
     specs = [RSpec(), draw_lin_rspec(rng), draw_qlin_rspec(rng, F(1, 2), span=8)]
-    for spec in specs:
-        report = check_kp_bilinear(spec, rng.choice((-1, 0, 1)), d)
-        if not report.passed:
-            return report
-    return _pass("criterion-04-kp", {"d": d, "specs": len(specs)})
+    reports = (check_kp_bilinear(spec, rng.choice((-1, 0, 1)), d) for spec in specs)
+    return _first_failure(reports) or _verdict("criterion-04-kp", {"d": d, "specs": len(specs)})
 
 
 def criterion_05_classical_reduction(seed: int) -> CheckReport:
@@ -201,40 +192,42 @@ def criterion_05_classical_reduction(seed: int) -> CheckReport:
                 got = series.coeff(mono([(tvar(1), n)]))
                 want = ref[n] * sign**n
                 if got != want:
-                    return _fail(
+                    return _verdict(
                         "criterion-05-classical",
-                        f"(p,s)=({p},{s}) M={m} coefficient {n}: {got} != {want}",
                         {"order": order},
+                        f"(p,s)=({p},{s}) M={m} coefficient {n}: {got} != {want}",
                     )
-    return _pass("criterion-05-classical", {"order": order, "families": "(1,0),(2,1),(3,2)"})
+    return _verdict("criterion-05-classical", {"order": order, "families": "(1,0),(2,1),(3,2)"})
 
 
 def criterion_06_qdiff(seed: int) -> CheckReport:
     rng = random.Random(f"{seed}/qdiff")
     order, q = 10, F(1, 3)
-    for _ in range(3):
-        p, s = rng.randint(1, 2), rng.randint(1, 2)
-        a = [F(rng.randint(1, 4)) for _ in range(p)]
-        b = [F(rng.randint(1, 4)) for _ in range(s)]
-        report = check_qdiff(a, b, q, order)
-        if not report.passed:
-            return report
-    return _pass("criterion-06-qdiff", {"order": order, "q": "1/3", "draws": 3})
+
+    def reports():
+        for _ in range(3):
+            p, s = rng.randint(1, 2), rng.randint(1, 2)
+            a = [F(rng.randint(1, 4)) for _ in range(p)]
+            b = [F(rng.randint(1, 4)) for _ in range(s)]
+            yield check_qdiff(a, b, q, order)
+
+    return _first_failure(reports()) or _verdict(
+        "criterion-06-qdiff", {"order": order, "q": "1/3", "draws": 3}
+    )
 
 
 def criterion_07_ode(seed: int) -> CheckReport:
     rng = random.Random(f"{seed}/ode")
     order = 10
-    for _ in range(3):
-        a = [rng.choice(_NONINT_POOL), rng.choice(_NONINT_POOL) + 1]
-        b = [rng.choice(_NONINT_POOL)]
-        report = check_ode(a, b, order)  # 2F1 shape
-        if not report.passed:
-            return report
-        report = check_ode(a[:1], b, order)  # 1F1 shape
-        if not report.passed:
-            return report
-    return _pass("criterion-07-ode", {"order": order, "draws": 3})
+
+    def reports():
+        for _ in range(3):
+            a = [rng.choice(_NONINT_POOL), rng.choice(_NONINT_POOL) + 1]
+            b = [rng.choice(_NONINT_POOL)]
+            yield check_ode(a, b, order)  # 2F1 shape
+            yield check_ode(a[:1], b, order)  # 1F1 shape
+
+    return _first_failure(reports()) or _verdict("criterion-07-ode", {"order": order, "draws": 3})
 
 
 def criterion_08_prop4(seed: int) -> CheckReport:
@@ -246,29 +239,29 @@ def criterion_08_prop4(seed: int) -> CheckReport:
         m = rng.choice((-1, 0, 1))
         left, right = prop4_pair(r, b, m, d, GenericTimes(FAMILY_T))
         if left != right:
-            return _fail("criterion-08-prop4", f"rational variant M={m} b={b}", {"d": d})
+            return _verdict("criterion-08-prop4", {"d": d}, f"rational variant M={m} b={b}")
     q_draws = [(F(1, 4), F(1, 2)), (F(1, 8), F(2, 3)), (F(4, 9), F(3, 2))]
     for q, b in q_draws:
         r = draw_qlin_rspec(rng, q, span=9)
         m = rng.choice((-1, 0, 1))
         left, right = prop4_pair(r, b, m, d, GenericTimes(FAMILY_T))
         if left != right:
-            return _fail("criterion-08-prop4", f"q variant q={q} b={b} M={m}", {"d": d})
-    return _pass("criterion-08-prop4", {"d": d, "draws": "3 rational + 3 q"})
+            return _verdict("criterion-08-prop4", {"d": d}, f"q variant q={q} b={b} M={m}")
+    return _verdict("criterion-08-prop4", {"d": d, "draws": "3 rational + 3 q"})
 
 
 def criterion_09_remark1(seed: int) -> CheckReport:
     d = 7
-    for n in (1, 2, 3):
+    reports = (
+        check_remark1(mode, params, d)
+        for n in (1, 2, 3)
         for mode, params in (
             ("q-spec", {"N": n, "q": F(1, 2)}),
             ("miwa", {"N": n}),
             ("dual", {"K": n, "q": F(1, 2)}),
-        ):
-            report = check_remark1(mode, params, d)
-            if not report.passed:
-                return report
-    return _pass("criterion-09-remark1", {"d": d, "N_K": [1, 2, 3]})
+        )
+    )
+    return _first_failure(reports) or _verdict("criterion-09-remark1", {"d": d, "N_K": [1, 2, 3]})
 
 
 def criterion_10_poch_bridge(seed: int) -> CheckReport:
@@ -281,22 +274,22 @@ def criterion_10_poch_bridge(seed: int) -> CheckReport:
                 lhs = poch_partition(a, lam, q)
                 rhs = content_product(spec, lam, 0)
                 if lhs != rhs:
-                    return _fail(
+                    return _verdict(
                         "criterion-10-poch-bridge",
-                        f"poch != content at lam={lam}, a={a}, q={q}",
                         {"d": d},
+                        f"poch != content at lam={lam}, a={a}, q={q}",
                     )
         for a in (F(1), F(2), F(3)):
             for lam in parts:
                 via_times = schur_poly(lam, PrincipalTimes(a, q), d)
                 closed = schur_principal_value(lam, a, q)
                 if via_times != closed:
-                    return _fail(
+                    return _verdict(
                         "criterion-10-poch-bridge",
-                        f"principal identity fails at lam={lam}, a={a}, q={q}",
                         {"d": d},
+                        f"principal identity fails at lam={lam}, a={a}, q={q}",
                     )
-    return _pass("criterion-10-poch-bridge", {"d": d, "q": ["1/2", "2/3"]})
+    return _verdict("criterion-10-poch-bridge", {"d": d, "q": ["1/2", "2/3"]})
 
 
 def criterion_11_example6(seed: int) -> CheckReport:
@@ -325,8 +318,8 @@ def criterion_11_example6(seed: int) -> CheckReport:
             fact2 = hook_data((n2,) if n2 else ()).product
             want += num / den * y1**n1 * y2**n2 * x**n / (fact1 * fact2)
     if got != want:
-        return _fail("criterion-11-example6", f"{got} != {want}", {"d": d})
-    return _pass("criterion-11-example6", {"d": d, "M": m})
+        return _verdict("criterion-11-example6", {"d": d}, f"{got} != {want}")
+    return _verdict("criterion-11-example6", {"d": d, "M": m})
 
 
 def criterion_12_askey_wilson(seed: int) -> CheckReport:
@@ -334,18 +327,18 @@ def criterion_12_askey_wilson(seed: int) -> CheckReport:
     for n in range(6):
         # termination: the next term would carry the vanishing factor
         if poch_partition(F(-n), (n + 1,), q) != 0:
-            return _fail("criterion-12-aw", f"termination factor nonzero at n={n}", {})
+            return _verdict("criterion-12-aw", {}, f"termination factor nonzero at n={n}")
     for n in (1, 2, 3, 5):
         base = askey_wilson(n, a, b, c, dd, q, cosv)
         if askey_wilson(n, a, c, b, dd, q, cosv) != base:
-            return _fail("criterion-12-aw", f"b<->c changes the sum at n={n}", {})
+            return _verdict("criterion-12-aw", {}, f"b<->c changes the sum at n={n}")
         if askey_wilson(n, a, dd, c, b, q, cosv) != base:
-            return _fail("criterion-12-aw", f"b<->d changes the sum at n={n}", {})
+            return _verdict("criterion-12-aw", {}, f"b<->d changes the sum at n={n}")
         pn = askey_wilson(n, a, b, c, dd, q, cosv, with_prefactor=True)
         pn_swapped = askey_wilson(n, b, a, c, dd, q, cosv, with_prefactor=True)
         if pn != pn_swapped:
-            return _fail("criterion-12-aw", f"a<->b changes p_n at n={n}", {})
-    return _pass("criterion-12-aw", {"q": "1/3", "point": "a=1/5,b=1/7,c=2/7,d=1/11"})
+            return _verdict("criterion-12-aw", {}, f"a<->b changes p_n at n={n}")
+    return _verdict("criterion-12-aw", {"q": "1/3", "point": "a=1/5,b=1/7,c=2/7,d=1/11"})
 
 
 def criterion_13_two_sided(seed: int) -> CheckReport:
@@ -357,8 +350,8 @@ def criterion_13_two_sided(seed: int) -> CheckReport:
         lhs = tau_two_sided(rt, r, m, d, GenericTimes(FAMILY_T), GenericTimes(FAMILY_B))
         rhs = tau_series(rspec_mul(rt, r), m, d, GenericTimes(FAMILY_T), GenericTimes(FAMILY_B))
         if lhs != rhs:
-            return _fail("criterion-13-two-sided", f"mismatch at M={m}", {"d": d})
-    return _pass("criterion-13-two-sided", {"d": d, "draws": 3})
+            return _verdict("criterion-13-two-sided", {"d": d}, f"mismatch at M={m}")
+    return _verdict("criterion-13-two-sided", {"d": d, "draws": 3})
 
 
 def criterion_14_clebsch_gordan(seed: int) -> CheckReport:
@@ -376,21 +369,21 @@ def criterion_14_clebsch_gordan(seed: int) -> CheckReport:
         via_machinery = qphi_one_var_coeffs(a, b, 0, q, order)
         via_recursion = classical_reference(a, b, order, q=q)
         if via_machinery != via_recursion:
-            return _fail(
+            return _verdict(
                 "criterion-14-cg",
-                f"series factor mismatch for spins ({l1},{l2},{l},{j},{k})",
                 {"q": "1/2"},
+                f"series factor mismatch for spins ({l1},{l2},{l},{j},{k})",
             )
     for a_val in (2, 3):
         values = [q_bracket(a_val, 1 - F(1, 2**k)) for k in range(1, 11)]
         for i in range(len(values) - 1):
             if compare_abs_distance(values[i + 1], a_val, values[i]) >= 0:
-                return _fail(
+                return _verdict(
                     "criterion-14-cg",
-                    f"bracket [{a_val}] not monotone at step {i + 1}",
                     {},
+                    f"bracket [{a_val}] not monotone at step {i + 1}",
                 )
-    return _pass("criterion-14-cg", {"q": "1/2", "tuples": 3, "bracket_steps": 10})
+    return _verdict("criterion-14-cg", {"q": "1/2", "tuples": 3, "bracket_steps": 10})
 
 
 CRITERIA = [
@@ -415,7 +408,7 @@ def run_criterion(criterion, seed: int = 1729) -> CheckReport:
     try:
         return criterion(seed)
     except Exception as exc:  # a crash is a failure, not an abort
-        return _fail(criterion.__name__, f"{type(exc).__name__}: {exc}", {})
+        return _verdict(criterion.__name__, {}, f"{type(exc).__name__}: {exc}")
 
 
 def run_suite(seed: int = 1729, verbose: bool = False) -> list[CheckReport]:

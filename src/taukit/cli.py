@@ -29,6 +29,7 @@ from .tau import (
 )
 from .verify import (
     CheckReport,
+    _report,
     check_hirota,
     check_kp_bilinear,
     check_ode,
@@ -55,12 +56,17 @@ def _load_rspec(arg: str) -> RSpec:
     return rspec_from_json(arg)
 
 
+def _needs(args, flag: str, what: str) -> str:
+    """The value of --flag, refusing an empty one with a message that names it."""
+    value = getattr(args, flag)
+    if not value:
+        raise ValueError(f"{what} needs --{flag}")
+    return value
+
+
 def emit(payload, fmt: str = "json") -> str:
-    """Bit-stable serialization of a mapping or (headers, rows) table."""
+    """Bit-stable serialization: a mapping as JSON, a mapping or (headers, rows) table as CSV."""
     if fmt == "json":
-        if isinstance(payload, tuple):
-            headers, rows = payload
-            payload = {str(r[0]): str(r[1]) for r in rows}
         return json.dumps(payload, separators=(",", ":"))
     if fmt == "csv":
         if isinstance(payload, dict):
@@ -104,7 +110,7 @@ def cmd_eval(args) -> int:
             out["value"] = format_rational(sum((c * x**k for k, c in enumerate(coeffs)), Fraction(0)))
     elif args.family == "qphi":
         a, b = _rat_list(args.a), _rat_list(args.b)
-        q = parse_rational(args.q)
+        q = parse_rational(_needs(args, "q", "qphi"))
         xs = _rat_list(args.x) if args.x else []
         if len(xs) > 1:
             out = {"value": format_rational(qphi_multivar(a, b, args.charge, q, xs, args.order))}
@@ -120,7 +126,7 @@ def cmd_eval(args) -> int:
         if len(params) != 4:
             raise ValueError("aw needs --params a,b,c,d")
         a, b, c, dd = params
-        q, cv = parse_rational(args.q), parse_rational(args.cos)
+        q, cv = parse_rational(_needs(args, "q", "aw")), parse_rational(args.cos)
         out = {
             "sum": format_rational(askey_wilson(args.n, a, b, c, dd, q, cv)),
             "p_n": format_rational(askey_wilson(args.n, a, b, c, dd, q, cv, with_prefactor=True)),
@@ -129,7 +135,7 @@ def cmd_eval(args) -> int:
         params = _rat_list(args.params)
         if len(params) != 5:
             raise ValueError("cg needs --params l1,l2,l,j,k")
-        v = clebsch_gordan_q(*params, parse_rational(args.q))
+        v = clebsch_gordan_q(*params, parse_rational(_needs(args, "q", "cg")))
         out = {"rational": format_rational(v.rational), "radicand": format_rational(v.radicand)}
     else:
         raise ValueError(f"unknown eval family {args.family!r}")
@@ -154,7 +160,7 @@ def _print_report(report: CheckReport, fmt: str) -> int:
 def cmd_verify(args) -> int:
     name = args.check
     if name in ("hirota", "toda", "kp", "oracle"):
-        r = _load_rspec(args.rspec)
+        r = _load_rspec(_needs(args, "rspec", name))
         if name == "hirota":
             report = check_hirota(r, args.charge, args.degree)
         elif name == "toda":
@@ -166,28 +172,22 @@ def cmd_verify(args) -> int:
     elif name == "ode":
         report = check_ode(_rat_list(args.a), _rat_list(args.b), args.order)
     elif name == "qdiff":
-        report = check_qdiff(_rat_list(args.a), _rat_list(args.b), parse_rational(args.q), args.order)
+        a, b = _rat_list(args.a), _rat_list(args.b)
+        report = check_qdiff(a, b, parse_rational(_needs(args, "q", "qdiff")), args.order)
     elif name == "remark1":
         params = {"N": args.nvars, "K": args.nvars}
-        if args.q:
-            params["q"] = parse_rational(args.q)
-        elif args.mode in ("q-spec", "dual"):
-            raise ValueError(f"remark1 --mode {args.mode} needs --q")
+        if args.q or args.mode != "miwa":
+            params["q"] = parse_rational(_needs(args, "q", f"remark1 --mode {args.mode}"))
         report = check_remark1(args.mode, params, args.degree)
     elif name == "prop4":
-        r = _load_rspec(args.rspec)
+        r = _load_rspec(_needs(args, "rspec", name))
         bs = _rat_list(args.b)
         if len(bs) != 1:
             raise ValueError("prop4 needs --b with exactly one rational")
         left, right = prop4_pair(r, bs[0], args.charge, args.degree, GenericTimes())
         failure = compare_windowed(left, right, args.degree, args.degree)
-        report = CheckReport(
-            name="prop4",
-            passed=failure is None,
-            max_checked_grade=args.degree,
-            first_failure=failure,
-            params={"b": format_rational(bs[0]), "M": args.charge, "d": args.degree},
-        )
+        params = {"b": format_rational(bs[0]), "M": args.charge, "d": args.degree}
+        report = _report("prop4", failure, args.degree, params)
     else:
         raise ValueError(f"unknown check {name!r}")
     return _print_report(report, args.format)

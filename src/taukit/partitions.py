@@ -1,4 +1,4 @@
-"""Partition combinatorics: enumeration, hooks, contents, Frobenius coordinates.
+"""Partition combinatorics: enumeration, conjugates, hooks and contents.
 
 Partitions are plain tuples of weakly decreasing positive integers, e.g.
 ``(3, 1, 1)``; the empty partition is ``()``.  Cells are 1-based ``(i, j)``
@@ -13,8 +13,6 @@ from typing import Iterator
 
 Partition = tuple
 
-EMPTY: Partition = ()
-
 
 def check_partition(parts) -> Partition:
     lam = tuple(int(p) for p in parts)
@@ -23,14 +21,6 @@ def check_partition(parts) -> Partition:
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValueError(f"partition parts must be weakly decreasing: {lam}")
     return lam
-
-
-def weight(lam: Partition) -> int:
-    return sum(lam)
-
-
-def length(lam: Partition) -> int:
-    return len(lam)
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
@@ -79,45 +69,11 @@ def contains(outer: Partition, inner: Partition) -> bool:
 
 
 @dataclass(frozen=True)
-class SkewShape:
-    outer: Partition
-    inner: Partition
-
-    def __post_init__(self):
-        object.__setattr__(self, "outer", check_partition(self.outer))
-        object.__setattr__(self, "inner", check_partition(self.inner))
-        if not contains(self.outer, self.inner):
-            raise ValueError(f"inner {self.inner} not contained in outer {self.outer}")
-
-    def cells(self) -> list[tuple[int, int]]:
-        return skew_cells(self.outer, self.inner)
-
-    def weight(self) -> int:
-        return sum(self.outer) - sum(self.inner)
-
-
-def skew_cells(outer: Partition, inner: Partition) -> list[tuple[int, int]]:
-    """Cells of outer not in inner, row-major; rejects non-contained pairs."""
-    if not contains(outer, inner):
-        raise ValueError(f"inner {inner} not contained in outer {outer}")
-    padded = tuple(inner) + (0,) * (len(outer) - len(inner))
-    return [
-        (i, j)
-        for i, part in enumerate(outer, start=1)
-        for j in range(padded[i - 1] + 1, part + 1)
-    ]
-
-
-@dataclass(frozen=True)
 class HookData:
     hooks: tuple  # hook length per cell, row-major
     product: Fraction  # H = prod of hook lengths
     q_product: Fraction | None  # H(q) = prod (1 - q^h), when q is given
     n_stat: int  # sum (i-1) * lam_i
-
-    @property
-    def cell_count(self) -> int:
-        return len(self.hooks)
 
 
 def hook_lengths(lam: Partition) -> tuple:
@@ -145,27 +101,3 @@ def hook_data(lam: Partition, q: Fraction | None = None) -> HookData:
             q_product *= 1 - q**h
     return HookData(hooks=hooks, product=product, q_product=q_product, n_stat=n_statistic(lam))
 
-
-def frobenius(lam: Partition) -> tuple[tuple, tuple]:
-    """Frobenius coordinates (arms | legs) with a_i = lam_i - i, b_i = lam'_i - i.
-
-    Both lists run over the main-diagonal cells and are strictly decreasing.
-    """
-    conj = conjugate(lam)
-    diag = sum(1 for i in range(len(lam)) if lam[i] >= i + 1)
-    arms = tuple(lam[i] - (i + 1) for i in range(diag))
-    legs = tuple(conj[i] - (i + 1) for i in range(diag))
-    return arms, legs
-
-
-def from_frobenius(arms: tuple, legs: tuple) -> Partition:
-    """Rebuild a partition from its Frobenius coordinates."""
-    if len(arms) != len(legs):
-        raise ValueError("arms and legs must have equal length")
-    d = len(arms)
-    rows = [arms[i] + i + 1 for i in range(d)]
-    col_lengths = [legs[i] + i + 1 for i in range(d)]
-    max_row = col_lengths[0] if d else 0
-    for i in range(d, max_row):
-        rows.append(sum(1 for j in range(d) if col_lengths[j] >= i + 1))
-    return check_partition([r for r in rows if r > 0])

@@ -90,10 +90,6 @@ class RSpec:
         return self.constant == 1 and not self.num and not self.den
 
 
-def rspec_one() -> RSpec:
-    return RSpec()
-
-
 def rspec_mul(a: RSpec, b: RSpec) -> RSpec:
     """Product symbol (a*b)(D); q parameters must agree when both are present."""
     if a.q is not None and b.q is not None and a.q != b.q:
@@ -209,27 +205,6 @@ def h_from_r(r: RSpec, lo: int, hi: int) -> dict[int, Fraction]:
             raise ZeroDivisionError(f"r({n}) = 0: h is undefined past this point")
         table[n] = table[n - 1] / v
     return table
-
-
-def c_constants(h: dict[int, Fraction], h_tilde: dict[int, Fraction], n: int) -> Fraction:
-    """Gauge constant C_n from two h-tables; C_0 = 1.
-
-    n > 0: 1 / (h(n-1)...h(0) * h~(n-1)...h~(0));
-    n < 0: h(n)...h(-1) * h~(n)...h~(-1).
-    """
-    if n == 0:
-        return Fraction(1)
-    out = Fraction(1)
-    if n > 0:
-        idxs = range(0, n)
-    else:
-        idxs = range(n, 0)
-    for table in (h, h_tilde):
-        for k in idxs:
-            if k not in table:
-                raise KeyError(f"h-table does not cover {k}")
-            out = out / table[k] if n > 0 else out * table[k]
-    return out
 
 
 def zero_pole_scan(r: RSpec, lo: int, hi: int) -> list[tuple[int, str]]:

@@ -4,7 +4,7 @@ A Schur value is computed from a "times" specification:
 
 * ``GenericTimes(family)``: formal variables t1, t2, ... (or b1, b2, ...);
   the value is a GradedPoly, quasi-homogeneous of weighted degree |lam|.
-* ``NumericTimes(values)``: explicit rational values t_m; the value is a
+* ``NumericTimes(t)``: explicit rational values t_m; the value is a
   rational number.
 * ``MiwaTimes(x, sign)``: t_m = sign * sum_i x_i^m / m.
 * ``PrincipalTimes(a, q)``: t_m = (1 - (q^a)^m) / (m (1 - q^m)); with
@@ -12,6 +12,9 @@ A Schur value is computed from a "times" specification:
 * ``PrincipalInfinityTimes(q)``: symbolic marker for the large-a limit of
   the principal family; Schur values collapse to hook-product formulas
   1/H_lam (``q=None``) or q^{n(lam)}/H_lam(q).
+
+Each evaluated kind (numeric, Miwa, principal) gives its values
+[t_1, ..., t_d] through ``values(d)``.
 
 Generic = characters: the coefficient of prod t_k^{m_k} in s_lam(t) is
 chi^lam(rho) / prod m_k!, rho having m_k parts equal to k.  Evaluated =
@@ -54,13 +57,14 @@ class GenericTimes:
 
 @dataclass(frozen=True)
 class NumericTimes:
-    values: tuple  # t_1, t_2, ...; entries beyond the tuple are zero
+    t: tuple  # t_1, t_2, ...; entries beyond the tuple are zero
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "t", tuple(Fraction(v) for v in self.t))
 
-    def value(self, m: int) -> Fraction:
-        return self.values[m - 1] if m <= len(self.values) else Fraction(0)
+    def values(self, d: int) -> list[Fraction]:
+        """[t_1, ..., t_d], zero past the given values."""
+        return list(self.t[:d]) + [Fraction(0)] * (d - len(self.t))
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,10 @@ class MiwaTimes:
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
+    def values(self, d: int) -> list[Fraction]:
+        """[t_1, ..., t_d] with t_m = sign * sum_i x_i^m / m."""
+        return [self.sign * sum((v**m for v in self.x), Fraction(0)) / m for m in range(1, d + 1)]
+
 
 @dataclass(frozen=True)
 class PrincipalTimes:
@@ -84,6 +92,22 @@ class PrincipalTimes:
         if self.q is not None:
             object.__setattr__(self, "q", Fraction(self.q))
 
+    def values(self, d: int) -> list[Fraction]:
+        """[t_1, ..., t_d] with t_m = (1 - q^{am}) / (m (1 - q^m)), or a/m without q.
+
+        Refuses q = 0 and a q with q^m = 1 for some m <= d.
+        """
+        a, q = self.a, self.q
+        if q is None:
+            return [a / m for m in range(1, d + 1)]
+        if q == 0:
+            raise ValueError("q must be nonzero")
+        for m in range(1, d + 1):
+            if q**m == 1:
+                raise ValueError(f"q^{m} = 1: q is a root of unity in range")
+        qa = rational_pow(q, a)
+        return [(1 - qa**m) / (m * (1 - q**m)) for m in range(1, d + 1)]
+
 
 @dataclass(frozen=True)
 class PrincipalInfinityTimes:
@@ -92,50 +116,6 @@ class PrincipalInfinityTimes:
     def __post_init__(self):
         if self.q is not None:
             object.__setattr__(self, "q", Fraction(self.q))
-
-
-def miwa_times(x, sign: str | int, d: int) -> NumericTimes:
-    """Numeric times t_m = +-sum_i x_i^m / m for m = 1..d."""
-    s = {"+": 1, "-": -1, 1: 1, -1: -1}[sign]
-    xs = [Fraction(v) for v in x]
-    values = []
-    for m in range(1, d + 1):
-        values.append(Fraction(s) * sum((v**m for v in xs), Fraction(0)) / m)
-    return NumericTimes(tuple(values))
-
-
-def principal_times(a=None, q: Fraction | None = None, d: int = 0, infinity: bool = False):
-    """Principal specialization times.
-
-    Finite kinds come back as NumericTimes through m = d; the infinity
-    kinds are symbolic markers resolved to hook formulas in schur_poly.
-    """
-    if infinity:
-        return PrincipalInfinityTimes(None if q is None else Fraction(q))
-    a = Fraction(a)
-    if q is None:
-        return NumericTimes(tuple(a / m for m in range(1, d + 1)))
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("q must be nonzero")
-    for m in range(1, d + 1):
-        if q**m == 1:
-            raise ValueError(f"q^{m} = 1: q is a root of unity in range")
-    qa = rational_pow(q, a)
-    values = tuple((1 - qa**m) / (m * (1 - q**m)) for m in range(1, d + 1))
-    return NumericTimes(values)
-
-
-def times_values(times, d: int) -> list[Fraction]:
-    """Resolve an evaluated times spec to the list [t_1, ..., t_d]."""
-    if isinstance(times, NumericTimes):
-        return [times.value(m) for m in range(1, d + 1)]
-    if isinstance(times, MiwaTimes):
-        return list(miwa_times(times.x, times.sign, d).values)
-    if isinstance(times, PrincipalTimes):
-        spec = principal_times(times.a, times.q, d)
-        return [spec.value(m) for m in range(1, d + 1)]
-    raise TypeError(f"not an evaluated times spec: {times!r}")
 
 
 # -- characters: the generic kind ------------------------------------------------
@@ -318,7 +298,7 @@ def schur_poly(lam, times, d: int):
         if times.q is None:
             return Fraction(1) / hd.product
         return Fraction(times.q) ** n_statistic(lam) / hd.q_product
-    values = times_values(times, max(d, lam[0] + len(lam) if lam else 0))
+    values = times.values(max(d, lam[0] + len(lam) if lam else 0))
     return _schur_numeric(lam, (), values, d)
 
 
@@ -336,7 +316,7 @@ def skew_schur_poly(outer, inner, times, d: int):
         return schur_poly(outer, times, d)
     if isinstance(times, PrincipalInfinityTimes):
         raise TypeError("principal-infinity times are defined for straight shapes only")
-    values = times_values(times, outer[0] + len(outer))
+    values = times.values(outer[0] + len(outer))
     return _schur_numeric(outer, inner, values, d)
 
 

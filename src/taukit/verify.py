@@ -36,7 +36,6 @@ from .poly import (
     weighted_sum,
 )
 from .rspec import (
-    LinFactor,
     QLinFactor,
     RSpec,
     content_product,
@@ -46,7 +45,7 @@ from .rspec import (
     zero_pole_scan,
 )
 from .schur import GenericTimes, MiwaTimes, power_sums_basis, schur_poly
-from .tau import pfq_one_var_coeffs, qphi_one_var_coeffs, tau_series
+from .tau import _basic_q, _family_symbol, _row_coeffs, tau_series
 
 # -- reports ---------------------------------------------------------------------
 
@@ -188,80 +187,47 @@ def check_kp_bilinear(r: RSpec, m: int, d: int) -> CheckReport:
 # -- termwise series equations --------------------------------------------------------
 
 
-def check_ode(a, b, order: int) -> CheckReport:
-    """(d_x - r(x d_x)) F = 0 termwise: (k+1) c_{k+1} = r(k) c_k."""
+def _check_termwise(name: str, a, b, q, order: int) -> CheckReport:
+    """step(k) c_{k+1} = r(k) c_k for k < order, r the family symbol of (a, b, q)."""
     if order < 1:
-        raise ValueError(f"ode compares x^0..x^(order-1): order = {order} compares nothing, use --order >= 1")
+        raise ValueError(f"{name} compares x^0..x^(order-1): order = {order} compares nothing, use --order >= 1")
+    if q is not None:
+        q = _basic_q(q)
     a = [Fraction(v) for v in a]
     b = [Fraction(v) for v in b]
-    coeffs = pfq_one_var_coeffs(a, b, 0, order)
-    rde = RSpec(
-        num=tuple(LinFactor(v) for v in a),
-        den=tuple(LinFactor(v) for v in b),
-    )
+    r = _family_symbol(a, b, q)
+    coeffs = _row_coeffs(r, 0, order)
     failure = None
     for k in range(order):
-        lhs = (k + 1) * coeffs[k + 1]
-        rhs = r_eval(rde, k) * coeffs[k]
+        step = k + 1 if q is None else 1 - q ** (k + 1)
+        lhs, rhs = step * coeffs[k + 1], r_eval(r, k) * coeffs[k]
         if lhs != rhs:
             failure = (f"x^{k}", format_rational(lhs), format_rational(rhs))
             break
-    return _report(
-        "ode", failure, order,
-        {"a": [format_rational(v) for v in a], "b": [format_rational(v) for v in b], "order": order},
-    )
+    params = {"a": [format_rational(v) for v in a], "b": [format_rational(v) for v in b]}
+    if q is not None:
+        params["q"] = format_rational(q)
+    params["order"] = order
+    return _report(name, failure, order, params)
+
+
+def check_ode(a, b, order: int) -> CheckReport:
+    """(d_x - r(x d_x)) F = 0 termwise: (k+1) c_{k+1} = r(k) c_k."""
+    return _check_termwise("ode", a, b, None, order)
 
 
 def check_qdiff(a, b, q, order: int) -> CheckReport:
-    """(x^{-1}(1 - q^{x d_x}) - r_q(x d_x)) Phi = 0 termwise."""
-    if order < 1:
-        raise ValueError(f"qdiff compares x^0..x^(order-1): order = {order} compares nothing, use --order >= 1")
-    q = Fraction(q)
-    a = [Fraction(v) for v in a]
-    b = [Fraction(v) for v in b]
-    coeffs = qphi_one_var_coeffs(a, b, 0, q, order)
-    rq = RSpec(
-        num=tuple(QLinFactor(Fraction(1), v) for v in a),
-        den=tuple(QLinFactor(Fraction(1), v) for v in b),
-        q=q,
-    )
-    failure = None
-    for k in range(order):
-        lhs = coeffs[k + 1] * (1 - q ** (k + 1))
-        rhs = r_eval(rq, k) * coeffs[k]
-        if lhs != rhs:
-            failure = (f"x^{k}", format_rational(lhs), format_rational(rhs))
-            break
-    return _report(
-        "qdiff", failure, order,
-        {
-            "a": [format_rational(v) for v in a],
-            "b": [format_rational(v) for v in b],
-            "q": format_rational(q),
-            "order": order,
-        },
-    )
+    """(x^{-1}(1 - q^{x d_x}) - r_q(x d_x)) Phi = 0 termwise: (1 - q^{k+1}) c_{k+1} = r_q(k) c_k."""
+    return _check_termwise("qdiff", a, b, q, order)
 
 
 # -- determinant oracle ----------------------------------------------------------------
 
 
-@dataclass
-class BandMatrix:
-    """Square window of GradedPoly entries indexed by integers lo..hi."""
+def _window_block(r: RSpec, m: int, d: int, window: int) -> list:
+    """Non-positive-index block of U+(t) U-(M, beta) as rows, corner first.
 
-    lo: int
-    hi: int
-    charge: int
-    entries: dict  # (j, k) -> GradedPoly
-
-    def at(self, j: int, k: int, default=None):
-        return self.entries.get((j, k), default)
-
-
-def _window_block(r: RSpec, m: int, d: int, window: int) -> BandMatrix:
-    """Non-positive-index block of U+(t) U-(M, beta) over the index window.
-
+    Rows and columns run over the indices 0, -1, ..., -window in that order.
     U+ = exp(xi(t, shift)) has entries p_{k-j}(t); U- = exp(xi(beta,
     shift^{-1} r(diag + M))) has entries p_{j-k}(beta) r(k+M)...r(j-1+M).
     Both exponentials are finite sums because the truncated shifts are
@@ -273,34 +239,34 @@ def _window_block(r: RSpec, m: int, d: int, window: int) -> BandMatrix:
     pb = [lift(p, cap, fam_caps) for p in power_sums_basis(d, FAMILY_B)]
     pair = {(a, b): pt[a] * pb[b] for a in range(d + 1) for b in range(d + 1)}
     rval = {n: r_eval(r, n + m) for n in range(-window, d)}
-    entries: dict = {}
-    for j in range(-window, 1):
-        for k in range(-window, 1):
-            pieces = []
-            prod_r = Fraction(1)
-            for i in range(k, max(j, k)):
-                prod_r *= rval[i]
-            for l in range(max(j, k), min(j, k) + d + 1):
-                if l > d:
-                    break
-                if l > max(j, k):
-                    prod_r *= rval[l - 1]
-                if prod_r:
-                    pieces.append((prod_r, pair[l - j, l - k]))
-            entries[(j, k)] = weighted_sum(pieces, cap, fam_caps)
-    return BandMatrix(lo=-window, hi=0, charge=m, entries=entries)
+
+    def entry(j: int, k: int) -> GradedPoly:
+        pieces = []
+        prod_r = Fraction(1)
+        for i in range(k, max(j, k)):
+            prod_r *= rval[i]
+        for l in range(max(j, k), min(j, k) + d + 1):
+            if l > d:
+                break
+            if l > max(j, k):
+                prod_r *= rval[l - 1]
+            if prod_r:
+                pieces.append((prod_r, pair[l - j, l - k]))
+        return weighted_sum(pieces, cap, fam_caps)
+
+    idx = range(0, -window - 1, -1)
+    return [[entry(j, k) for k in idx] for j in idx]
 
 
-def _corner_dets(block: BandMatrix) -> list:
-    """Determinants of the windows hi-k..hi, k = 0, 1, ..., from one elimination.
+def _corner_dets(rows: list) -> list:
+    """Leading principal minors of the corner-first rows, from one elimination.
 
-    Pivots are taken in index order hi, hi-1, ..., lo, so entry k, the product
-    of the first k + 1 pivots, is a leading principal minor read from the
-    corner.  The block is the identity plus positive-grade terms, so each pivot
-    is a unit; the last one has no rows below it and is never inverted.
+    The rows come corner first (``_window_block``), so entry k, the product
+    of the first k + 1 pivots, is the determinant of the window -k..0.  The block is the identity plus
+    positive-grade terms, so each pivot is a unit; the last one has no rows
+    below it and is never inverted.
     """
-    idx = range(block.hi, block.lo - 1, -1)
-    a = [[block.at(j, k) for k in idx] for j in idx]
+    a = list(rows)
     n = len(a)
     dets: list = []
     for col in range(n):

@@ -9,7 +9,10 @@ import os
 
 import pytest
 
-from taukit.acceptance import CRITERIA, _fail, run_criterion, run_suite
+from taukit import acceptance
+from taukit.acceptance import CRITERIA, _verdict, battery_specs, run_criterion, run_suite
+from taukit.rspec import r_eval
+from taukit.verify import CheckReport
 
 SEED = int(os.environ.get("TAUKIT_SEED", "1729"))
 
@@ -31,5 +34,31 @@ def test_suite_runner_aggregates_under_fresh_seed():
 
 
 def test_fail_reports_the_criterion_grade():
-    assert _fail("criterion-x", "why", {"d": 6}).max_checked_grade == 6
-    assert _fail("criterion-x", "why", {}).max_checked_grade == 0
+    failed = _verdict("criterion-x", {"d": 6}, "why")
+    assert not failed.passed and failed.first_failure == ("why", "", "")
+    assert failed.max_checked_grade == 6
+    assert _verdict("criterion-x", {}, "why").max_checked_grade == 0
+    passed = _verdict("criterion-x", {"d": 5})
+    assert passed.passed and passed.first_failure is None and passed.max_checked_grade == 5
+
+
+def test_criterion_stops_at_its_first_failing_report(monkeypatch):
+    calls = []
+
+    def hirota(spec, m, d):
+        calls.append(m)
+        return CheckReport(name="hirota", passed=len(calls) != 2, max_checked_grade=d - 1)
+
+    monkeypatch.setattr(acceptance, "check_hirota", hirota)
+    report = acceptance.criterion_02_hirota(SEED)
+    assert report.name == "hirota" and not report.passed
+    assert len(calls) == 2
+
+
+def test_battery_is_a_function_of_the_seed():
+    # drawn afresh on every call; RSpec equality ignores the r_eval memo
+    first = battery_specs(SEED)
+    for spec in first:
+        r_eval(spec, 0)
+    assert first == battery_specs(SEED)
+    assert battery_specs(SEED) != battery_specs(SEED + 1)

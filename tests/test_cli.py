@@ -213,7 +213,7 @@ def test_rspec_json_float_is_usage_error(capsys):
 def test_remark1_q_modes_need_q(capsys):
     for mode in ("q-spec", "dual"):
         code, _, err = run(capsys, "verify", "remark1", "--mode", mode, "--nvars", "2", "-d", "3")
-        assert code == 2 and "--q" in err
+        assert code == 2 and err == f"error: remark1 --mode {mode} needs --q"
 
 
 def test_eval_qphi_rejects_unit_q(capsys):
@@ -260,6 +260,23 @@ def test_unknown_subcommand_usage(capsys):
 def test_missing_required_flag(capsys):
     code, _, _ = run(capsys, "expand", "-d", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "qdiff", "--a", "2", "--b", "3", "--order", "3"), "q"),
+    (("eval", "qphi", "--a", "2", "--b", "3", "--order", "3"), "q"),
+    (("eval", "aw", "--n", "3", "--params", "1/5,1/7,2/7,1/11"), "q"),
+    (("eval", "cg", "--params", "1/2,1/2,1,1/2,1/2"), "q"),
+    (("verify", "hirota", "-d", "3"), "rspec"),
+    (("verify", "toda", "-d", "3"), "rspec"),
+    (("verify", "kp", "-d", "4"), "rspec"),
+    (("verify", "oracle", "-d", "3"), "rspec"),
+    (("verify", "prop4", "--b", "1/2", "-d", "3"), "rspec"),
+], ids=lambda v: "-".join(v[:2]) if isinstance(v, tuple) else v)
+def test_missing_flag_is_named(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {argv[1]} needs --{flag}"
 
 
 # -- emit ------------------------------------------------------------------------------------

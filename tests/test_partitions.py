@@ -9,14 +9,13 @@ from taukit.partitions import (
     conjugate,
     contents,
     enumerate_up_to,
-    frobenius,
-    from_frobenius,
     hook_data,
     hook_lengths,
     n_statistic,
     partitions_of,
-    skew_cells,
 )
+from taukit.rspec import RSpec, skew_content_product
+from taukit.schur import GenericTimes, skew_schur_poly
 
 
 def naive_partitions(n):
@@ -142,59 +141,12 @@ def test_cells_count_is_weight():
         assert len(contents(lam)) == sum(lam)
 
 
-# -- Frobenius coordinates ----------------------------------------------------------
-
-
-def test_frobenius_examples():
-    assert frobenius((2, 1)) == ((1,), (1,))
-    assert frobenius((1,)) == ((0,), (0,))
-    assert frobenius(()) == ((), ())
-
-
-def test_frobenius_round_trip_exhaustive():
-    for lam in enumerate_up_to(8):
-        arms, legs = frobenius(lam)
-        assert all(a > b for a, b in zip(arms, arms[1:]))
-        assert all(a > b for a, b in zip(legs, legs[1:]))
-        assert from_frobenius(arms, legs) == lam
-
-
 # -- skew shapes -----------------------------------------------------------------------
 
 
-def brute_skew_cells(outer, inner):
-    return sorted(set(cells(outer)) - set(cells(inner)))
-
-
-def test_skew_cells_examples():
-    assert skew_cells((2, 1), (1,)) == [(1, 2), (2, 1)]
-    assert skew_cells((2, 1), (2, 1)) == []
-    assert skew_cells((3, 2), (1, 1)) == [(1, 2), (1, 3), (2, 2)]
-
-
-def test_skew_cells_match_brute_force():
-    for outer in enumerate_up_to(6):
-        for inner in enumerate_up_to(4):
-            contained = set(cells(inner)) <= set(cells(outer))
-            if not contained:
-                with pytest.raises(ValueError):
-                    skew_cells(outer, inner)
-                continue
-            assert skew_cells(outer, inner) == brute_skew_cells(outer, inner)
-
-
 def test_skew_rejects_non_contained():
-    with pytest.raises(ValueError):
-        skew_cells((2,), (1, 1))
-    with pytest.raises(ValueError):
-        skew_cells((2, 1), (3,))
-
-
-def test_skew_shape_bundle():
-    from taukit.partitions import SkewShape
-
-    shape = SkewShape((3, 2), (1, 1))
-    assert shape.cells() == [(1, 2), (1, 3), (2, 2)]
-    assert shape.weight() == 3
-    with pytest.raises(ValueError):
-        SkewShape((1,), (2,))
+    for outer, inner in (((2,), (1, 1)), ((2, 1), (3,))):
+        with pytest.raises(ValueError):
+            skew_content_product(RSpec(), outer, inner, 0)
+        with pytest.raises(ValueError):
+            skew_schur_poly(outer, inner, GenericTimes(), 3)

@@ -11,7 +11,6 @@ from taukit.rspec import (
     QLinFactor,
     QPairFactor,
     RSpec,
-    c_constants,
     content_product,
     h_from_r,
     poch_partition,
@@ -234,18 +233,6 @@ def test_h_ratio_is_inverse_r():
 def test_h_rejects_zero():
     with pytest.raises(ZeroDivisionError):
         h_from_r(D, -1, 1)
-
-
-def test_c_constants():
-    ones = {n: F(1) for n in range(-3, 3)}
-    assert c_constants(ones, ones, 0) == 1
-    assert c_constants(ones, ones, 2) == 1
-    h = h_from_r(lin(F(1)), -1, 2)
-    assert c_constants(h, h, 2) == 1 / (h[1] * h[0] * h[1] * h[0])
-    hneg = h_from_r(lin(F(1, 2)), -4, 0)
-    assert c_constants(hneg, hneg, -2) == (hneg[-2] * hneg[-1]) ** 2
-    with pytest.raises(KeyError):
-        c_constants(h, h, 4)
 
 
 # -- zero / pole scanning ---------------------------------------------------------------------

@@ -13,13 +13,10 @@ from taukit.schur import (
     _schur_numeric,
     characters,
     det_fraction_matrix,
-    miwa_times,
     power_sums_basis,
-    principal_times,
     schur_poly,
     schur_principal_value,
     skew_schur_poly,
-    times_values,
 )
 
 T = GenericTimes("t")
@@ -188,7 +185,7 @@ def test_skew_numeric_matches_generic_substitution():
             except ValueError:
                 continue
             generic = skew_schur_poly(outer, inner, T, 5)
-            values = times_values(MiwaTimes(xs), 5)
+            values = MiwaTimes(xs).values(5)
             total = F(0)
             for m, c in generic.terms.items():
                 prod = c
@@ -202,9 +199,9 @@ def test_skew_numeric_matches_generic_substitution():
 
 
 def test_miwa_times_values():
-    assert times_values(miwa_times([F(1)], "+", 4), 4) == [F(1), F(1, 2), F(1, 3), F(1, 4)]
-    got = miwa_times([F(1), F(1, 2)], "+", 2)
-    assert got.values == (F(3, 2), F(5, 8))
+    assert MiwaTimes((F(1),)).values(4) == [F(1), F(1, 2), F(1, 3), F(1, 4)]
+    assert MiwaTimes((F(1), F(1, 2))).values(2) == [F(3, 2), F(5, 8)]
+    assert MiwaTimes((F(1), F(1, 2)), sign=-1).values(2) == [F(-3, 2), F(-5, 8)]
 
 
 def test_miwa_minus_conjugates_with_parity_sign():
@@ -220,14 +217,14 @@ def test_miwa_minus_conjugates_with_parity_sign():
 
 
 def test_principal_rational_times():
-    spec = principal_times(a=F(2, 3), d=4)
-    assert times_values(spec, 4) == [F(2, 3) / m for m in range(1, 5)]
+    assert PrincipalTimes(F(2, 3)).values(4) == [F(2, 3) / m for m in range(1, 5)]
 
 
 def test_principal_q_integer_modulus_vanishing():
     q = F(1, 3)
-    spec = principal_times(a=F(2), q=q, d=6)
+    spec = PrincipalTimes(F(2), q)
     miwa = MiwaTimes((F(1), q))  # x = (1, q)
+    assert spec.values(6) == miwa.values(6)
     for lam in enumerate_up_to(6):
         assert schur_poly(lam, spec, 6) == schur_poly(lam, miwa, 6)
         if len(lam) > 2:
@@ -256,8 +253,15 @@ def test_principal_identity_exhaustive():
 
 
 def test_principal_rejects_root_of_unity():
-    with pytest.raises(ValueError):
-        principal_times(a=F(1), q=F(-1), d=3)
+    with pytest.raises(ValueError, match="root of unity"):
+        PrincipalTimes(F(1), F(-1)).values(3)
+    with pytest.raises(ValueError, match=r"q\^1 = 1"):
+        PrincipalTimes(F(1), F(1)).values(3)
+    with pytest.raises(ValueError, match="nonzero"):
+        PrincipalTimes(F(1), F(0)).values(3)
+    # schur_poly resolves the times through values(d), so it refuses them too
+    with pytest.raises(ValueError, match="root of unity"):
+        schur_poly((1,), PrincipalTimes(F(1), F(-1)), 3)
 
 
 # -- generic caching stays immutable -------------------------------------------------------

@@ -259,6 +259,33 @@ def test_qdiff_rejects_bad_q():
         check_qdiff([F(1)], [F(2)], F(1), 5)
 
 
+# ode and qdiff reports byte for byte; the failing ones perturb the coefficient c_3
+GOLDEN_TERMWISE = {
+    ("ode", "true"): '{"name":"ode","pass":true,"grade":8,"failure":null,"params":{"a":["1/2","2/3"],"b":["5/7"],"order":8}}',
+    ("qdiff", "true"): '{"name":"qdiff","pass":true,"grade":8,"failure":null,"params":{"a":["2"],"b":["3"],"q":"1/3","order":8}}',
+    ("ode", "mutated"): '{"name":"ode","pass":false,"grade":8,"failure":{"at":"x^2","lhs":"18161/14364","rhs":"1715/2052"},"params":{"a":["1/2","2/3"],"b":["5/7"],"order":8}}',
+    ("qdiff", "mutated"): '{"name":"qdiff","pass":false,"grade":8,"failure":{"at":"x^2","lhs":"150365/91476","rhs":"729/484"},"params":{"a":["2"],"b":["3"],"q":"1/3","order":8}}',
+}
+
+
+@pytest.mark.parametrize("check, coeffs", list(GOLDEN_TERMWISE), ids=["/".join(k) for k in GOLDEN_TERMWISE])
+def test_termwise_golden_reports(check, coeffs, monkeypatch):
+    if coeffs == "mutated":
+        row_coeffs = verify._row_coeffs
+
+        def mutated(r, m, order):
+            out = row_coeffs(r, m, order)
+            out[3] += F(1, 7)
+            return out
+
+        monkeypatch.setattr(verify, "_row_coeffs", mutated)
+    if check == "ode":
+        report = check_ode([F(1, 2), F(2, 3)], [F(5, 7)], 8)
+    else:
+        report = check_qdiff([F(2)], [F(3)], F(1, 3), 8)
+    assert report.to_json() == GOLDEN_TERMWISE[check, coeffs]
+
+
 # -- determinant oracle -----------------------------------------------------------------------
 
 
@@ -308,8 +335,11 @@ def test_oracle_rejects_extra_windows_below_one(extra):
 
 
 def _cofactor_det(block, idx):
-    """det of block over idx by Laplace expansion along rows, memoized on the columns left."""
-    one = GradedPoly.constant(1, block.at(0, 0).cap, block.at(0, 0).fam_caps)
+    """det of block over idx by Laplace expansion along rows, memoized on the columns left.
+
+    The block's rows and columns run over the indices 0, -1, ..., so index j sits at -j.
+    """
+    one = GradedPoly.constant(1, block[0][0].cap, block[0][0].fam_caps)
     minors = {(): one}
 
     def minor(cols):
@@ -317,7 +347,7 @@ def _cofactor_det(block, idx):
             row = idx[len(idx) - len(cols)]
             total = GradedPoly.zero(one.cap, one.fam_caps)
             for i, col in enumerate(cols):
-                term = block.at(row, col) * minor(cols[:i] + cols[i + 1:])
+                term = block[-row][-col] * minor(cols[:i] + cols[i + 1:])
                 total = total + term if i % 2 == 0 else total - term
             minors[cols] = total
         return minors[cols]
@@ -466,7 +496,7 @@ def test_window_block_matches_literal_matrix_exponentials():
             for l in range(size):
                 if not u_plus[a][l].is_zero() and not u_minus[l][b].is_zero():
                     entry = entry + u_plus[a][l] * u_minus[l][b]
-            assert entry == block.at(j, k), (j, k)
+            assert entry == block[-j][-k], (j, k)
 
 
 def test_window_block_xi_argument_powers():
@@ -488,7 +518,7 @@ def test_window_block_xi_argument_powers():
                 want = want + GradedPoly(4, pt[l - j].terms, (2, 2)) * GradedPoly(
                     4, pb[l - k].terms, (2, 2)
                 )
-            assert block.at(j, k) == want
+            assert block[-j][-k] == want
 
 
 # -- randomized battery ------------------------------------------------------------------------
