@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterator
 
 Partition = tuple
@@ -90,14 +91,9 @@ def hook_data(lam: Partition, q: Fraction | None = None) -> HookData:
     if q is not None and q == 0:
         raise ValueError("q must be nonzero")
     hooks = hook_lengths(lam)
-    product = Fraction(1)
-    for h in hooks:
-        product *= h
     q_product = None
     if q is not None:
-        q = Fraction(q)
-        q_product = Fraction(1)
-        for h in hooks:
-            q_product *= 1 - q**h
-    return HookData(hooks=hooks, product=product, q_product=q_product, n_stat=n_statistic(lam))
-
+        # prod (1 - (a/b)^h) = prod (b^h - a^h) / b^(sum h), reduced once
+        a, b = Fraction(q).as_integer_ratio()
+        q_product = Fraction(prod(b**h - a**h for h in hooks), b ** sum(hooks))
+    return HookData(hooks=hooks, product=Fraction(prod(hooks)), q_product=q_product, n_stat=n_statistic(lam))

@@ -18,16 +18,17 @@ Each evaluated kind (numeric, Miwa, principal) gives its values
 
 Generic = characters: the coefficient of prod t_k^{m_k} in s_lam(t) is
 chi^lam(rho) / prod m_k!, rho having m_k parts equal to k.  Evaluated =
-Jacobi-Trudi, a determinant of numeric p_m values (never a bialternant
-ratio, which would hit 0/0 at coincident points); tests use it as the
-independent oracle for the characters, and the closed hook/content form
-in ``schur_principal_value`` likewise.
+Jacobi-Trudi over p_m values resolved once per times object and kept in
+its memo for its lifetime (never a bialternant ratio, which would hit 0/0
+at coincident points); tests use it on plain value lists as the
+independent oracle for the characters and the memo, and the closed
+hook/content form in ``schur_principal_value`` likewise.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
@@ -56,7 +57,27 @@ class GenericTimes:
 
 
 @dataclass(frozen=True)
-class NumericTimes:
+class _EvaluatedTimes:
+    # "t" -> the resolved [t_1, ..., t_n]; False / True -> p_0..p_n of the plain and the
+    # (-1)^(k-1)-twisted values.  Refusals of values(n) are never stored.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _power_sums(self, n: int, twisted: bool, top: int) -> list[Fraction]:
+        """p_k for k < top <= n; values(n) runs first, then whenever n outgrows the resolved length.
+
+        A refusal thus recurs on every call; p_k reads t_1..t_k alone, so shorter sums stay valid.
+        """
+        memo = self._memo
+        if "t" not in memo or n > len(memo["t"]):
+            memo["t"] = self.values(n)
+        if len(memo.get(twisted, ())) < top:
+            values = memo["t"]
+            memo[twisted] = numeric_power_sums(_twist(values) if twisted else values, len(values))
+        return memo.get(twisted, [])
+
+
+@dataclass(frozen=True)
+class NumericTimes(_EvaluatedTimes):
     t: tuple  # t_1, t_2, ...; entries beyond the tuple are zero
 
     def __post_init__(self):
@@ -68,7 +89,7 @@ class NumericTimes:
 
 
 @dataclass(frozen=True)
-class MiwaTimes:
+class MiwaTimes(_EvaluatedTimes):
     x: tuple
     sign: int = 1
 
@@ -83,7 +104,7 @@ class MiwaTimes:
 
 
 @dataclass(frozen=True)
-class PrincipalTimes:
+class PrincipalTimes(_EvaluatedTimes):
     a: Fraction
     q: Fraction | None = None
 
@@ -264,19 +285,27 @@ def _jacobi_trudi_rows(lam: Partition, mu: Partition = ()) -> list[list[int]]:
     return [[lam[r] - padded[c] - (r + 1) + (c + 1) for c in range(n)] for r in range(n)]
 
 
-def _schur_numeric(lam: Partition, mu: Partition, values: list[Fraction], d: int) -> Fraction:
-    if not lam:
-        return Fraction(1)
-    use_conjugate = not mu and len(lam) > lam[0]
-    if use_conjugate:
-        # s_lam(t) = s_lam'(t') with t'_k = (-1)^(k-1) t_k
+def _twist(values: list[Fraction]) -> list[Fraction]:
+    """t'_k = (-1)^(k-1) t_k, the times at which s_lam(t) = s_lam'(t')."""
+    return [(-1) ** (k - 1) * v for k, v in enumerate(values, start=1)]
+
+
+def _jacobi_trudi(lam: Partition, mu: Partition, power_sums) -> Fraction:
+    """det [p_{lam_r - mu_c - r + c}], p_k = 0 for k < 0, from power_sums(twisted, top): p_k for k < top.
+
+    A straight shape longer than wide is read as its conjugate, at _twist times.
+    """
+    twisted = not mu and len(lam) > (lam[0] if lam else 0)
+    if twisted:
         lam = conjugate(lam)
-        values = [(-1) ** (k - 1) * v for k, v in enumerate(values, start=1)]
-    top = lam[0] + len(lam)
-    ps = numeric_power_sums(values + [Fraction(0)] * max(0, top - len(values)), top)
-    idx = _jacobi_trudi_rows(lam, mu)
-    rows = [[ps[k] if 0 <= k <= top else Fraction(0) for k in row] for row in idx]
-    return det_fraction_matrix(rows)
+    ps = power_sums(twisted, lam[0] + len(lam) if lam else 0)
+    return det_fraction_matrix([[ps[k] if k >= 0 else Fraction(0) for k in row] for row in _jacobi_trudi_rows(lam, mu)])
+
+
+def _schur_numeric(lam: Partition, mu: Partition, values: list[Fraction], d: int) -> Fraction:
+    """s_{lam/mu} at the plain list [t_1, t_2, ...], zero past its end: the oracle for the memo."""
+    return _jacobi_trudi(lam, mu, lambda twisted, top: numeric_power_sums(
+        (_twist(values) if twisted else values) + [Fraction(0)] * top, top))
 
 
 # -- Schur values -----------------------------------------------------------------
@@ -298,8 +327,7 @@ def schur_poly(lam, times, d: int):
         if times.q is None:
             return Fraction(1) / hd.product
         return Fraction(times.q) ** n_statistic(lam) / hd.q_product
-    values = times.values(max(d, lam[0] + len(lam) if lam else 0))
-    return _schur_numeric(lam, (), values, d)
+    return _jacobi_trudi(lam, (), lambda twisted, top: times._power_sums(max(d, top), twisted, top))
 
 
 def skew_schur_poly(outer, inner, times, d: int):
@@ -316,8 +344,7 @@ def skew_schur_poly(outer, inner, times, d: int):
         return schur_poly(outer, times, d)
     if isinstance(times, PrincipalInfinityTimes):
         raise TypeError("principal-infinity times are defined for straight shapes only")
-    values = times.values(outer[0] + len(outer))
-    return _schur_numeric(outer, inner, values, d)
+    return _jacobi_trudi(outer, inner, lambda twisted, top: times._power_sums(top, twisted, top))
 
 
 def schur_principal_value(lam, a, q: Fraction | None = None) -> Fraction:

@@ -3,11 +3,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from taukit import schur
 from taukit.partitions import conjugate, contains, enumerate_up_to, hook_data, n_statistic
 from taukit.poly import GradedPoly, mono, mono_weights, tvar
+from taukit.rspec import LinFactor, RSpec
 from taukit.schur import (
     GenericTimes,
     MiwaTimes,
+    NumericTimes,
     PrincipalInfinityTimes,
     PrincipalTimes,
     _schur_numeric,
@@ -18,6 +21,7 @@ from taukit.schur import (
     schur_principal_value,
     skew_schur_poly,
 )
+from taukit.tau import tau_series
 
 T = GenericTimes("t")
 
@@ -262,6 +266,67 @@ def test_principal_rejects_root_of_unity():
     # schur_poly resolves the times through values(d), so it refuses them too
     with pytest.raises(ValueError, match="root of unity"):
         schur_poly((1,), PrincipalTimes(F(1), F(-1)), 3)
+
+
+# -- evaluated times resolve their values and power sums once per object ------------------
+
+EVALUATED = {
+    "numeric": lambda: NumericTimes((F(1, 2), F(-2, 3), F(3, 5), F(1, 7))),
+    "miwa": lambda: MiwaTimes((F(1, 3), F(2, 5), F(1, 3))),
+    "miwa-minus": lambda: MiwaTimes((F(1, 3), F(2, 5), F(1, 3)), sign=-1),
+    "principal": lambda: PrincipalTimes(F(5, 3)),
+    "principal-q": lambda: PrincipalTimes(F(5, 7), F(1, 128)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EVALUATED))
+def test_shared_times_match_fresh_times_and_plain_lists(kind):
+    # one object serves every call, with d rising and then falling; each value must
+    # equal a fresh object's and the Jacobi-Trudi determinant on the plain value list
+    make = EVALUATED[kind]
+    shared = make()
+    straight = enumerate_up_to(9)
+    skew = [(o, i) for o in enumerate_up_to(7) for i in enumerate_up_to(7) if i and i != o and contains(o, i)]
+    for order in (1, -1):
+        for lam in straight[::order]:
+            d, top = sum(lam), lam[0] + len(lam) if lam else 0
+            want = _schur_numeric(lam, (), make().values(max(d, top)), d)
+            assert schur_poly(lam, shared, d) == schur_poly(lam, make(), d) == want, (kind, lam)
+        for outer, inner in skew[::order]:
+            d, top = sum(outer), outer[0] + len(outer)
+            want = _schur_numeric(outer, inner, make().values(top), d)
+            assert skew_schur_poly(outer, inner, shared, d) == skew_schur_poly(outer, inner, make(), d) == want
+
+
+def test_refusal_is_raised_on_every_call_and_never_stored():
+    times = PrincipalTimes(F(1), F(-1))
+    assert schur_poly((), times, 1) == 1
+    for _ in range(2):
+        with pytest.raises(ValueError, match="root of unity"):
+            schur_poly((1,), times, 3)
+    assert schur_poly((), times, 1) == 1
+    zero = PrincipalTimes(F(1), F(0))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="nonzero"):
+            schur_poly((), zero, 0)  # values(0) resolves nothing, but still refuses q = 0
+
+
+def test_tau_series_resolves_each_times_object_once(monkeypatch):
+    calls = {"numeric_power_sums": 0, "MiwaTimes.values": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(schur, "numeric_power_sums", counted("numeric_power_sums", schur.numeric_power_sums))
+    monkeypatch.setattr(MiwaTimes, "values", counted("MiwaTimes.values", MiwaTimes.values))
+    r = RSpec(F(1, 2), (LinFactor(F(1, 3)),), (LinFactor(F(7, 5)),))
+    tau_series(r, 0, 10, MiwaTimes((F(1, 5), F(3, 7))), PrincipalTimes(F(4, 3)))
+    # one value list per resolved length and one power-sum list per object and twist
+    assert calls["numeric_power_sums"] <= 4 and calls["MiwaTimes.values"] <= 4, calls
 
 
 # -- generic caching stays immutable -------------------------------------------------------

@@ -20,6 +20,7 @@ from taukit.schur import (
     MiwaTimes,
     NumericTimes,
     PrincipalInfinityTimes,
+    PrincipalTimes,
     schur_poly,
 )
 from taukit.tau import (
@@ -630,3 +631,42 @@ def test_prop4_structural_extra_denominator():
     _ = prop4_pair(r, F(1, 3), 0, 2, T)
     rb = RSpec(r.constant, r.num, r.den + (LinFactor(F(1, 3)),), None)
     assert len(rb.den) == len(r.den) + 1
+
+
+# -- evaluated-times golden outputs ---------------------------------------------------
+
+# str() of each output, captured before evaluated times kept their power sums
+GOLDEN_EVALUATED = {
+    "tau_series": "10902667004607342875352805343/8448817692335354269574107392",
+    "pfs_multivar": "361402427463523907138449/327195864224299743750000",
+    "qphi_multivar": "4581286407116718004554777698789/1454793962058198718023251953125",
+    "tau_general": "1762362066374980992754937683/1662569038008616189914000000",
+    "remark1_miwa": "CheckReport(name='remark1', passed=True, max_checked_grade=9, first_failure=None, "
+    "params={'mode': 'miwa', 'N': 2, 'd': 9})",
+    "remark1_dual": "CheckReport(name='remark1', passed=True, max_checked_grade=8, first_failure=None, "
+    "params={'mode': 'dual', 'K': 2, 'q': '1/2', 'd': 8})",
+    "prop4_pair": "(Fraction(142195165954654164805, 130236859253265278976), "
+    "Fraction(142195165954654164805, 130236859253265278976))",
+    "prop4_pair_q": "(Fraction(35370911665103142389102336349918977, 1234773106468206265277862548828125), "
+    "Fraction(35370911665103142389102336349918977, 1234773106468206265277862548828125))",
+}
+
+
+def test_evaluated_golden():
+    from taukit.verify import check_remark1
+
+    r = RSpec(F(1, 2), (LinFactor(F(1, 3)),), (LinFactor(F(7, 5)),))
+    rq = RSpec(F(2), (QLinFactor(F(2, 5), F(1)),), (QLinFactor(F(3, 7), F(0)),), F(1, 4))
+    x, y = (F(1, 5), F(3, 7), F(2, 7)), (F(1, 7), F(3, 5))
+    chain = ChainSpec(left=((r, MiwaTimes(x[:1])), (r, MiwaTimes(x[1:2]))), right=((RSpec(), MiwaTimes(y)),))
+    got = {
+        "tau_series": tau_series(r, 1, 8, MiwaTimes(x[:2]), PrincipalTimes(F(4, 3))),
+        "pfs_multivar": pfs_multivar([F(1, 3), F(2, 5)], [F(6, 5)], 0, MiwaTimes(x[:2]), 8),
+        "qphi_multivar": qphi_multivar([1], [5], 0, F(1, 2), x, 8),
+        "tau_general": tau_general(chain, 0, 7),
+        "remark1_miwa": check_remark1("miwa", {"N": 2, "x": y}, 9),
+        "remark1_dual": check_remark1("dual", {"K": 2, "q": F(1, 2), "x": y}, 8),
+        "prop4_pair": prop4_pair(r, F(5, 3), 0, 7, MiwaTimes(y)),
+        "prop4_pair_q": prop4_pair(rq, F(5, 2), 1, 6, MiwaTimes(y)),
+    }
+    assert {k: str(v) for k, v in got.items()} == GOLDEN_EVALUATED
