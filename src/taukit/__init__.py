@@ -65,12 +65,10 @@ from .tau import (
     askey_wilson_rspec,
     classical_reference,
     clebsch_gordan_q,
-    compare_abs_distance,
     pfq_one_var_coeffs,
     pfs_multivar,
     prop4_pair,
     q_bracket,
-    q_bracket_factorial,
     qphi_multivar,
     qphi_one_var_coeffs,
     tau_general,

@@ -36,7 +36,6 @@ from .tau import (
     ChainSpec,
     askey_wilson,
     classical_reference,
-    compare_abs_distance,
     pfs_multivar,
     prop4_pair,
     q_bracket,
@@ -177,27 +176,27 @@ def criterion_04_kp(seed: int) -> CheckReport:
 
 def criterion_05_classical_reduction(seed: int) -> CheckReport:
     rng = random.Random(f"{seed}/classical")
-    order = 10
-    for p, s in ((1, 0), (2, 1), (3, 2)):
-        extra_a = [rng.choice(_NONINT_POOL) + rng.choice((0, 1)) for _ in range(p - 1)]
-        bs = [rng.choice(_NONINT_POOL) + rng.choice((0, 1)) for _ in range(s)]
-        a = [F(0)] + extra_a
-        for m, sign in ((1, 1), (-1, -1)):
-            series = pfs_multivar(a, bs, m, GenericTimes(FAMILY_T), order)
-            if m == 1:
-                ref = classical_reference([v + 1 for v in extra_a], [v + 1 for v in bs], order)
-            else:
-                ref = classical_reference([1 - v for v in extra_a], [1 - v for v in bs], order)
-            for n in range(order + 1):
-                got = series.coeff(mono([(tvar(1), n)]))
-                want = ref[n] * sign**n
-                if got != want:
-                    return _verdict(
-                        "criterion-05-classical",
-                        {"order": order},
-                        f"(p,s)=({p},{s}) M={m} coefficient {n}: {got} != {want}",
-                    )
-    return _verdict("criterion-05-classical", {"order": order, "families": "(1,0),(2,1),(3,2)"})
+    name, order = "criterion-05-classical", 10
+
+    def reports():
+        for p, s in ((1, 0), (2, 1), (3, 2)):
+            extra_a = [rng.choice(_NONINT_POOL) + rng.choice((0, 1)) for _ in range(p - 1)]
+            bs = [rng.choice(_NONINT_POOL) + rng.choice((0, 1)) for _ in range(s)]
+            a = [F(0)] + extra_a
+            for m in (1, -1):
+                series = pfs_multivar(a, bs, m, GenericTimes(FAMILY_T), order)
+                shifted = [1 + m * v for v in extra_a], [1 + m * v for v in bs]
+                ref = classical_reference(*shifted, order)
+                for n in range(order + 1):
+                    got = series.coeff(mono([(tvar(1), n)]))
+                    want = ref[n] * m**n
+                    if got != want:
+                        why = f"(p,s)=({p},{s}) M={m} coefficient {n}: {got} != {want}"
+                        yield _verdict(name, {"order": order}, why)
+
+    return _first_failure(reports()) or _verdict(
+        name, {"order": order, "families": "(1,0),(2,1),(3,2)"}
+    )
 
 
 def criterion_06_qdiff(seed: int) -> CheckReport:
@@ -232,22 +231,24 @@ def criterion_07_ode(seed: int) -> CheckReport:
 
 def criterion_08_prop4(seed: int) -> CheckReport:
     rng = random.Random(f"{seed}/prop4")
-    d = 5
-    for _ in range(3):
-        r = draw_lin_rspec(rng)
-        b = rng.choice(_NONINT_POOL)
-        m = rng.choice((-1, 0, 1))
-        left, right = prop4_pair(r, b, m, d, GenericTimes(FAMILY_T))
-        if left != right:
-            return _verdict("criterion-08-prop4", {"d": d}, f"rational variant M={m} b={b}")
-    q_draws = [(F(1, 4), F(1, 2)), (F(1, 8), F(2, 3)), (F(4, 9), F(3, 2))]
-    for q, b in q_draws:
-        r = draw_qlin_rspec(rng, q, span=9)
-        m = rng.choice((-1, 0, 1))
-        left, right = prop4_pair(r, b, m, d, GenericTimes(FAMILY_T))
-        if left != right:
-            return _verdict("criterion-08-prop4", {"d": d}, f"q variant q={q} b={b} M={m}")
-    return _verdict("criterion-08-prop4", {"d": d, "draws": "3 rational + 3 q"})
+    name, d = "criterion-08-prop4", 5
+
+    def reports():
+        for _ in range(3):
+            r = draw_lin_rspec(rng)
+            b = rng.choice(_NONINT_POOL)
+            m = rng.choice((-1, 0, 1))
+            left, right = prop4_pair(r, b, m, d, GenericTimes(FAMILY_T))
+            if left != right:
+                yield _verdict(name, {"d": d}, f"rational variant M={m} b={b}")
+        for q, b in ((F(1, 4), F(1, 2)), (F(1, 8), F(2, 3)), (F(4, 9), F(3, 2))):
+            r = draw_qlin_rspec(rng, q, span=9)
+            m = rng.choice((-1, 0, 1))
+            left, right = prop4_pair(r, b, m, d, GenericTimes(FAMILY_T))
+            if left != right:
+                yield _verdict(name, {"d": d}, f"q variant q={q} b={b} M={m}")
+
+    return _first_failure(reports()) or _verdict(name, {"d": d, "draws": "3 rational + 3 q"})
 
 
 def criterion_09_remark1(seed: int) -> CheckReport:
@@ -265,31 +266,24 @@ def criterion_09_remark1(seed: int) -> CheckReport:
 
 
 def criterion_10_poch_bridge(seed: int) -> CheckReport:
-    d = 6
+    name, d = "criterion-10-poch-bridge", 6
     parts = enumerate_up_to(d)
-    for q in (F(1, 2), F(2, 3)):
-        for a in (F(1), F(2), F(3), F(-1)):
-            spec = RSpec(num=(QLinFactor(F(1), a),), q=q)
-            for lam in parts:
-                lhs = poch_partition(a, lam, q)
-                rhs = content_product(spec, lam, 0)
-                if lhs != rhs:
-                    return _verdict(
-                        "criterion-10-poch-bridge",
-                        {"d": d},
-                        f"poch != content at lam={lam}, a={a}, q={q}",
-                    )
-        for a in (F(1), F(2), F(3)):
-            for lam in parts:
-                via_times = schur_poly(lam, PrincipalTimes(a, q), d)
-                closed = schur_principal_value(lam, a, q)
-                if via_times != closed:
-                    return _verdict(
-                        "criterion-10-poch-bridge",
-                        {"d": d},
-                        f"principal identity fails at lam={lam}, a={a}, q={q}",
-                    )
-    return _verdict("criterion-10-poch-bridge", {"d": d, "q": ["1/2", "2/3"]})
+
+    def reports():
+        for q in (F(1, 2), F(2, 3)):
+            for a in (F(1), F(2), F(3), F(-1)):
+                spec = RSpec(num=(QLinFactor(F(1), a),), q=q)
+                for lam in parts:
+                    if poch_partition(a, lam, q) != content_product(spec, lam, 0):
+                        why = f"poch != content at lam={lam}, a={a}, q={q}"
+                        yield _verdict(name, {"d": d}, why)
+            for a in (F(1), F(2), F(3)):
+                for lam in parts:
+                    if schur_poly(lam, PrincipalTimes(a, q), d) != schur_principal_value(lam, a, q):
+                        why = f"principal identity fails at lam={lam}, a={a}, q={q}"
+                        yield _verdict(name, {"d": d}, why)
+
+    return _first_failure(reports()) or _verdict(name, {"d": d, "q": ["1/2", "2/3"]})
 
 
 def criterion_11_example6(seed: int) -> CheckReport:
@@ -305,53 +299,63 @@ def criterion_11_example6(seed: int) -> CheckReport:
             (RSpec(), NumericTimes((y2,))),
         ),
     )
-    got = tau_general(chain, m, d)
-    want = F(0)
-    for n1 in range(d + 1):
-        for n2 in range(d + 1 - n1):
-            n = n1 + n2
-            num = poch_partition(at + m, (n,)) if n else F(1)
-            num *= poch_partition(a1 + m, (n1,)) if n1 else F(1)
-            den = poch_partition(bt + m, (n,)) if n else F(1)
-            den *= poch_partition(b1 + m, (n1,)) if n1 else F(1)
-            fact1 = hook_data((n1,) if n1 else ()).product
-            fact2 = hook_data((n2,) if n2 else ()).product
-            want += num / den * y1**n1 * y2**n2 * x**n / (fact1 * fact2)
-    if got != want:
-        return _verdict("criterion-11-example6", {"d": d}, f"{got} != {want}")
-    return _verdict("criterion-11-example6", {"d": d, "M": m})
+
+    def reports():
+        want = F(0)
+        for n1 in range(d + 1):
+            for n2 in range(d + 1 - n1):
+                n = n1 + n2
+                num = poch_partition(at + m, (n,)) if n else F(1)
+                num *= poch_partition(a1 + m, (n1,)) if n1 else F(1)
+                den = poch_partition(bt + m, (n,)) if n else F(1)
+                den *= poch_partition(b1 + m, (n1,)) if n1 else F(1)
+                fact1 = hook_data((n1,) if n1 else ()).product
+                fact2 = hook_data((n2,) if n2 else ()).product
+                want += num / den * y1**n1 * y2**n2 * x**n / (fact1 * fact2)
+        got = tau_general(chain, m, d)
+        if got != want:
+            yield _verdict("criterion-11-example6", {"d": d}, f"{got} != {want}")
+
+    return _first_failure(reports()) or _verdict("criterion-11-example6", {"d": d, "M": m})
 
 
 def criterion_12_askey_wilson(seed: int) -> CheckReport:
+    name = "criterion-12-aw"
     q, a, b, c, dd, cosv = F(1, 3), F(1, 5), F(1, 7), F(2, 7), F(1, 11), F(1, 2)
-    for n in range(6):
-        # termination: the next term would carry the vanishing factor
-        if poch_partition(F(-n), (n + 1,), q) != 0:
-            return _verdict("criterion-12-aw", {}, f"termination factor nonzero at n={n}")
-    for n in (1, 2, 3, 5):
-        base = askey_wilson(n, a, b, c, dd, q, cosv)
-        if askey_wilson(n, a, c, b, dd, q, cosv) != base:
-            return _verdict("criterion-12-aw", {}, f"b<->c changes the sum at n={n}")
-        if askey_wilson(n, a, dd, c, b, q, cosv) != base:
-            return _verdict("criterion-12-aw", {}, f"b<->d changes the sum at n={n}")
-        pn = askey_wilson(n, a, b, c, dd, q, cosv, with_prefactor=True)
-        pn_swapped = askey_wilson(n, b, a, c, dd, q, cosv, with_prefactor=True)
-        if pn != pn_swapped:
-            return _verdict("criterion-12-aw", {}, f"a<->b changes p_n at n={n}")
-    return _verdict("criterion-12-aw", {"q": "1/3", "point": "a=1/5,b=1/7,c=2/7,d=1/11"})
+
+    def reports():
+        for n in range(6):
+            # termination: the next term would carry the vanishing factor
+            if poch_partition(F(-n), (n + 1,), q) != 0:
+                yield _verdict(name, {}, f"termination factor nonzero at n={n}")
+        for n in (1, 2, 3, 5):
+            base = askey_wilson(n, a, b, c, dd, q, cosv)
+            if askey_wilson(n, a, c, b, dd, q, cosv) != base:
+                yield _verdict(name, {}, f"b<->c changes the sum at n={n}")
+            if askey_wilson(n, a, dd, c, b, q, cosv) != base:
+                yield _verdict(name, {}, f"b<->d changes the sum at n={n}")
+            pn = askey_wilson(n, a, b, c, dd, q, cosv, with_prefactor=True)
+            if askey_wilson(n, b, a, c, dd, q, cosv, with_prefactor=True) != pn:
+                yield _verdict(name, {}, f"a<->b changes p_n at n={n}")
+
+    return _first_failure(reports()) or _verdict(
+        name, {"q": "1/3", "point": "a=1/5,b=1/7,c=2/7,d=1/11"}
+    )
 
 
 def criterion_13_two_sided(seed: int) -> CheckReport:
     rng = random.Random(f"{seed}/two-sided")
     d = 5
-    for _ in range(3):
-        rt, r = draw_lin_rspec(rng), draw_lin_rspec(rng)
-        m = rng.choice((-1, 0, 1))
-        lhs = tau_two_sided(rt, r, m, d, GenericTimes(FAMILY_T), GenericTimes(FAMILY_B))
-        rhs = tau_series(rspec_mul(rt, r), m, d, GenericTimes(FAMILY_T), GenericTimes(FAMILY_B))
-        if lhs != rhs:
-            return _verdict("criterion-13-two-sided", {"d": d}, f"mismatch at M={m}")
-    return _verdict("criterion-13-two-sided", {"d": d, "draws": 3})
+    times = GenericTimes(FAMILY_T), GenericTimes(FAMILY_B)
+
+    def reports():
+        for _ in range(3):
+            rt, r = draw_lin_rspec(rng), draw_lin_rspec(rng)
+            m = rng.choice((-1, 0, 1))
+            if tau_two_sided(rt, r, m, d, *times) != tau_series(rspec_mul(rt, r), m, d, *times):
+                yield _verdict("criterion-13-two-sided", {"d": d}, f"mismatch at M={m}")
+
+    return _first_failure(reports()) or _verdict("criterion-13-two-sided", {"d": d, "draws": 3})
 
 
 def criterion_14_clebsch_gordan(seed: int) -> CheckReport:
@@ -361,29 +365,27 @@ def criterion_14_clebsch_gordan(seed: int) -> CheckReport:
         (F(3, 2), F(1), F(1, 2), F(1, 2), F(0)),
         (F(2), F(3, 2), F(3, 2), F(0), F(1, 2)),
     ]
-    for l1, l2, l, j, k in tuples:
-        m = j + k
-        a = (j - l1, l1 + j + 1, -l + m)
-        b = (l2 - l + j + 1, -l - l2 + j)
-        order = int(l1 - j)
-        via_machinery = qphi_one_var_coeffs(a, b, 0, q, order)
-        via_recursion = classical_reference(a, b, order, q=q)
-        if via_machinery != via_recursion:
-            return _verdict(
-                "criterion-14-cg",
-                {"q": "1/2"},
-                f"series factor mismatch for spins ({l1},{l2},{l},{j},{k})",
-            )
-    for a_val in (2, 3):
-        values = [q_bracket(a_val, 1 - F(1, 2**k)) for k in range(1, 11)]
-        for i in range(len(values) - 1):
-            if compare_abs_distance(values[i + 1], a_val, values[i]) >= 0:
-                return _verdict(
-                    "criterion-14-cg",
-                    {},
-                    f"bracket [{a_val}] not monotone at step {i + 1}",
-                )
-    return _verdict("criterion-14-cg", {"q": "1/2", "tuples": 3, "bracket_steps": 10})
+
+    def reports():
+        for l1, l2, l, j, k in tuples:
+            m = j + k
+            a = (j - l1, l1 + j + 1, -l + m)
+            b = (l2 - l + j + 1, -l - l2 + j)
+            order = int(l1 - j)
+            if qphi_one_var_coeffs(a, b, 0, q, order) != classical_reference(a, b, order, q=q):
+                why = f"series factor mismatch for spins ({l1},{l2},{l},{j},{k})"
+                yield _verdict("criterion-14-cg", {"q": "1/2"}, why)
+        # [a] > a for q != 1, so |[a] - a| falls exactly when [a]^2 falls
+        for a_val in (2, 3):
+            sq = [q_bracket(a_val, 1 - F(1, 2**k)).square() for k in range(1, 11)]
+            for i in range(len(sq) - 1):
+                if not a_val**2 < sq[i + 1] < sq[i]:
+                    why = f"bracket [{a_val}] not monotone at step {i + 1}"
+                    yield _verdict("criterion-14-cg", {}, why)
+
+    return _first_failure(reports()) or _verdict(
+        "criterion-14-cg", {"q": "1/2", "tuples": 3, "bracket_steps": 10}
+    )
 
 
 CRITERIA = [

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .partitions import contains, enumerate_up_to
-from .poly import is_integral, lift, rational_nth_root, rational_pow, weighted_sum
+from .poly import is_integral, lift, rational_pow, weighted_sum
 from .rspec import (
     LinFactor,
     PoleError,
@@ -362,104 +362,16 @@ class SqrtValue:
         sd, fd = _square_part(radicand.denominator)
         return SqrtValue(rational * Fraction(sn, sd), Fraction(fn, fd))
 
-    def is_rational(self) -> bool:
-        return self.radicand == 1 or self.rational == 0
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return self.rational
-
-    def __mul__(self, other):
-        if isinstance(other, SqrtValue):
-            return SqrtValue.of(self.rational * other.rational, self.radicand * other.radicand)
-        return SqrtValue.of(self.rational * Fraction(other), self.radicand)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, SqrtValue):
-            if other.rational == 0:
-                raise ZeroDivisionError("division by zero SqrtValue")
-            # 1/sqrt(s) = sqrt(s)/s
-            return SqrtValue.of(
-                self.rational / (other.rational * other.radicand),
-                self.radicand * other.radicand,
-            )
-        return SqrtValue.of(self.rational / Fraction(other), self.radicand)
-
-    def sqrt(self) -> "SqrtValue":
-        v = self.as_rational()
-        if v < 0:
-            raise ValueError("square root of a negative value")
-        return SqrtValue.of(1, v)
-
     def square(self) -> Fraction:
         return self.rational**2 * self.radicand
-
-    def sign(self) -> int:
-        if self.rational == 0:
-            return 0
-        return 1 if self.rational > 0 else -1
 
     def __eq__(self, other):
         if not isinstance(other, SqrtValue):
             other = SqrtValue.of(other)
-        return self.sign() == other.sign() and self.square() == other.square()
+        return (self.rational > 0) == (other.rational > 0) and self.square() == other.square()
 
     def __hash__(self):
-        return hash((self.sign(), self.square()))
-
-
-def _sign(x: Fraction) -> int:
-    return 0 if x == 0 else (1 if x > 0 else -1)
-
-
-def _sign_lin_sqrt(a: Fraction, b: Fraction, s: Fraction) -> int:
-    """Exact sign of a + b*sqrt(s), s >= 0."""
-    if b == 0 or s == 0:
-        return _sign(a)
-    if a == 0:
-        return _sign(b)
-    if _sign(a) == _sign(b):
-        return _sign(a)
-    lhs, rhs = a * a, b * b * s
-    if lhs == rhs:
-        return 0
-    return _sign(a) if lhs > rhs else _sign(b)
-
-
-def _sign_two_sqrt(c0: Fraction, c1: Fraction, s1: Fraction, c2: Fraction, s2: Fraction) -> int:
-    """Exact sign of c0 + c1*sqrt(s1) + c2*sqrt(s2)."""
-    if c1 == 0 or s1 == 0:
-        return _sign_lin_sqrt(c0, c2, s2)
-    if c2 == 0 or s2 == 0:
-        return _sign_lin_sqrt(c0, c1, s1)
-    if _sign(c1) == _sign(c2):
-        s_radical = _sign(c1)
-    else:
-        lhs, rhs = c1 * c1 * s1, c2 * c2 * s2
-        s_radical = 0 if lhs == rhs else (_sign(c1) if lhs > rhs else _sign(c2))
-    if c0 == 0:
-        return s_radical
-    if s_radical == 0:
-        return _sign(c0)
-    if _sign(c0) == s_radical:
-        return s_radical
-    mag = _sign_lin_sqrt(c1 * c1 * s1 + c2 * c2 * s2 - c0 * c0, 2 * c1 * c2, s1 * s2)
-    if mag == 0:
-        return 0
-    return s_radical if mag > 0 else _sign(c0)
-
-
-def compare_abs_distance(x: SqrtValue, target, y: SqrtValue) -> int:
-    """Exact sign of |x - target| - |y - target| for a rational target."""
-    t = Fraction(target)
-    # |v - t|^2 = v^2 + t^2 - 2 t v; the difference is c0 + c1 sqrt(s1) + c2 sqrt(s2)
-    c0 = x.square() - y.square()
-    c1 = -2 * t * x.rational
-    c2 = 2 * t * y.rational
-    return _sign_two_sqrt(c0, c1, x.radicand, c2, y.radicand)
+        return hash((self.rational > 0, self.square()))
 
 
 # -- q-deformed angular-momentum coupling -------------------------------------------
@@ -470,32 +382,15 @@ def q_bracket(a: int, q) -> SqrtValue:
     q = Fraction(q)
     if q <= 0 or q == 1:
         raise ValueError("q must be positive and != 1")
-    return _q_half_power(1 - a, q) * ((1 - q**a) / (1 - q))
+    return SqrtValue.of((1 - q**a) / (1 - q), q ** (1 - a))
 
 
-def _q_half_power(e: int, q: Fraction) -> SqrtValue:
-    if e % 2 == 0:
-        return SqrtValue.of(q ** (e // 2))
-    return SqrtValue.of(q ** ((e - 1) // 2), q)
-
-
-def _q_quarter_power(quarters: int, q: Fraction) -> SqrtValue:
-    if quarters % 2 == 0:
-        return _q_half_power(quarters // 2, q)
-    root = rational_nth_root(q, 2)
-    if root is None:
-        raise ValueError(f"q^{Fraction(quarters, 4)} needs q to be a perfect rational square; q={q}")
-    return _q_half_power(quarters, root)
-
-
-def q_bracket_factorial(n: int, q) -> SqrtValue:
-    """[n]! = [1][2]...[n]; [0]! = 1."""
-    if n < 0:
-        raise ValueError(f"bracket factorial of negative argument {n}")
-    out = SqrtValue.of(1)
-    for k in range(1, n + 1):
-        out = out * q_bracket(k, q)
-    return out
+def _bracket_factorial(n: int, q: Fraction) -> tuple[Fraction, int]:
+    """[n]! = [1][2]...[n] as (c, h) with [n]! = c * q^(h/2); [0]! = 1."""
+    c = Fraction(1)
+    for a in range(2, n + 1):
+        c *= (1 - q**a) / (1 - q)
+    return c, -n * (n - 1) // 2
 
 
 def _as_half_integer(x) -> Fraction:
@@ -508,9 +403,15 @@ def _as_half_integer(x) -> Fraction:
 def clebsch_gordan_q(l1, l2, l, j, k, q) -> SqrtValue:
     """Exact coupling coefficient for half-integer spins, as rational * sqrt(rational).
 
-    The terminating balanced series factor is summed through the partition
-    layer conventions; the prefactor is assembled from q-brackets, with all
-    square roots kept symbolic in the SqrtValue representation.
+    The terminating balanced series factor phi is summed through the
+    partition layer conventions.  The square of the value is rational in q:
+
+        phi^2 [2l+1] q^(2B) prod [x]!^e_x,
+
+    with each bracket factorial carried as c * q^(h/2).  One root is taken
+    at the end, so the result is ``SqrtValue.of(sign, square)``, a function
+    of the value alone; an odd total h is refused unless q is a rational
+    square.
     """
     l1, l2, l, j, k = (_as_half_integer(v) for v in (l1, l2, l, j, k))
     q = Fraction(q)
@@ -521,54 +422,26 @@ def clebsch_gordan_q(l1, l2, l, j, k, q) -> SqrtValue:
         raise ValueError("triangle condition violated")
     if abs(j) > l1 or abs(k) > l2 or abs(m) > l:
         raise ValueError("magnetic numbers out of range")
-    needed = {
-        "l1+j": l1 + j, "l1-j": l1 - j, "l2+k": l2 + k, "l2-k": l2 - k,
-        "l+m": l + m, "l-m": l - m,
-        "l1+l2-l": l1 + l2 - l, "l1-l2+l": l1 - l2 + l, "l-l1+l2": l - l1 + l2,
-        "l1+l2+l+1": l1 + l2 + l + 1, "l+l2-j": l + l2 - j, "l2-l+j": l2 - l + j,
+    # bracket-factorial argument x and its exponent e_x in the square
+    factorials = {
+        "l1+j": (l1 + j, 1), "l1-j": (l1 - j, -1), "l2+k": (l2 + k, -1), "l2-k": (l2 - k, 1),
+        "l+m": (l + m, 1), "l-m": (l - m, -1),
+        "l1+l2-l": (l1 + l2 - l, 1), "l1-l2+l": (l1 - l2 + l, -1), "l-l1+l2": (l - l1 + l2, -1),
+        "l1+l2+l+1": (l1 + l2 + l + 1, -1), "l+l2-j": (l + l2 - j, 2), "l2-l+j": (l2 - l + j, -2),
     }
-    ints = {}
-    for name, v in needed.items():
+    c, h = Fraction(1), 0
+    for name, (v, e) in factorials.items():
         if not is_integral(v) or v < 0:
             raise ValueError(f"bracket argument {name} = {v} is not a non-negative integer")
-        ints[name] = int(v)
+        cx, hx = _bracket_factorial(int(v), q)
+        c, h = c * cx**e, h + e * hx
 
     phi = _cg_phi32(l1, l2, l, j, m, q)
-
-    # B = (l2(l2+1) - l1(l1+1) - l(l+1) + 2j(m+1)) / 4, an integer multiple of 1/4
-    inner = l2 * (l2 + 1) - l1 * (l1 + 1) - l * (l + 1) + 2 * j * (m + 1)
-    if not is_integral(inner):
-        raise ValueError("internal: exponent 4B is not an integer")
-    q_b = _q_quarter_power(int(inner), q)
-
-    delta = (
-        q_bracket_factorial(ints["l1+l2-l"], q)
-        * q_bracket_factorial(ints["l1-l2+l"], q)
-        * q_bracket_factorial(ints["l-l1+l2"], q)
-        / q_bracket_factorial(ints["l1+l2+l+1"], q)
-    ).sqrt()
-
-    bra = (
-        q_bracket_factorial(ints["l1+j"], q)
-        * q_bracket_factorial(ints["l1-j"], q)
-        * q_bracket_factorial(ints["l2+k"], q)
-        * q_bracket_factorial(ints["l2-k"], q)
-        * q_bracket_factorial(ints["l+m"], q)
-        * q_bracket_factorial(ints["l-m"], q)
-        * q_bracket(int(2 * l + 1), q)
-    ).sqrt()
-
-    numerator = q_b * delta * bra * q_bracket_factorial(ints["l+l2-j"], q)
-    den = (
-        q_bracket_factorial(ints["l1-l2+l"], q)
-        * q_bracket_factorial(ints["l-l1+l2"], q)
-        * q_bracket_factorial(ints["l2-l+j"], q)
-        * q_bracket_factorial(ints["l1-j"], q)
-        * q_bracket_factorial(ints["l2+k"], q)
-        * q_bracket_factorial(ints["l-m"], q)
-    )
-    sign = (-1) ** int(l1 - j)
-    return numerator / den * phi * sign
+    # [2l+1] = c q^(-2l/2) and q^(2B) = q^(4B/2), 4B = l2(l2+1) - l1(l1+1) - l(l+1) + 2j(m+1)
+    c *= phi**2 * (1 - q ** int(2 * l + 1)) / (1 - q)
+    h += int(l2 * (l2 + 1) - l1 * (l1 + 1) - l * (l + 1) + 2 * j * (m + 1) - 2 * l)
+    sign = (-1) ** int(l1 - j) * (1 if phi > 0 else -1)
+    return SqrtValue.of(sign, c * rational_pow(q, Fraction(h, 2)))
 
 
 def _cg_phi32(l1, l2, l, j, m, q: Fraction) -> Fraction:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction as F
 
@@ -97,6 +98,30 @@ def test_eval_cg(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"rational": "1", "radicand": "1"}
+
+
+def test_eval_cg_at_non_square_q(capsys):
+    # the value is 1 at every q; no intermediate root is taken
+    code, out, err = run(
+        capsys, "eval", "cg", "--params", "1/2,1/2,1,1/2,1/2", "--q", "1/2"
+    )
+    assert code == 0 and err == ""
+    assert out == '{"rational":"1","radicand":"1"}'
+
+
+def test_eval_cg_sweep_never_raises(capsys):
+    # every half-integer tuple with spins <= 3/2 and |j| <= l1, |k| <= l2:
+    # an answer or a usage error, never a traceback
+    def magnetic(spin):
+        return [spin - n for n in range(int(2 * spin) + 1)]
+
+    codes = set()
+    for l1, l2, l in itertools.product([F(n, 2) for n in range(4)], repeat=3):
+        for j, k in itertools.product(magnetic(l1), magnetic(l2)):
+            params = ",".join(str(v) for v in (l1, l2, l, j, k))
+            codes.add(main(["eval", "cg", "--params", params, "--q", "1/2"]))
+    capsys.readouterr()
+    assert codes == {0, 2}
 
 
 def test_eval_lowest_terms(capsys):

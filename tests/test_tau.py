@@ -27,16 +27,15 @@ from taukit.tau import (
     ChainSpec,
     SqrtValue,
     TauExpansion,
+    _bracket_factorial,
     askey_wilson,
     askey_wilson_rspec,
     classical_reference,
     clebsch_gordan_q,
-    compare_abs_distance,
     pfq_one_var_coeffs,
     pfs_multivar,
     prop4_pair,
     q_bracket,
-    q_bracket_factorial,
     qphi_multivar,
     qphi_one_var_coeffs,
     tau_general,
@@ -502,32 +501,8 @@ def test_sqrt_value_normalization():
     assert v == SqrtValue.of(F(1), F(2))
     assert SqrtValue.of(F(3), F(4)) == SqrtValue.of(F(6))
     assert SqrtValue.of(F(5), F(0)) == SqrtValue.of(0)
-
-
-def test_sqrt_value_arithmetic():
-    a = SqrtValue.of(F(2), F(3))
-    b = SqrtValue.of(F(1, 2), F(12))
-    prod = a * b
-    assert prod.is_rational() and prod.as_rational() == 6
-    quot = a / b
-    assert quot.is_rational() and quot.as_rational() == 2
-    assert (a * F(1, 2)).square() == F(3)
-
-
-def test_sqrt_value_sqrt_and_errors():
-    assert SqrtValue.of(F(9, 4)).sqrt() == SqrtValue.of(F(3, 2))
-    with pytest.raises(ValueError):
-        SqrtValue.of(F(1), F(2)).sqrt()
     with pytest.raises(ValueError):
         SqrtValue.of(F(1), F(-1))
-
-
-def test_compare_abs_distance_mixed_radicals():
-    x = SqrtValue.of(F(3, 2), F(2))  # ~2.121
-    y = SqrtValue.of(F(1), F(5))  # ~2.236
-    assert compare_abs_distance(x, F(2), y) < 0
-    assert compare_abs_distance(y, F(2), x) > 0
-    assert compare_abs_distance(x, F(0), x) == 0
 
 
 # -- q-brackets and coupling coefficients ------------------------------------------------------
@@ -536,24 +511,26 @@ def test_compare_abs_distance_mixed_radicals():
 def test_bracket_values():
     q = F(1, 4)
     assert q_bracket(1, q) == SqrtValue.of(1)
-    assert q_bracket(3, q).as_rational() == q**-1 * (1 - q**3) / (1 - q)
+    three = q_bracket(3, q)
+    assert three.radicand == 1 and three.rational == q**-1 * (1 - q**3) / (1 - q)
     even = q_bracket(2, q)  # q^(-1/2) (1-q^2)/(1-q): rational since q is a square
-    assert even.is_rational() and even.as_rational() == 2 * (1 + q)
+    assert even.radicand == 1 and even.rational == 2 * (1 + q)
 
 
 def test_bracket_factorial():
-    q = F(1, 4)
-    assert q_bracket_factorial(0, q) == SqrtValue.of(1)
-    got = q_bracket_factorial(3, q)
-    want = q_bracket(1, q) * q_bracket(2, q) * q_bracket(3, q)
-    assert got == want
+    for q in (F(1, 4), F(2, 3)):
+        assert _bracket_factorial(0, q) == (1, 0)
+        c, h = _bracket_factorial(3, q)  # [3]! = c q^(h/2)
+        want = q_bracket(1, q).square() * q_bracket(2, q).square() * q_bracket(3, q).square()
+        assert c**2 * q**h == want
 
 
 def test_bracket_limit_monotone():
+    # [a] > a for q != 1, so |[a] - a| falls exactly when [a]^2 falls
     for a in (2, 3, 5):
-        vals = [q_bracket(a, 1 - F(1, 2**k)) for k in range(1, 11)]
-        for earlier, later in zip(vals, vals[1:]):
-            assert compare_abs_distance(later, a, earlier) < 0
+        squares = [q_bracket(a, 1 - F(1, 2**k)).square() for k in range(1, 11)]
+        for earlier, later in zip(squares, squares[1:]):
+            assert a**2 < later < earlier
 
 
 def test_cg_highest_weight_is_one():
@@ -602,6 +579,78 @@ def test_cg_machinery_matches_direct_recursion():
         b = (l2 - l + j + 1, -l - l2 + j)
         order = int(l1 - j)
         assert qphi_one_var_coeffs(a, b, 0, q, order) == classical_reference(a, b, order, q=q)
+
+
+# (l1, l2, l, j, k), q, and the pinned sign and square of the value
+CG_GOLDEN = [
+    ("1,5/2,3/2,1,-5/2", "1/4", 1, "17/273"),
+    ("1/2,5/2,2,-1/2,5/2", "1/4", -1, "1364/1365"),
+    ("1/2,5/2,2,1/2,-5/2", "1/4", 1, "341/1365"),
+    ("2,2,1,0,-1", "1/4", -1, "336/75361"),
+    ("2,3/2,5/2,2,1/2", "1/4", 1, "85/5461"),
+    ("3,2,2,0,1", "1/4", -1, "176128/424307"),
+    ("3,2,3,1,0", "1/4", 1, "10073564427/26863106699"),
+    ("3,3,2,2,-1", "1/4", -1, "160122347/430203594379"),
+    ("3/2,3/2,1,1/2,-3/2", "1/4", 1, "21/5797"),
+    ("5/2,3/2,1,-1/2,-1/2", "1/4", -1, "84/376805"),
+    ("0,2,2,0,1", "4/9", 1, "1"),
+    ("1,2,2,1,0", "4/9", 1, "576/5917"),
+    ("2,2,0,-1,1", "4/9", -1, "2916/11605"),
+    ("2,3/2,5/2,2,1/2", "4/9", 1, "80704/953317"),
+    ("3,2,3,2,0", "4/9", -1, "5791772338000/23483446882477"),
+    ("3/2,3,5/2,1/2,-3", "4/9", 1, "24102749440/630379912933"),
+    ("5/2,2,1/2,-1/2,1", "4/9", -1, "27634932/94151365"),
+    ("5/2,3,3/2,-3/2,2", "4/9", 1, "26461407230037/52724456016757"),
+    ("5/2,3,3/2,3/2,-2", "4/9", -1, "4040655191872/52724456016757"),
+    ("5/2,3/2,3,3/2,-1/2", "4/9", -1, "52811192971161/809347447413505"),
+]
+
+
+@pytest.mark.parametrize("spins, q, sign, square", CG_GOLDEN, ids=[f"{s}@{q}" for s, q, *_ in CG_GOLDEN])
+def test_cg_sign_and_square_golden(spins, q, sign, square):
+    v = clebsch_gordan_q(*(F(x) for x in spins.split(",")), F(q))
+    assert (v.rational > 0) - (v.rational < 0) == sign
+    assert v.square() == F(square)
+    assert v == SqrtValue.of(sign, F(square))
+
+
+def _steps(top, bottom):
+    """top, top - 1, ..., bottom."""
+    return [top - n for n in range(int(top - bottom) + 1)]
+
+
+def _cg_row_sums(top1, top2, q):
+    """Sum over j + k = m of C(l1, l2, l; j, k)^2, for every (l1, l2, l, m) row
+    with l1 <= top1 and l2 <= top2 that lies wholly inside the formula's domain."""
+    sums = []
+    for l1 in (F(n, 2) for n in range(int(2 * top1) + 1)):
+        for l2 in (F(n, 2) for n in range(int(2 * top2) + 1)):
+            for l in _steps(l1 + l2, abs(l1 - l2)):
+                for m in _steps(l, -l):
+                    pairs = [(j, m - j) for j in _steps(l1, -l1) if abs(m - j) <= l2]
+                    try:
+                        squares = [clebsch_gordan_q(l1, l2, l, j, k, q).square() for j, k in pairs]
+                    except ValueError as exc:
+                        assert str(exc).startswith("bracket argument")
+                        continue
+                    sums.append(sum(squares))
+    return sums
+
+
+UNITARITY_QS = [F(1, 4), F(4, 9), F(9, 4), F(1, 2), F(2, 3), F(3, 2)]
+
+
+@pytest.mark.parametrize("q", UNITARITY_QS, ids=str)
+def test_cg_rows_are_unit_vectors(q):
+    sums = _cg_row_sums(F(3, 2), 1, q)
+    assert len(sums) == 24 and all(s == 1 for s in sums)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", UNITARITY_QS, ids=str)
+def test_cg_rows_are_unit_vectors_to_spin_five_halves(q):
+    sums = _cg_row_sums(F(5, 2), F(5, 2), q)
+    assert len(sums) == 126 and all(s == 1 for s in sums)
 
 
 # -- reparametrized pairs -------------------------------------------------------------------
