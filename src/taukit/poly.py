@@ -19,20 +19,22 @@ exact.  A caller that knows another window (a tau truncated at grade d
 misses only monomials whose two weights both exceed d) passes it to
 ``mul_in`` or ``lift``.
 
-Products work on a packed form that each polynomial builds once beside the
-public ``terms``: every monomial is one int, the exponent of t_k in slot
-2k - 2 and that of b_k in slot 2k - 1, so multiplying monomials adds ints
-(a slot is wider than the cap, so no carry occurs); the coefficients are
-integer numerators over one denominator; the terms sit in buckets keyed by
-(t-weight, b-weight).  A product visits only the bucket pairs that fit the
-caps and divides once per result term.
+A polynomial is stored in one packed form: every monomial is one int, the
+exponent of t_k in slot 2k - 2 and that of b_k in slot 2k - 1, so
+multiplying monomials adds ints (a slot is wider than the cap, so no carry
+occurs); the coefficients are integer numerators over one denominator,
+reduced so that equal polynomials pack equally; the terms sit in buckets
+keyed by (t-weight, b-weight).  A product visits only the bucket pairs that
+fit the caps.  Sums, derivatives, windows, comparisons and the constant
+term read the packed form; ``terms``, the {Monomial: Fraction} dict, is a
+view that a computed polynomial decodes on its first read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import product as _iproduct
+from itertools import chain, product as _iproduct
 from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, NamedTuple
 
@@ -134,21 +136,30 @@ def _unpack(part: int, family: str, width: int) -> Monomial:
     return tuple(pairs)
 
 
-class GradedPoly:
-    """Immutable truncated polynomial; do not mutate ``terms`` after creation."""
+def _key(m: Monomial, width: int) -> int:
+    """The packed int of a monomial at ``width``."""
+    return sum(e << _shift(v, width) for v, e in m)
 
-    __slots__ = ("cap", "fam_caps", "terms", "_packed")
+
+def _decoder(width: int, cap: int):
+    """Packed monomial -> Monomial, for packed ints at ``width`` whose variable indices are <= cap."""
+    tmask = ((1 << width) - 1) * ((1 << 2 * width * cap) - 1) // ((1 << 2 * width) - 1)
+    bmask = tmask << width
+    return lambda k: _unpack(k & bmask, FAMILY_B, width) + _unpack(k & tmask, FAMILY_T, width)
+
+
+class GradedPoly:
+    """Immutable truncated polynomial, held packed; ``terms`` is a decoded view, do not mutate it."""
+
+    __slots__ = ("cap", "fam_caps", "_packed", "_terms")
 
     def __init__(self, cap, terms=None, fam_caps=(None, None)):
         if cap < 0:
             raise ValueError("cap must be >= 0")
-        self.cap, self.fam_caps, self._packed = cap, fam_caps, None
         fits = _fits(cap, fam_caps)
-        self.terms = {
-            m: c if type(c) is Fraction else Fraction(c)
-            for m, c in (terms or {}).items()
-            if c and fits(mono_weights(m))
-        }
+        self.cap, self.fam_caps, self._packed = cap, fam_caps, None
+        self._terms = {m: Fraction(c) for m, c in (terms or {}).items() if c and fits(mono_weights(m))}
+        self._pack(_width(cap))
 
     # -- constructors ------------------------------------------------------
 
@@ -166,36 +177,38 @@ class GradedPoly:
 
     # -- packed form ---------------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """{Monomial: Fraction}, decoded from the packed form on first read."""
+        if self._terms is None:
+            width, den, buckets = self._packed
+            decode = _decoder(width, self.cap)
+            self._terms = {decode(k): Fraction(n, den) for bucket in buckets.values() for k, n in bucket.items()}
+        return self._terms
+
     def _pack(self, width: int):
         """(denominator, {(t-weight, b-weight): {packed monomial: numerator}}) at ``width``."""
         if self._packed is None or self._packed[0] != width:
             den = lcm(*(c.denominator for c in self.terms.values()))
             buckets: dict = {}
             for m, c in self.terms.items():
-                key = sum(e << _shift(v, width) for v, e in m)
-                buckets.setdefault(mono_weights(m), {})[key] = c.numerator * (den // c.denominator)
+                buckets.setdefault(mono_weights(m), {})[_key(m, width)] = c.numerator * (den // c.denominator)
             self._packed = (width, den, buckets)
         return self._packed[1:]
 
     @classmethod
     def _from_sums(cls, cap, fam_caps, width, den, sums) -> "GradedPoly":
-        """Wrap bucketed {packed monomial: numerator over den} sums, keeping the packed form."""
-        common = gcd(den, *(n for acc in sums.values() for n in acc.values()))
-        den //= common
-        tmask = ((1 << width) - 1) * ((1 << 2 * width * cap) - 1) // ((1 << 2 * width) - 1)
-        bmask = tmask << width
-        terms, buckets = {}, {}
+        """Wrap bucketed {packed monomial: numerator over den} sums, reduced; the sum dicts may be kept."""
+        common = gcd(den, *chain.from_iterable(map(dict.values, sums.values())))
+        buckets = {}
         while sums:
             tb, acc = sums.popitem()
-            bucket = {k: n // common for k, n in acc.items() if n}
-            if bucket:
-                buckets[tb] = bucket
-                terms.update(
-                    (_unpack(k & bmask, FAMILY_B, width) + _unpack(k & tmask, FAMILY_T, width), Fraction(n, den))
-                    for k, n in bucket.items()
-                )
+            if common != 1 or 0 in acc.values():
+                acc = {k: n // common for k, n in acc.items() if n}
+            if acc:
+                buckets[tb] = acc
         out = object.__new__(cls)
-        out.cap, out.fam_caps, out.terms, out._packed = cap, fam_caps, terms, (width, den, buckets)
+        out.cap, out.fam_caps, out._packed, out._terms = cap, fam_caps, (width, den // common, buckets), None
         return out
 
     # -- ring structure ----------------------------------------------------
@@ -249,11 +262,10 @@ class GradedPoly:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, GradedPoly):
-            return self.terms == other.terms
-        if not self.terms:
-            return Fraction(other) == 0
-        return self.terms == {ONE_MONO: Fraction(other)}
+        if not isinstance(other, GradedPoly):
+            other = GradedPoly.constant(other, self.cap)
+        width = max(self._packed[0], other._packed[0])  # widening keeps every exponent in its slot
+        return self._pack(width) == other._pack(width)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -271,10 +283,11 @@ class GradedPoly:
         return self.terms.get(m, Fraction(0))
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(ONE_MONO, Fraction(0))
+        _, den, buckets = self._packed
+        return Fraction(buckets.get((0, 0), {}).get(0, 0), den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed[2]
 
 
 def lift(p, cap: int, fam_caps=(None, None)) -> GradedPoly:
@@ -283,9 +296,11 @@ def lift(p, cap: int, fam_caps=(None, None)) -> GradedPoly:
     Terms of p outside the window are dropped.  The window may also be
     larger than the caps of p: the caller then states that p is exact there.
     """
-    if isinstance(p, GradedPoly):
-        return GradedPoly(cap, p.terms, fam_caps)
-    return GradedPoly.constant(p, cap, fam_caps)
+    if not isinstance(p, GradedPoly):
+        return GradedPoly.constant(p, cap, fam_caps)
+    width, den, buckets = p._packed
+    fits = _fits(cap, fam_caps)
+    return GradedPoly._from_sums(cap, fam_caps, width, den, {tb: b for tb, b in buckets.items() if fits(tb)})
 
 
 def mul_in(p: GradedPoly, q: GradedPoly, cap: int, fam_caps) -> GradedPoly:
@@ -318,13 +333,28 @@ def weighted_sum(pieces, cap: int, fam_caps=(None, None)) -> GradedPoly:
     return GradedPoly._from_sums(cap, tuple(fam_caps), width, den, sums)
 
 
+def first_difference(p: GradedPoly, q: GradedPoly, t_max: int, b_max: int):
+    """(monomial, p coefficient, q coefficient) first by (total weight, monomial) among those that
+    differ with t-weight <= t_max and b-weight <= b_max, or None; only those are decoded."""
+    width = max(p._packed[0], q._packed[0])
+    (den_p, left), (den_q, right) = p._pack(width), q._pack(width)
+    diffs = []
+    for tb in left.keys() | right.keys():
+        if tb[0] <= t_max and tb[1] <= b_max:
+            a, b = left.get(tb, {}), right.get(tb, {})
+            pairs = ((k, a.get(k, 0), b.get(k, 0)) for k in a.keys() | b.keys())
+            diffs += [(sum(tb), k, x, y) for k, x, y in pairs if x * den_q != y * den_p]
+    decode = _decoder(width, max(p.cap, q.cap))
+    first = min(diffs, key=lambda diff: (diff[0], decode(diff[1])), default=None)
+    return first and (decode(first[1]), Fraction(first[2], den_p), Fraction(first[3], den_q))
+
+
 # -- spec operations --------------------------------------------------------
 
 
 def derivative(p: GradedPoly, v: Var) -> GradedPoly:
     """Formal partial derivative; the caps drop by wdeg(v), where an arbitrary p stays exact."""
-    width = _width(p.cap)
-    den, buckets = p._pack(width)
+    width, den, buckets = p._packed
     shift, mask = _shift(v, width), (1 << width) - 1
     drop = (v.index, 0) if v.family == FAMILY_T else (0, v.index)
     sums = {}
@@ -373,7 +403,8 @@ def hirota_D(f: GradedPoly, g: GradedPoly, alpha: Iterable[tuple[Var, int]]) -> 
 
     Expanded by the Leibniz rule:
     D^a f.g = sum_{b<=a} (-1)^{|a-b|} C(a,b) (d^b f)(d^{a-b} g),
-    each partial d^b taken once, from a partial one order lower.
+    each partial d^b taken once, from a partial one order lower.  When g is f,
+    the b and a - b terms are one product, formed once with (1 + (-1)^{|a|}) times b's weight.
     """
     pairs = [(v, e) for v, e in alpha if e]
     if not pairs:
@@ -391,13 +422,17 @@ def hirota_D(f: GradedPoly, g: GradedPoly, alpha: Iterable[tuple[Var, int]]) -> 
 
     of_f = partials(f)
     of_g = of_f if g is f else partials(g)
-    terms = []
+    pieces, caps = [], []
     for beta in box:
         rest = tuple(e - b for b, e in zip(beta, exps))
+        caps.append(of_f[beta]._join_caps(of_g[rest]))
         weight = (-1) ** sum(rest) * prod(comb(e, b) for b, e in zip(beta, exps))
-        terms.append((weight, of_f[beta] * of_g[rest]))
-    fam_caps = tuple(reduce(_min_cap, caps) for caps in zip(*(p.fam_caps for _, p in terms)))
-    return weighted_sum(terms, min(p.cap for _, p in terms), fam_caps)
+        if g is f and rest != beta:
+            weight *= (rest > beta) * (1 + (-1) ** sum(exps))
+        if weight:
+            pieces.append((weight, of_f[beta] * of_g[rest]))
+    fam_caps = tuple(reduce(_min_cap, fc) for fc in zip(*(c for _, c in caps)))
+    return weighted_sum(pieces, min(c for c, _ in caps), fam_caps)
 
 
 # -- exact scalar helpers -----------------------------------------------------

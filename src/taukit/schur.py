@@ -46,7 +46,7 @@ from .partitions import (
     n_statistic,
     partitions_of,
 )
-from .poly import FAMILY_T, GradedPoly, Var, rational_pow
+from .poly import FAMILY_T, GradedPoly, Var, _key, _width, rational_pow
 
 # -- times specifications -----------------------------------------------------
 
@@ -63,13 +63,14 @@ class _EvaluatedTimes:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _power_sums(self, n: int, twisted: bool, top: int) -> list[Fraction]:
-        """p_k for k < top <= n; values(n) runs first, then whenever n outgrows the resolved length.
-
-        A refusal thus recurs on every call; p_k reads t_1..t_k alone, so shorter sums stay valid.
-        """
-        memo = self._memo
-        if "t" not in memo or n > len(memo["t"]):
-            memo["t"] = self.values(n)
+        """p_k for k < top, from t_1..t_(top-1) resolved at max(n, top - 1), or at top - 1 alone
+        where the longer list is refused: a refusal recurs on every call that reads a refused t_k."""
+        memo, need = self._memo, top - 1
+        if len(memo.get("t", ())) < need:
+            try:
+                memo["t"] = self.values(max(n, need))
+            except ValueError:
+                memo["t"] = self.values(need)
         if len(memo.get(twisted, ())) < top:
             values = memo["t"]
             memo[twisted] = numeric_power_sums(_twist(values) if twisted else values, len(values))
@@ -207,36 +208,36 @@ def power_sums_basis(d: int, family: str = FAMILY_T) -> list[GradedPoly]:
     return [_schur_generic((m,) if m else (), (), family, d) for m in range(d + 1)]
 
 
-def schur_pair_sum(coeffs: dict, t_family: str, b_family: str, d: int) -> GradedPoly:
-    """sum over |lam| <= d of coeffs[lam] s_lam(t) s_lam(b), both time sets generic.
+def schur_pair_sum(coeffs: dict, d: int) -> GradedPoly:
+    """sum over |lam| <= d of coeffs[lam] s_lam(t) s_lam(b), t and b two generic time sets.
 
     Grade n is the symmetric block chi^T diag(coeffs) chi, scaled by
-    1 / (prod m(rho)! prod m(sigma)!).  It is summed in integers over one
-    denominator per grade, with one division per entry.
+    1 / (prod m(rho)! prod m(sigma)!).  It is summed in integers and goes
+    straight into the packed (n, n) bucket over one denominator,
+    lcm(denominators of coeffs) * (d!)^2, since every prod m(rho)! divides d!.
     """
-    f1, f2 = sorted((t_family, b_family))
-    terms = {}
+    width, scale = _width(2 * d), factorial(d)
+    den = lcm(*(Fraction(c).denominator for c in coeffs.values()))
+    sums = {}
     for n in range(d + 1):
-        lams = [lam for lam in partitions_of(n) if coeffs.get(lam)]
+        rhos = list(partitions_of(n))
+        lams = [lam for lam in rhos if coeffs.get(lam)]
         if not lams:
             continue
-        rs = [Fraction(coeffs[lam]) for lam in lams]
-        den = lcm(*(r.denominator for r in rs))
-        ints = [int(r * den) for r in rs]
+        ints = [int(coeffs[lam] * den) for lam in lams]
         tables = [characters(lam) for lam in lams]
-        rhos = list(partitions_of(n))
         cols = [[chi[rho] for chi in tables] for rho in rhos]
-        first = [_rho_monomial(rho, f1) for rho in rhos]
-        second = [_rho_monomial(rho, f2)[0] for rho in rhos]
+        keys, facts = zip(*(_rho_monomial(rho, FAMILY_T) for rho in rhos))
+        keys = [_key(m, width) for m in keys]
+        facts = [scale // f for f in facts]
+        acc = sums[n, n] = {}
         for i, col in enumerate(cols):
             weighted = list(map(mul, ints, col))
             for j in range(i, len(rhos)):
                 total = sum(map(mul, weighted, cols[j]))
                 if total:
-                    c = Fraction(total, den * first[i][1] * first[j][1])
-                    terms[first[i][0] + second[j]] = c
-                    terms[first[j][0] + second[i]] = c
-    return GradedPoly(2 * d, terms, (d, d))
+                    acc[keys[i] + (keys[j] << width)] = acc[keys[j] + (keys[i] << width)] = total * facts[i] * facts[j]
+    return GradedPoly._from_sums(2 * d, (d, d), width, den * scale * scale, sums)
 
 
 # -- evaluated kinds: Jacobi-Trudi ------------------------------------------------
@@ -327,7 +328,7 @@ def schur_poly(lam, times, d: int):
         if times.q is None:
             return Fraction(1) / hd.product
         return Fraction(times.q) ** n_statistic(lam) / hd.q_product
-    return _jacobi_trudi(lam, (), lambda twisted, top: times._power_sums(max(d, top), twisted, top))
+    return _jacobi_trudi(lam, (), lambda twisted, top: times._power_sums(d, twisted, top))
 
 
 def skew_schur_poly(outer, inner, times, d: int):
@@ -344,7 +345,7 @@ def skew_schur_poly(outer, inner, times, d: int):
         return schur_poly(outer, times, d)
     if isinstance(times, PrincipalInfinityTimes):
         raise TypeError("principal-infinity times are defined for straight shapes only")
-    return _jacobi_trudi(outer, inner, lambda twisted, top: times._power_sums(top, twisted, top))
+    return _jacobi_trudi(outer, inner, lambda twisted, top: times._power_sums(d, twisted, top))
 
 
 def schur_principal_value(lam, a, q: Fraction | None = None) -> Fraction:

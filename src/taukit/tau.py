@@ -72,7 +72,7 @@ def _render_pairs(coeffs: dict, t, beta, d: int):
     if _is_generic(t) and _is_generic(beta):
         if t.family == beta.family:
             raise ValueError("generic time sets on the two slots must use distinct families")
-        return schur_pair_sum(coeffs, t.family, beta.family, d)
+        return schur_pair_sum(coeffs, d)
     gen, other = (t, beta) if _is_generic(t) else (beta, t)
     return _render_single({lam: c * schur_poly(lam, other, d) for lam, c in coeffs.items() if c}, gen, d)
 

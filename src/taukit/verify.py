@@ -24,13 +24,13 @@ from .poly import (
     bvar,
     derivative,
     exp_series,
+    first_difference,
     format_monomial,
     format_rational,
     hirota_D,
     inverse,
     lift,
     log_series,
-    mono_weights,
     mul_in,
     tvar,
     weighted_sum,
@@ -77,14 +77,8 @@ class CheckReport:
 
 def compare_windowed(lhs: GradedPoly, rhs: GradedPoly, t_max: int, b_max: int):
     """First differing coefficient with t-weight <= t_max and b-weight <= b_max."""
-    keys = [
-        m for m in lhs.terms.keys() | rhs.terms.keys() if all(w <= top for w, top in zip(mono_weights(m), (t_max, b_max)))
-    ]
-    for m in sorted(keys, key=lambda m: (sum(mono_weights(m)), m)):
-        cl, cr = lhs.coeff(m), rhs.coeff(m)
-        if cl != cr:
-            return format_monomial(m), format_rational(cl), format_rational(cr)
-    return None
+    diff = first_difference(lhs, rhs, t_max, b_max)
+    return diff and (format_monomial(diff[0]), format_rational(diff[1]), format_rational(diff[2]))
 
 
 def _report(name, failure, grade, params) -> CheckReport:

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,12 +15,15 @@ from taukit.poly import (
     lift,
     log_series,
     mono,
+    mul_in,
     parse_rational,
     format_rational,
     rational_nth_root,
     rational_pow,
     tvar,
+    weighted_sum,
 )
+from taukit.verify import compare_windowed
 
 T1, T2, T3, B1 = tvar(1), tvar(2), tvar(3), bvar(1)
 
@@ -274,20 +278,51 @@ def capped_polys(draw):
     return GradedPoly(cap, terms, fam_caps)
 
 
-def pairwise_product(p, q):
-    """p * q by every pair of terms, kept where the tighter caps allow."""
-    cap = min(p.cap, q.cap)
+def in_caps(m, cap, fam_caps):
+    t = sum(v.index * e for v, e in m if v.family == "t")
+    b = sum(v.index * e for v, e in m if v.family == "b")
+    return t + b <= cap and all(c is None or w <= c for w, c in zip((t, b), fam_caps))
+
+
+class RefPoly:
+    """The naive reference: a {Monomial: Fraction} dict and its caps, every operation term by term."""
+
+    def __init__(self, cap, fam_caps, terms):
+        self.cap, self.fam_caps = cap, tuple(fam_caps)
+        self.terms = {m: F(c) for m, c in terms.items() if c and in_caps(m, cap, self.fam_caps)}
+
+    def derivative(self, v):
+        drop = [v.index if v.family == fam else 0 for fam in "tb"]
+        fam_caps = [c if c is None else max(c - w, 0) for c, w in zip(self.fam_caps, drop)]
+        terms = {}
+        for m, c in self.terms.items():
+            e = dict(m).get(v, 0)
+            if e:
+                rest = mono([(u, k - (u == v)) for u, k in m])
+                terms[rest] = terms.get(rest, 0) + c * e
+        return RefPoly(max(self.cap - v.index, 0), fam_caps, terms)
+
+    def series(self, coeffs):
+        """sum coeffs[k] * self**k, self without constant term."""
+        out, power = {}, {(): F(1)}
+        for c in coeffs:
+            for m, v in power.items():
+                out[m] = out.get(m, 0) + c * v
+            power = pairwise_product(RefPoly(self.cap, self.fam_caps, power), self).terms
+        return RefPoly(self.cap, self.fam_caps, out)
+
+
+def pairwise_product(p, q, window=None):
+    """p * q by every pair of terms, kept in the window, by default the tighter caps."""
     fam = [min(c for c in pair if c is not None) if any(c is not None for c in pair) else None
            for pair in zip(p.fam_caps, q.fam_caps)]
+    cap, fam = window or (min(p.cap, q.cap), fam)
     acc = {}
     for m1, c1 in p.terms.items():
         for m2, c2 in q.terms.items():
             m = mono(m1 + m2)
-            t = sum(v.index * e for v, e in m if v.family == "t")
-            b = sum(v.index * e for v, e in m if v.family == "b")
-            if t + b <= cap and (fam[0] is None or t <= fam[0]) and (fam[1] is None or b <= fam[1]):
-                acc[m] = acc.get(m, 0) + c1 * c2
-    return GradedPoly(cap, acc, tuple(fam))
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return RefPoly(cap, fam, acc)
 
 
 @given(capped_polys(), capped_polys(), capped_polys())
@@ -299,6 +334,82 @@ def test_product_matches_pairwise_product(p, q, r):
     assert (pq.cap, pq.fam_caps) == (want.cap, want.fam_caps)
     # the product's own packed form feeds the next product
     assert (pq * r).terms == pairwise_product(want, r).terms
+
+
+def test_comparisons_across_slot_widths_leave_both_exact():
+    # a cap past 255 packs wider slots; comparing must not squeeze t1^290 into 8-bit slots
+    narrow, wide = var(T1, 5), poly_of(300, ([(T1, 290)], 1), ([(T1, 1)], 1))
+    assert narrow != wide and wide != narrow
+    assert compare_windowed(narrow, wide, 300, 300) == ("t1^290", "0", "1")
+    assert derivative(wide, T1) == poly_of(299, ([(T1, 289)], 290), ([], 1))
+
+
+SMALL_CAPS = st.one_of(st.none(), st.integers(0, 6))
+
+
+@st.composite
+def raw_polys(draw):
+    """(cap, family caps, terms) with cap <= 6; terms may lie outside the caps."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        pairs = draw(st.lists(st.tuples(st.sampled_from(VARS), st.integers(1, 3)), max_size=3))
+        terms[mono(pairs)] = F(draw(st.integers(-9, 9)), draw(st.integers(1, 12)))
+    return draw(st.integers(0, 6)), (draw(SMALL_CAPS), draw(SMALL_CAPS)), terms
+
+
+def agrees(p, ref):
+    """Every reading of the packed p matches the reference; the decoded terms are read last."""
+    assert (p.cap, tuple(p.fam_caps)) == (ref.cap, ref.fam_caps)
+    assert p.constant_term() == ref.terms.get((), 0)
+    assert p.is_zero() == (not ref.terms)
+    assert p == GradedPoly(300, ref.terms)  # packed at a wider slot width
+    assert hash(p) == hash(frozenset(ref.terms.items()))
+    assert p.terms == ref.terms
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_packed_core_matches_reference(data):
+    cap, fam_caps, terms = data.draw(raw_polys())
+    p, ref = GradedPoly(cap, terms, fam_caps), RefPoly(cap, fam_caps, terms)
+    seen = [(p, ref)]
+    ops = ["mul", "mul_in", "lift", "derivative", "sum", "log", "exp", "inverse"]
+    for op in data.draw(st.lists(st.sampled_from(ops), min_size=1, max_size=4)):
+        window = (data.draw(st.integers(0, 6)), (data.draw(SMALL_CAPS), data.draw(SMALL_CAPS)))
+        other = data.draw(raw_polys())
+        q, q_ref = GradedPoly(other[0], other[2], other[1]), RefPoly(*other)
+        const = ref.terms.get((), F(0))
+        x_ref = RefPoly(ref.cap, ref.fam_caps, {m: c for m, c in ref.terms.items() if m})
+        if op == "mul":
+            p, ref = p * q, pairwise_product(ref, q_ref)
+        elif op == "mul_in":
+            p, ref = mul_in(p, q, *window), pairwise_product(ref, q_ref, window)
+        elif op == "lift":  # a window narrower or wider than the caps of p
+            window = (max(p.cap + data.draw(st.integers(-3, 2)), 0), window[1])
+            p, ref = lift(p, *window), RefPoly(*window, ref.terms)
+        elif op == "derivative":
+            v = data.draw(st.sampled_from(VARS))
+            p, ref = derivative(p, v), ref.derivative(v)
+        elif op == "sum":
+            a, b = F(data.draw(st.integers(-3, 3)), 2), F(data.draw(st.integers(-3, 3)), 3)
+            acc = {m: a * c for m, c in ref.terms.items()}
+            for m, c in q_ref.terms.items():
+                acc[m] = acc.get(m, 0) + b * c
+            p, ref = weighted_sum([(a, p), (b, q)], *window), RefPoly(*window, acc)
+        elif op == "exp":
+            p, ref = exp_series(p - const), x_ref.series([F(1, factorial(k)) for k in range(x_ref.cap + 1)])
+        elif op == "log":
+            coeffs = [F(0)] + [F((-1) ** (k + 1), k) for k in range(1, x_ref.cap + 1)]
+            p, ref = log_series(p - const + 1), x_ref.series(coeffs)
+        else:
+            c = const or F(1)  # inverse of p, or of p + 1 when p has no constant term
+            p = inverse(p if const else p + 1)
+            x_ref = RefPoly(x_ref.cap, x_ref.fam_caps, {m: v / c for m, v in x_ref.terms.items()})
+            ref = x_ref.series([F((-1) ** k) / c for k in range(x_ref.cap + 1)])
+        agrees(p, ref)
+        seen.append((p, ref))
+    for (p1, r1), (p2, r2) in zip(seen, seen[1:] + seen[:1]):
+        assert (p1 == p2) == (r1.terms == r2.terms)
 
 
 # -- scalars ----------------------------------------------------------------------------

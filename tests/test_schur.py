@@ -263,9 +263,20 @@ def test_principal_rejects_root_of_unity():
         PrincipalTimes(F(1), F(1)).values(3)
     with pytest.raises(ValueError, match="nonzero"):
         PrincipalTimes(F(1), F(0)).values(3)
-    # schur_poly resolves the times through values(d), so it refuses them too
+    # schur_poly refuses the partitions whose determinant reads a refused t_k
     with pytest.raises(ValueError, match="root of unity"):
-        schur_poly((1,), PrincipalTimes(F(1), F(-1)), 3)
+        schur_poly((2,), PrincipalTimes(F(1), F(-1)), 3)
+
+
+def test_principal_refusal_depends_on_the_partition_not_the_grade():
+    # q = -1 refuses t_2 and beyond; s_() reads no t_k and s_(1) = t_1 = 0 here (q^2 = 1)
+    times = PrincipalTimes(F(2), F(-1))
+    assert schur_poly((), times, 4) == 1
+    assert schur_poly((1,), times, 4) == 0
+    with pytest.raises(ValueError, match=r"q\^2 = 1"):
+        schur_poly((2,), times, 4)
+    assert schur_poly((), PrincipalTimes(F(2), F(-1)), 4) == 1
+    assert schur_poly((1,), PrincipalTimes(F(2), F(-1)), 4) == 0
 
 
 # -- evaluated times resolve their values and power sums once per object ------------------
@@ -303,12 +314,14 @@ def test_refusal_is_raised_on_every_call_and_never_stored():
     assert schur_poly((), times, 1) == 1
     for _ in range(2):
         with pytest.raises(ValueError, match="root of unity"):
-            schur_poly((1,), times, 3)
+            schur_poly((2,), times, 3)
+        assert schur_poly((1,), times, 3) == 1  # t_1 alone is well defined
     assert schur_poly((), times, 1) == 1
     zero = PrincipalTimes(F(1), F(0))
     for _ in range(2):
+        assert schur_poly((), zero, 0) == 1  # reads no t_k
         with pytest.raises(ValueError, match="nonzero"):
-            schur_poly((), zero, 0)  # values(0) resolves nothing, but still refuses q = 0
+            schur_poly((1,), zero, 0)
 
 
 def test_tau_series_resolves_each_times_object_once(monkeypatch):

@@ -6,7 +6,18 @@ from fractions import Fraction as F
 import pytest
 
 from taukit import verify
-from taukit.poly import GradedPoly, bvar, derivative, mono, mono_weights, mul_in, tvar
+from taukit.poly import (
+    GradedPoly,
+    _unpack,
+    bvar,
+    derivative,
+    format_monomial,
+    format_rational,
+    mono,
+    mono_weights,
+    mul_in,
+    tvar,
+)
 from taukit.rspec import LinFactor, PoleError, QLinFactor, RSpec
 from taukit.schur import GenericTimes
 from taukit.tau import tau_series
@@ -162,6 +173,69 @@ def test_golden_reports(check, tau, monkeypatch):
     else:
         report = check_toda(RATIO, 0, 8, check.split("-")[1])
     assert report.to_json() == GOLDEN_REPORTS[check, tau]
+
+
+def test_kp_forms_each_mirrored_product_once(monkeypatch):
+    # D^a tau.tau pairs the terms of b and a - b: 3 + 2 + 2 products, not 5 + 3 + 4
+    products = 0
+    mul = GradedPoly.__mul__
+
+    def counted(p, q):
+        nonlocal products
+        products += 1
+        return mul(p, q)
+
+    monkeypatch.setattr(GradedPoly, "__mul__", counted)
+    assert check_kp_bilinear(RATIO, 0, 8).to_json() == GOLDEN_REPORTS["kp", "true"]
+    assert products == 7
+
+
+# -- the pass path decodes no term, and a failure names the sorted scan's monomial ------------------
+
+BILINEAR = {
+    "hirota": lambda d: check_hirota(RATIO, 0, d),
+    "toda-generalized": lambda d: check_toda(RATIO, 0, d, "generalized"),
+    "toda-standard": lambda d: check_toda(RATIO, 0, d, "standard"),
+    "kp": lambda d: check_kp_bilinear(RATIO, 0, d),
+}
+
+
+@pytest.mark.parametrize("check", sorted(BILINEAR))
+def test_passing_bilinear_check_decodes_no_term(check):
+    before = _unpack.cache_info()
+    assert BILINEAR[check](7).passed
+    assert _unpack.cache_info() == before
+
+
+def sorted_scan(lhs, rhs, t_max, b_max):
+    """The first differing coefficient by a sorted scan of the decoded terms: the reference."""
+    keys = [m for m in lhs.terms.keys() | rhs.terms.keys() if all(w <= top for w, top in zip(mono_weights(m), (t_max, b_max)))]
+    for m in sorted(keys, key=lambda m: (sum(mono_weights(m)), m)):
+        if lhs.coeff(m) != rhs.coeff(m):
+            return format_monomial(m), format_rational(lhs.coeff(m)), format_rational(rhs.coeff(m))
+    return None
+
+
+@pytest.mark.parametrize("check", sorted(BILINEAR))
+@pytest.mark.parametrize("at", [[(tvar(1), 2), (bvar(2), 1)], [(tvar(3), 1), (bvar(1), 1)], [(tvar(2), 2), (bvar(1), 3)]])
+def test_windowed_failure_matches_sorted_scan(check, at, monkeypatch):
+    render = verify._generic_tau
+
+    def mutated(r, m, d):
+        base = render(r, m, d)
+        return base + GradedPoly(base.cap, {mono(at): F(2, 7)}, base.fam_caps)
+
+    seen = []
+
+    def recorded(lhs, rhs, t_max, b_max):
+        seen.append((compare_windowed(lhs, rhs, t_max, b_max), sorted_scan(lhs, rhs, t_max, b_max)))
+        return seen[-1][0]
+
+    monkeypatch.setattr(verify, "_generic_tau", mutated)
+    monkeypatch.setattr(verify, "compare_windowed", recorded)
+    report = BILINEAR[check](7)
+    assert not report.passed and report.first_failure == seen[-1][0]
+    assert all(got == want for got, want in seen)
 
 
 # -- Toda ----------------------------------------------------------------------------------
