@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from .partitions import enumerate_up_to, hook_data
@@ -94,10 +95,13 @@ def draw_qlin_rspec(rng: random.Random, q: Fraction, span: int, max_factors: int
     raise RuntimeError("could not draw a clean q-spec")
 
 
-def _verdict(name: str, params: dict, why: str | None = None) -> CheckReport:
-    """A criterion's report at the grade its params name; ``why`` is set on a failure."""
+def _verdict(params: dict, why: str | None = None) -> CheckReport:
+    """A criterion's report at the grade its params name; ``why`` is set on a failure.
+
+    ``run_criterion`` names it, as it names every report a criterion returns.
+    """
     return CheckReport(
-        name=name, passed=why is None, max_checked_grade=params.get("d", 0),
+        name="", passed=why is None, max_checked_grade=params.get("d", 0),
         first_failure=None if why is None else (why, "", ""), params=params,
     )
 
@@ -137,15 +141,13 @@ def criterion_01_oracle(seed: int) -> CheckReport:
         return failed
     elapsed = time.monotonic() - started
     why = None if elapsed < 60 else f"elapsed {elapsed:.1f}s, over the 60s limit"
-    return _verdict("criterion-01-oracle", {"d": d, "elapsed_s": round(elapsed, 2)}, why)
+    return _verdict({"d": d, "elapsed_s": round(elapsed, 2)}, why)
 
 
 def criterion_02_hirota(seed: int) -> CheckReport:
     d = 5
     reports = (check_hirota(spec, m, d) for spec in battery_specs(seed) for m in (-1, 0, 1))
-    return _first_failure(reports) or _verdict(
-        "criterion-02-hirota", {"d": d, "specs": 8, "charges": [-1, 0, 1]}
-    )
+    return _first_failure(reports) or _verdict({"d": d, "specs": 8, "charges": [-1, 0, 1]})
 
 
 def _toda_gauges(spec: RSpec) -> tuple:
@@ -163,7 +165,7 @@ def criterion_03_toda(seed: int) -> CheckReport:
         for m in (-1, 0, 1)
         for gauge in _toda_gauges(spec)
     )
-    return _first_failure(reports) or _verdict("criterion-03-toda", {"d": d, "specs": 8})
+    return _first_failure(reports) or _verdict({"d": d, "specs": 8})
 
 
 def criterion_04_kp(seed: int) -> CheckReport:
@@ -171,12 +173,12 @@ def criterion_04_kp(seed: int) -> CheckReport:
     d = 5
     specs = [RSpec(), draw_lin_rspec(rng), draw_qlin_rspec(rng, F(1, 2), span=8)]
     reports = (check_kp_bilinear(spec, rng.choice((-1, 0, 1)), d) for spec in specs)
-    return _first_failure(reports) or _verdict("criterion-04-kp", {"d": d, "specs": len(specs)})
+    return _first_failure(reports) or _verdict({"d": d, "specs": len(specs)})
 
 
-def criterion_05_classical_reduction(seed: int) -> CheckReport:
+def criterion_05_classical(seed: int) -> CheckReport:
     rng = random.Random(f"{seed}/classical")
-    name, order = "criterion-05-classical", 10
+    order = 10
 
     def reports():
         for p, s in ((1, 0), (2, 1), (3, 2)):
@@ -192,11 +194,9 @@ def criterion_05_classical_reduction(seed: int) -> CheckReport:
                     want = ref[n] * m**n
                     if got != want:
                         why = f"(p,s)=({p},{s}) M={m} coefficient {n}: {got} != {want}"
-                        yield _verdict(name, {"order": order}, why)
+                        yield _verdict({"order": order}, why)
 
-    return _first_failure(reports()) or _verdict(
-        name, {"order": order, "families": "(1,0),(2,1),(3,2)"}
-    )
+    return _first_failure(reports()) or _verdict({"order": order, "families": "(1,0),(2,1),(3,2)"})
 
 
 def criterion_06_qdiff(seed: int) -> CheckReport:
@@ -210,9 +210,7 @@ def criterion_06_qdiff(seed: int) -> CheckReport:
             b = [F(rng.randint(1, 4)) for _ in range(s)]
             yield check_qdiff(a, b, q, order)
 
-    return _first_failure(reports()) or _verdict(
-        "criterion-06-qdiff", {"order": order, "q": "1/3", "draws": 3}
-    )
+    return _first_failure(reports()) or _verdict({"order": order, "q": "1/3", "draws": 3})
 
 
 def criterion_07_ode(seed: int) -> CheckReport:
@@ -226,12 +224,12 @@ def criterion_07_ode(seed: int) -> CheckReport:
             yield check_ode(a, b, order)  # 2F1 shape
             yield check_ode(a[:1], b, order)  # 1F1 shape
 
-    return _first_failure(reports()) or _verdict("criterion-07-ode", {"order": order, "draws": 3})
+    return _first_failure(reports()) or _verdict({"order": order, "draws": 3})
 
 
 def criterion_08_prop4(seed: int) -> CheckReport:
     rng = random.Random(f"{seed}/prop4")
-    name, d = "criterion-08-prop4", 5
+    d = 5
 
     def reports():
         for _ in range(3):
@@ -240,15 +238,15 @@ def criterion_08_prop4(seed: int) -> CheckReport:
             m = rng.choice((-1, 0, 1))
             left, right = prop4_pair(r, b, m, d, GenericTimes(FAMILY_T))
             if left != right:
-                yield _verdict(name, {"d": d}, f"rational variant M={m} b={b}")
+                yield _verdict({"d": d}, f"rational variant M={m} b={b}")
         for q, b in ((F(1, 4), F(1, 2)), (F(1, 8), F(2, 3)), (F(4, 9), F(3, 2))):
             r = draw_qlin_rspec(rng, q, span=9)
             m = rng.choice((-1, 0, 1))
             left, right = prop4_pair(r, b, m, d, GenericTimes(FAMILY_T))
             if left != right:
-                yield _verdict(name, {"d": d}, f"q variant q={q} b={b} M={m}")
+                yield _verdict({"d": d}, f"q variant q={q} b={b} M={m}")
 
-    return _first_failure(reports()) or _verdict(name, {"d": d, "draws": "3 rational + 3 q"})
+    return _first_failure(reports()) or _verdict({"d": d, "draws": "3 rational + 3 q"})
 
 
 def criterion_09_remark1(seed: int) -> CheckReport:
@@ -262,11 +260,11 @@ def criterion_09_remark1(seed: int) -> CheckReport:
             ("dual", {"K": n, "q": F(1, 2)}),
         )
     )
-    return _first_failure(reports) or _verdict("criterion-09-remark1", {"d": d, "N_K": [1, 2, 3]})
+    return _first_failure(reports) or _verdict({"d": d, "N_K": [1, 2, 3]})
 
 
 def criterion_10_poch_bridge(seed: int) -> CheckReport:
-    name, d = "criterion-10-poch-bridge", 6
+    d = 6
     parts = enumerate_up_to(d)
 
     def reports():
@@ -276,14 +274,14 @@ def criterion_10_poch_bridge(seed: int) -> CheckReport:
                 for lam in parts:
                     if poch_partition(a, lam, q) != content_product(spec, lam, 0):
                         why = f"poch != content at lam={lam}, a={a}, q={q}"
-                        yield _verdict(name, {"d": d}, why)
+                        yield _verdict({"d": d}, why)
             for a in (F(1), F(2), F(3)):
                 for lam in parts:
                     if schur_poly(lam, PrincipalTimes(a, q), d) != schur_principal_value(lam, a, q):
                         why = f"principal identity fails at lam={lam}, a={a}, q={q}"
-                        yield _verdict(name, {"d": d}, why)
+                        yield _verdict({"d": d}, why)
 
-    return _first_failure(reports()) or _verdict(name, {"d": d, "q": ["1/2", "2/3"]})
+    return _first_failure(reports()) or _verdict({"d": d, "q": ["1/2", "2/3"]})
 
 
 def criterion_11_example6(seed: int) -> CheckReport:
@@ -314,33 +312,30 @@ def criterion_11_example6(seed: int) -> CheckReport:
                 want += num / den * y1**n1 * y2**n2 * x**n / (fact1 * fact2)
         got = tau_general(chain, m, d)
         if got != want:
-            yield _verdict("criterion-11-example6", {"d": d}, f"{got} != {want}")
+            yield _verdict({"d": d}, f"{got} != {want}")
 
-    return _first_failure(reports()) or _verdict("criterion-11-example6", {"d": d, "M": m})
+    return _first_failure(reports()) or _verdict({"d": d, "M": m})
 
 
-def criterion_12_askey_wilson(seed: int) -> CheckReport:
-    name = "criterion-12-aw"
+def criterion_12_aw(seed: int) -> CheckReport:
     q, a, b, c, dd, cosv = F(1, 3), F(1, 5), F(1, 7), F(2, 7), F(1, 11), F(1, 2)
 
     def reports():
         for n in range(6):
             # termination: the next term would carry the vanishing factor
             if poch_partition(F(-n), (n + 1,), q) != 0:
-                yield _verdict(name, {}, f"termination factor nonzero at n={n}")
+                yield _verdict({}, f"termination factor nonzero at n={n}")
         for n in (1, 2, 3, 5):
             base = askey_wilson(n, a, b, c, dd, q, cosv)
             if askey_wilson(n, a, c, b, dd, q, cosv) != base:
-                yield _verdict(name, {}, f"b<->c changes the sum at n={n}")
+                yield _verdict({}, f"b<->c changes the sum at n={n}")
             if askey_wilson(n, a, dd, c, b, q, cosv) != base:
-                yield _verdict(name, {}, f"b<->d changes the sum at n={n}")
+                yield _verdict({}, f"b<->d changes the sum at n={n}")
             pn = askey_wilson(n, a, b, c, dd, q, cosv, with_prefactor=True)
             if askey_wilson(n, b, a, c, dd, q, cosv, with_prefactor=True) != pn:
-                yield _verdict(name, {}, f"a<->b changes p_n at n={n}")
+                yield _verdict({}, f"a<->b changes p_n at n={n}")
 
-    return _first_failure(reports()) or _verdict(
-        name, {"q": "1/3", "point": "a=1/5,b=1/7,c=2/7,d=1/11"}
-    )
+    return _first_failure(reports()) or _verdict({"q": "1/3", "point": "a=1/5,b=1/7,c=2/7,d=1/11"})
 
 
 def criterion_13_two_sided(seed: int) -> CheckReport:
@@ -353,12 +348,12 @@ def criterion_13_two_sided(seed: int) -> CheckReport:
             rt, r = draw_lin_rspec(rng), draw_lin_rspec(rng)
             m = rng.choice((-1, 0, 1))
             if tau_two_sided(rt, r, m, d, *times) != tau_series(rspec_mul(rt, r), m, d, *times):
-                yield _verdict("criterion-13-two-sided", {"d": d}, f"mismatch at M={m}")
+                yield _verdict({"d": d}, f"mismatch at M={m}")
 
-    return _first_failure(reports()) or _verdict("criterion-13-two-sided", {"d": d, "draws": 3})
+    return _first_failure(reports()) or _verdict({"d": d, "draws": 3})
 
 
-def criterion_14_clebsch_gordan(seed: int) -> CheckReport:
+def criterion_14_cg(seed: int) -> CheckReport:
     q = F(1, 2)
     tuples = [
         (F(1), F(1), F(1), F(0), F(0)),
@@ -374,18 +369,16 @@ def criterion_14_clebsch_gordan(seed: int) -> CheckReport:
             order = int(l1 - j)
             if qphi_one_var_coeffs(a, b, 0, q, order) != classical_reference(a, b, order, q=q):
                 why = f"series factor mismatch for spins ({l1},{l2},{l},{j},{k})"
-                yield _verdict("criterion-14-cg", {"q": "1/2"}, why)
+                yield _verdict({"q": "1/2"}, why)
         # [a] > a for q != 1, so |[a] - a| falls exactly when [a]^2 falls
         for a_val in (2, 3):
             sq = [q_bracket(a_val, 1 - F(1, 2**k)).square() for k in range(1, 11)]
             for i in range(len(sq) - 1):
                 if not a_val**2 < sq[i + 1] < sq[i]:
                     why = f"bracket [{a_val}] not monotone at step {i + 1}"
-                    yield _verdict("criterion-14-cg", {}, why)
+                    yield _verdict({}, why)
 
-    return _first_failure(reports()) or _verdict(
-        "criterion-14-cg", {"q": "1/2", "tuples": 3, "bracket_steps": 10}
-    )
+    return _first_failure(reports()) or _verdict({"q": "1/2", "tuples": 3, "bracket_steps": 10})
 
 
 CRITERIA = [
@@ -393,33 +386,32 @@ CRITERIA = [
     criterion_02_hirota,
     criterion_03_toda,
     criterion_04_kp,
-    criterion_05_classical_reduction,
+    criterion_05_classical,
     criterion_06_qdiff,
     criterion_07_ode,
     criterion_08_prop4,
     criterion_09_remark1,
     criterion_10_poch_bridge,
     criterion_11_example6,
-    criterion_12_askey_wilson,
+    criterion_12_aw,
     criterion_13_two_sided,
-    criterion_14_clebsch_gordan,
+    criterion_14_cg,
 ]
 
 
 def run_criterion(criterion, seed: int = 1729) -> CheckReport:
+    """The criterion's report, named from the function: criterion_05_classical -> criterion-05-classical."""
     try:
-        return criterion(seed)
+        report = criterion(seed)
     except Exception as exc:  # a crash is a failure, not an abort
-        return _verdict(criterion.__name__, {}, f"{type(exc).__name__}: {exc}")
+        report = _verdict({}, f"{type(exc).__name__}: {exc}")
+    return replace(report, name=criterion.__name__.replace("_", "-"))
 
 
 def run_suite(seed: int = 1729, verbose: bool = False) -> list[CheckReport]:
     reports = []
-    for index, criterion in enumerate(CRITERIA, start=1):
-        report = run_criterion(criterion, seed)
-        if not report.name.startswith("criterion"):
-            report.name = f"criterion-{index:02d}-{report.name}"
-        reports.append(report)
+    for criterion in CRITERIA:
+        reports.append(report := run_criterion(criterion, seed))
         if verbose:
             status = "PASS" if report.passed else "FAIL"
             detail = "" if report.passed else f"  ({report.first_failure})"

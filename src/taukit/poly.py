@@ -20,14 +20,15 @@ misses only monomials whose two weights both exceed d) passes it to
 ``mul_in`` or ``lift``.
 
 A polynomial is stored in one packed form: every monomial is one int, the
-exponent of t_k in slot 2k - 2 and that of b_k in slot 2k - 1, so
-multiplying monomials adds ints (a slot is wider than the cap, so no carry
-occurs); the coefficients are integer numerators over one denominator,
-reduced so that equal polynomials pack equally; the terms sit in buckets
-keyed by (t-weight, b-weight).  A product visits only the bucket pairs that
-fit the caps.  Sums, derivatives, windows, comparisons and the constant
-term read the packed form; ``terms``, the {Monomial: Fraction} dict, is a
-view that a computed polynomial decodes on its first read.
+exponent of t_k in 8-bit slot 2k - 2 and that of b_k in slot 2k - 1, so
+multiplying monomials adds ints (no exponent exceeds the cap, and caps
+above 255 are refused, so no carry occurs); the coefficients are integer
+numerators over one denominator, reduced so that equal polynomials pack
+equally; the terms sit in buckets keyed by (t-weight, b-weight).  A
+product visits only the bucket pairs that fit the caps.  Sums,
+derivatives, windows, comparisons and the constant term read the packed
+form; ``terms``, the {Monomial: Fraction} dict, is a view that a computed
+polynomial decodes on its first read.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, product as _iproduct
 from math import comb, factorial, gcd, lcm, prod
+from numbers import Rational
 from typing import Iterable, NamedTuple
 
 FAMILY_T = "t"
@@ -112,40 +114,36 @@ def _fits(cap: int, fam_caps):
 
 # -- packed monomials ---------------------------------------------------------------
 
+_WIDTH = 8  # bits per exponent slot
+_MAX_CAP = (1 << _WIDTH) - 1  # the largest cap: no exponent exceeds the cap, so none overflows its slot
+_T_SLOTS = sum(_MAX_CAP << 2 * _WIDTH * i for i in range(_MAX_CAP))  # the t-slots of every index a cap allows
 
-def _width(cap: int) -> int:
-    """Bits per exponent slot for polynomials under ``cap``: no exponent exceeds the cap."""
-    return max(8, cap.bit_length())
 
-
-def _shift(v: Var, width: int) -> int:
+def _shift(v: Var) -> int:
     """Bit offset of the slot of v: t_k in slot 2k - 2, b_k in slot 2k - 1."""
-    return (2 * v.index - 1 - (v.family == FAMILY_T)) * width
+    return (2 * v.index - 1 - (v.family == FAMILY_T)) * _WIDTH
+
+
+def _key(m: Monomial) -> int:
+    """The packed int of a monomial."""
+    return sum(e << _shift(v) for v, e in m)
 
 
 @lru_cache(maxsize=1 << 12)
-def _unpack(part: int, family: str, width: int) -> Monomial:
-    """The (Var, exponent) pairs held in one family's slots of a packed monomial."""
-    pairs, index, mask = [], 1, (1 << width) - 1
-    rest = part if family == FAMILY_T else part >> width
-    while rest:
-        if rest & mask:
-            pairs.append((Var(family, index), rest & mask))
-        rest >>= 2 * width
+def _family_pairs(part: int, family: str) -> tuple:
+    """The (Var, exponent) pairs of one family, its exponents held in the t-slots of ``part``."""
+    pairs, index = [], 1
+    while part:
+        if e := part & _MAX_CAP:
+            pairs.append((Var(family, index), e))
+        part >>= 2 * _WIDTH
         index += 1
     return tuple(pairs)
 
 
-def _key(m: Monomial, width: int) -> int:
-    """The packed int of a monomial at ``width``."""
-    return sum(e << _shift(v, width) for v, e in m)
-
-
-def _decoder(width: int, cap: int):
-    """Packed monomial -> Monomial, for packed ints at ``width`` whose variable indices are <= cap."""
-    tmask = ((1 << width) - 1) * ((1 << 2 * width * cap) - 1) // ((1 << 2 * width) - 1)
-    bmask = tmask << width
-    return lambda k: _unpack(k & bmask, FAMILY_B, width) + _unpack(k & tmask, FAMILY_T, width)
+def _unpack(k: int) -> Monomial:
+    """The Monomial of a packed int, b-pairs before t-pairs as ``mono`` sorts them; cached per family part."""
+    return _family_pairs(k >> _WIDTH & _T_SLOTS, FAMILY_B) + _family_pairs(k & _T_SLOTS, FAMILY_T)
 
 
 class GradedPoly:
@@ -154,12 +152,14 @@ class GradedPoly:
     __slots__ = ("cap", "fam_caps", "_packed", "_terms")
 
     def __init__(self, cap, terms=None, fam_caps=(None, None)):
-        if cap < 0:
-            raise ValueError("cap must be >= 0")
         fits = _fits(cap, fam_caps)
-        self.cap, self.fam_caps, self._packed = cap, fam_caps, None
-        self._terms = {m: Fraction(c) for m, c in (terms or {}).items() if c and fits(mono_weights(m))}
-        self._pack(_width(cap))
+        terms = {m: Fraction(c) for m, c in (terms or {}).items() if c and fits(mono_weights(m))}
+        den = lcm(*(c.denominator for c in terms.values()))
+        sums: dict = {}
+        for m, c in terms.items():
+            sums.setdefault(mono_weights(m), {})[_key(m)] = c.numerator * (den // c.denominator)
+        self._store(cap, fam_caps, den, sums)
+        self._terms = terms
 
     # -- constructors ------------------------------------------------------
 
@@ -181,24 +181,17 @@ class GradedPoly:
     def terms(self) -> dict:
         """{Monomial: Fraction}, decoded from the packed form on first read."""
         if self._terms is None:
-            width, den, buckets = self._packed
-            decode = _decoder(width, self.cap)
-            self._terms = {decode(k): Fraction(n, den) for bucket in buckets.values() for k, n in bucket.items()}
+            den, buckets = self._packed
+            self._terms = {_unpack(k): Fraction(n, den) for bucket in buckets.values() for k, n in bucket.items()}
         return self._terms
 
-    def _pack(self, width: int):
-        """(denominator, {(t-weight, b-weight): {packed monomial: numerator}}) at ``width``."""
-        if self._packed is None or self._packed[0] != width:
-            den = lcm(*(c.denominator for c in self.terms.values()))
-            buckets: dict = {}
-            for m, c in self.terms.items():
-                buckets.setdefault(mono_weights(m), {})[_key(m, width)] = c.numerator * (den // c.denominator)
-            self._packed = (width, den, buckets)
-        return self._packed[1:]
+    def _store(self, cap, fam_caps, den, sums):
+        """Keep bucketed {packed monomial: numerator over den} sums, reduced; the sum dicts may be kept.
 
-    @classmethod
-    def _from_sums(cls, cap, fam_caps, width, den, sums) -> "GradedPoly":
-        """Wrap bucketed {packed monomial: numerator over den} sums, reduced; the sum dicts may be kept."""
+        Every polynomial passes here, so the cap is checked here: an exponent up to the cap must fit its slot.
+        """
+        if not 0 <= cap <= _MAX_CAP:
+            raise ValueError(f"cap must be between 0 and {_MAX_CAP} (an exponent slot holds {_WIDTH} bits), got {cap}")
         common = gcd(den, *chain.from_iterable(map(dict.values, sums.values())))
         buckets = {}
         while sums:
@@ -207,8 +200,13 @@ class GradedPoly:
                 acc = {k: n // common for k, n in acc.items() if n}
             if acc:
                 buckets[tb] = acc
+        self.cap, self.fam_caps, self._packed, self._terms = cap, fam_caps, (den // common, buckets), None
+
+    @classmethod
+    def _from_sums(cls, cap, fam_caps, den, sums) -> "GradedPoly":
+        """A polynomial from bucketed sums, as ``_store`` keeps them."""
         out = object.__new__(cls)
-        out.cap, out.fam_caps, out._packed, out._terms = cap, fam_caps, (width, den // common, buckets), None
+        out._store(cap, fam_caps, den, sums)
         return out
 
     # -- ring structure ----------------------------------------------------
@@ -242,9 +240,8 @@ class GradedPoly:
             return self.scale(other)
         cap, fc = self._join_caps(other)
         fits = _fits(cap, fc)
-        width = _width(max(self.cap, other.cap))
-        den_a, left = self._pack(width)
-        den_b, right = other._pack(width)
+        den_a, left = self._packed
+        den_b, right = other._packed
         sums: dict = {}
         for (t1, b1), bucket1 in left.items():
             for (t2, b2), bucket2 in right.items():
@@ -257,15 +254,16 @@ class GradedPoly:
                     for k2, n2 in bucket2.items():
                         k = k1 + k2
                         acc[k] = get(k, 0) + n1 * n2
-        return GradedPoly._from_sums(cap, fc, width, den_a * den_b, sums)
+        return GradedPoly._from_sums(cap, fc, den_a * den_b, sums)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if not isinstance(other, GradedPoly):
+        if isinstance(other, Rational):
             other = GradedPoly.constant(other, self.cap)
-        width = max(self._packed[0], other._packed[0])  # widening keeps every exponent in its slot
-        return self._pack(width) == other._pack(width)
+        elif not isinstance(other, GradedPoly):
+            return NotImplemented
+        return self._packed == other._packed
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -283,11 +281,11 @@ class GradedPoly:
         return self.terms.get(m, Fraction(0))
 
     def constant_term(self) -> Fraction:
-        _, den, buckets = self._packed
+        den, buckets = self._packed
         return Fraction(buckets.get((0, 0), {}).get(0, 0), den)
 
     def is_zero(self) -> bool:
-        return not self._packed[2]
+        return not self._packed[1]
 
 
 def lift(p, cap: int, fam_caps=(None, None)) -> GradedPoly:
@@ -298,9 +296,9 @@ def lift(p, cap: int, fam_caps=(None, None)) -> GradedPoly:
     """
     if not isinstance(p, GradedPoly):
         return GradedPoly.constant(p, cap, fam_caps)
-    width, den, buckets = p._packed
+    den, buckets = p._packed
     fits = _fits(cap, fam_caps)
-    return GradedPoly._from_sums(cap, fam_caps, width, den, {tb: b for tb, b in buckets.items() if fits(tb)})
+    return GradedPoly._from_sums(cap, fam_caps, den, {tb: b for tb, b in buckets.items() if fits(tb)})
 
 
 def mul_in(p: GradedPoly, q: GradedPoly, cap: int, fam_caps) -> GradedPoly:
@@ -318,8 +316,7 @@ def weighted_sum(pieces, cap: int, fam_caps=(None, None)) -> GradedPoly:
     """
     pieces = [(Fraction(c), p) for c, p in pieces if c]
     fits = _fits(cap, fam_caps)
-    width = _width(max([cap] + [p.cap for _, p in pieces]))
-    packed = [(c, *p._pack(width)) for c, p in pieces]
+    packed = [(c, *p._packed) for c, p in pieces]
     den = lcm(*(c.denominator * d for c, d, _ in packed))
     sums: dict = {}
     for c, d, buckets in packed:
@@ -330,23 +327,21 @@ def weighted_sum(pieces, cap: int, fam_caps=(None, None)) -> GradedPoly:
                 get = acc.get
                 for k, n in bucket.items():
                     acc[k] = get(k, 0) + factor * n
-    return GradedPoly._from_sums(cap, tuple(fam_caps), width, den, sums)
+    return GradedPoly._from_sums(cap, tuple(fam_caps), den, sums)
 
 
 def first_difference(p: GradedPoly, q: GradedPoly, t_max: int, b_max: int):
     """(monomial, p coefficient, q coefficient) first by (total weight, monomial) among those that
     differ with t-weight <= t_max and b-weight <= b_max, or None; only those are decoded."""
-    width = max(p._packed[0], q._packed[0])
-    (den_p, left), (den_q, right) = p._pack(width), q._pack(width)
+    (den_p, left), (den_q, right) = p._packed, q._packed
     diffs = []
     for tb in left.keys() | right.keys():
         if tb[0] <= t_max and tb[1] <= b_max:
             a, b = left.get(tb, {}), right.get(tb, {})
             pairs = ((k, a.get(k, 0), b.get(k, 0)) for k in a.keys() | b.keys())
             diffs += [(sum(tb), k, x, y) for k, x, y in pairs if x * den_q != y * den_p]
-    decode = _decoder(width, max(p.cap, q.cap))
-    first = min(diffs, key=lambda diff: (diff[0], decode(diff[1])), default=None)
-    return first and (decode(first[1]), Fraction(first[2], den_p), Fraction(first[3], den_q))
+    first = min(diffs, key=lambda diff: (diff[0], _unpack(diff[1])), default=None)
+    return first and (_unpack(first[1]), Fraction(first[2], den_p), Fraction(first[3], den_q))
 
 
 # -- spec operations --------------------------------------------------------
@@ -354,16 +349,16 @@ def first_difference(p: GradedPoly, q: GradedPoly, t_max: int, b_max: int):
 
 def derivative(p: GradedPoly, v: Var) -> GradedPoly:
     """Formal partial derivative; the caps drop by wdeg(v), where an arbitrary p stays exact."""
-    width, den, buckets = p._packed
-    shift, mask = _shift(v, width), (1 << width) - 1
+    den, buckets = p._packed
+    shift = _shift(v)
     drop = (v.index, 0) if v.family == FAMILY_T else (0, v.index)
     sums = {}
     for (t, b), bucket in buckets.items():
-        acc = {k - (1 << shift): n * e for k, n in bucket.items() if (e := k >> shift & mask)}
+        acc = {k - (1 << shift): n * e for k, n in bucket.items() if (e := k >> shift & _MAX_CAP)}
         if acc:
             sums[t - drop[0], b - drop[1]] = acc
     fam_caps = tuple(c if c is None else max(c - w, 0) for c, w in zip(p.fam_caps, drop))
-    return GradedPoly._from_sums(max(p.cap - v.index, 0), fam_caps, width, den, sums)
+    return GradedPoly._from_sums(max(p.cap - v.index, 0), fam_caps, den, sums)
 
 
 def _nilpotent_series(p: GradedPoly, coeffs: list[Fraction]) -> GradedPoly:

@@ -242,6 +242,14 @@ _FACTOR_FIELDS = {
 }
 
 
+def _named(where: str, parse, value):
+    """parse(value), its ValueError prefixed with ``where``, the key or field that held value."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def factor_from_obj(obj: dict):
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"malformed factor object: {obj!r}")
@@ -254,7 +262,10 @@ def factor_from_obj(obj: dict):
     for name in fields:
         if name not in body:
             raise ValueError(f"{kind!r} factor is missing field {name!r}")
-    return cls(*(parse_rational(body[name]) for name in fields))
+    for name in body:
+        if name not in fields:
+            raise ValueError(f"{kind!r} factor has unknown field {name!r}; its fields are {list(fields)}")
+    return cls(*(_named(f"{kind!r} factor field {name!r}", parse_rational, body[name]) for name in fields))
 
 
 def rspec_to_json(r: RSpec) -> str:
@@ -266,6 +277,9 @@ def rspec_to_json(r: RSpec) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+_RSPEC_KEYS = ("constant", "q", "num", "den")
+
+
 def rspec_from_json(text: str) -> RSpec:
     try:
         obj = json.loads(text)
@@ -273,9 +287,19 @@ def rspec_from_json(text: str) -> RSpec:
         raise ValueError(f"malformed rspec JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError("rspec JSON must be an object")
+    for key in obj:
+        if key not in _RSPEC_KEYS:
+            raise ValueError(f"unknown rspec key {key!r}; the keys are {list(_RSPEC_KEYS)}")
+
+    def factors(key):
+        items = obj.get(key, [])
+        if not isinstance(items, list):
+            raise ValueError(f"rspec {key!r} must be a list of factor objects, got {items!r}")
+        return tuple(_named(f"rspec {key!r}", factor_from_obj, f) for f in items)
+
     return RSpec(
-        constant=parse_rational(obj.get("constant", "1")),
-        num=tuple(factor_from_obj(f) for f in obj.get("num", [])),
-        den=tuple(factor_from_obj(f) for f in obj.get("den", [])),
-        q=parse_rational(obj["q"]) if "q" in obj else None,
+        constant=_named("rspec 'constant'", parse_rational, obj.get("constant", "1")),
+        num=factors("num"),
+        den=factors("den"),
+        q=_named("rspec 'q'", parse_rational, obj["q"]) if "q" in obj else None,
     )

@@ -46,7 +46,7 @@ from .partitions import (
     n_statistic,
     partitions_of,
 )
-from .poly import FAMILY_T, GradedPoly, Var, _key, _width, rational_pow
+from .poly import FAMILY_B, FAMILY_T, GradedPoly, Var, _key, rational_pow
 
 # -- times specifications -----------------------------------------------------
 
@@ -216,7 +216,7 @@ def schur_pair_sum(coeffs: dict, d: int) -> GradedPoly:
     straight into the packed (n, n) bucket over one denominator,
     lcm(denominators of coeffs) * (d!)^2, since every prod m(rho)! divides d!.
     """
-    width, scale = _width(2 * d), factorial(d)
+    scale = factorial(d)
     den = lcm(*(Fraction(c).denominator for c in coeffs.values()))
     sums = {}
     for n in range(d + 1):
@@ -227,8 +227,9 @@ def schur_pair_sum(coeffs: dict, d: int) -> GradedPoly:
         ints = [int(coeffs[lam] * den) for lam in lams]
         tables = [characters(lam) for lam in lams]
         cols = [[chi[rho] for chi in tables] for rho in rhos]
-        keys, facts = zip(*(_rho_monomial(rho, FAMILY_T) for rho in rhos))
-        keys = [_key(m, width) for m in keys]
+        monos, facts = zip(*(_rho_monomial(rho, FAMILY_T) for rho in rhos))
+        tkeys = [_key(m) for m in monos]
+        bkeys = [_key((Var(FAMILY_B, v.index), e) for v, e in m) for m in monos]
         facts = [scale // f for f in facts]
         acc = sums[n, n] = {}
         for i, col in enumerate(cols):
@@ -236,8 +237,8 @@ def schur_pair_sum(coeffs: dict, d: int) -> GradedPoly:
             for j in range(i, len(rhos)):
                 total = sum(map(mul, weighted, cols[j]))
                 if total:
-                    acc[keys[i] + (keys[j] << width)] = acc[keys[j] + (keys[i] << width)] = total * facts[i] * facts[j]
-    return GradedPoly._from_sums(2 * d, (d, d), width, den * scale * scale, sums)
+                    acc[tkeys[i] + bkeys[j]] = acc[tkeys[j] + bkeys[i]] = total * facts[i] * facts[j]
+    return GradedPoly._from_sums(2 * d, (d, d), den * scale * scale, sums)
 
 
 # -- evaluated kinds: Jacobi-Trudi ------------------------------------------------

@@ -28,6 +28,7 @@ from .rspec import (
     QPairFactor,
     RSpec,
     content_product,
+    rspec_mul,
     skew_content_product,
 )
 from .schur import (
@@ -464,15 +465,5 @@ def prop4_pair(r: RSpec, b, m: int, d: int, t):
     (1 - q^{b+D}) (q case), at the finite principal times of modulus b + M.
     """
     b = Fraction(b)
-    has_q = r.q is not None
-    if has_q:
-        r_b = RSpec(r.constant, r.num, r.den + (QLinFactor(Fraction(1), b),), r.q)
-        left_times = PrincipalInfinityTimes(r.q)
-        right_times = PrincipalTimes(b + m, r.q)
-    else:
-        r_b = RSpec(r.constant, r.num, r.den + (LinFactor(b),), None)
-        left_times = PrincipalInfinityTimes()
-        right_times = PrincipalTimes(b + m)
-    left = tau_series(r, m, d, left_times, t)
-    right = tau_series(r_b, m, d, right_times, t)
-    return left, right
+    r_b = rspec_mul(r, _family_symbol((), (b,), r.q))
+    return tau_series(r, m, d, PrincipalInfinityTimes(r.q), t), tau_series(r_b, m, d, PrincipalTimes(b + m, r.q), t)

@@ -333,28 +333,22 @@ def check_remark1(mode: str, params: dict, d: int) -> CheckReport:
     dual:   the conjugate statements via (1 - q^{-K+D}) and the negated
             Miwa substitution on K variables.
     """
-    if mode == "q-spec":
-        n_cut, q = int(params["N"]), Fraction(params["q"])
-        spec = RSpec(num=(QLinFactor(Fraction(1), Fraction(n_cut)),), q=q)
-        vanishes = lambda lam: len(lam) > n_cut
-        routes = [lambda lam: content_product(spec, lam, 0)]
-        echo = {"mode": mode, "N": n_cut, "q": format_rational(q), "d": d}
-    elif mode == "miwa":
-        n_cut = int(params["N"])
-        xs = params.get("x") or tuple(Fraction(1, i + 2) for i in range(n_cut))
-        times = MiwaTimes(tuple(Fraction(v) for v in xs))
-        vanishes = lambda lam: len(lam) > n_cut
-        routes = [lambda lam: schur_poly(lam, times, d)]
-        echo = {"mode": mode, "N": n_cut, "d": d}
-    elif mode == "dual":
-        k_cut, q = int(params["K"]), Fraction(params["q"])
-        spec = RSpec(num=(QLinFactor(Fraction(1), Fraction(-k_cut)),), q=q)
-        xs = params.get("x") or tuple(Fraction(1, i + 2) for i in range(k_cut))
-        times = MiwaTimes(tuple(Fraction(v) for v in xs), sign=-1)
-        vanishes = lambda lam: len(conjugate(lam)) > k_cut
-        routes = [lambda lam: content_product(spec, lam, 0), lambda lam: schur_poly(lam, times, d)]
-        echo = {"mode": mode, "K": k_cut, "q": format_rational(q), "d": d}
-    else:
+    if mode not in ("q-spec", "miwa", "dual"):
         raise ValueError(f"unknown mode {mode!r}")
+    key = "K" if mode == "dual" else "N"
+    cut = int(params[key])
+    if cut < 0:
+        raise ValueError(f"remark1 cuts lengths at {key} = {cut}, which is negative: use --nvars >= 0")
+    q = None if mode == "miwa" else _basic_q(params["q"])
+    sign = -1 if mode == "dual" else 1
+    vanishes = lambda lam: len(conjugate(lam) if mode == "dual" else lam) > cut
+    routes = []
+    if mode != "miwa":
+        spec = RSpec(num=(QLinFactor(Fraction(1), Fraction(sign * cut)),), q=q)
+        routes.append(lambda lam: content_product(spec, lam, 0))
+    if mode != "q-spec":
+        times = MiwaTimes(params.get("x") or tuple(Fraction(1, i + 2) for i in range(cut)), sign)
+        routes.append(lambda lam: schur_poly(lam, times, d))
+    echo = {"mode": mode, key: cut, **({} if q is None else {"q": format_rational(q)}), "d": d}
     failure = _vanishing_failure(enumerate_up_to(d), vanishes, *routes)
     return _report("remark1", failure, d, echo)

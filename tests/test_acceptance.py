@@ -34,11 +34,11 @@ def test_suite_runner_aggregates_under_fresh_seed():
 
 
 def test_fail_reports_the_criterion_grade():
-    failed = _verdict("criterion-x", {"d": 6}, "why")
+    failed = _verdict({"d": 6}, "why")
     assert not failed.passed and failed.first_failure == ("why", "", "")
     assert failed.max_checked_grade == 6
-    assert _verdict("criterion-x", {}, "why").max_checked_grade == 0
-    passed = _verdict("criterion-x", {"d": 5})
+    assert _verdict({}, "why").max_checked_grade == 0
+    passed = _verdict({"d": 5})
     assert passed.passed and passed.first_failure is None and passed.max_checked_grade == 5
 
 
@@ -53,6 +53,27 @@ def test_criterion_stops_at_its_first_failing_report(monkeypatch):
     report = acceptance.criterion_02_hirota(SEED)
     assert report.name == "hirota" and not report.passed
     assert len(calls) == 2
+
+
+def test_a_report_is_named_from_its_criterion_whatever_the_outcome(monkeypatch):
+    # the suite's JSON keys must not depend on whether a criterion passed, failed or raised
+    criteria = [acceptance.criterion_05_classical, acceptance.criterion_14_cg]
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    passed = run_suite(SEED)
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(acceptance, "classical_reference", boom)
+    raised = run_suite(SEED)
+    names = ["criterion-05-classical", "criterion-14-cg"]
+    assert [r.name for r in passed] == [r.name for r in raised] == names
+    assert all(r.passed for r in passed) and not any(r.passed for r in raised)
+    assert raised[0].first_failure == ("RuntimeError: boom", "", "")
+
+    failing = CheckReport(name="hirota", passed=False, max_checked_grade=4)
+    monkeypatch.setattr(acceptance, "check_hirota", lambda *args: failing)
+    assert run_criterion(acceptance.criterion_02_hirota, SEED).name == "criterion-02-hirota"
 
 
 def test_battery_is_a_function_of_the_seed():

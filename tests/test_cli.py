@@ -217,6 +217,22 @@ def test_malformed_factor_names_kind_and_field(capsys, factor, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ('{"num":null}', "rspec 'num' must be a list"),
+    ('{"num":5}', "rspec 'num' must be a list"),
+    ('{"num":"ab"}', "rspec 'num' must be a list"),
+    ('{"den":{}}', "rspec 'den' must be a list"),
+    ('{"nmu":[{"lin":{"shift":"1/2"}}]}', "unknown rspec key 'nmu'"),
+    ('{"num":[{"lin":{"shift":"1/2","extra":1}}]}', "'lin' factor has unknown field 'extra'"),
+    ('{"constant":null}', "rspec 'constant': not a rational"),
+    ('{"q":"x"}', "rspec 'q': not a rational"),
+], ids=["num-null", "num-int", "num-string", "den-object", "unknown-key", "unknown-field", "constant", "q"])
+def test_malformed_rspec_names_the_key(capsys, spec, message):
+    code, out, err = run(capsys, "expand", "--rspec", spec, "-d", "2")
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
 def test_pole_reports_offending_point(capsys):
     pole_spec = '{"constant":"1","num":[],"den":[{"lin":{"shift":"-1"}}]}'
     code, _, err = run(capsys, "expand", "--rspec", pole_spec, "-M", "0", "-d", "3")
@@ -239,6 +255,21 @@ def test_remark1_q_modes_need_q(capsys):
     for mode in ("q-spec", "dual"):
         code, _, err = run(capsys, "verify", "remark1", "--mode", mode, "--nvars", "2", "-d", "3")
         assert code == 2 and err == f"error: remark1 --mode {mode} needs --q"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--mode", "miwa", "--nvars", "-1"), "use --nvars >= 0"),
+    (("--mode", "q-spec", "--nvars", "-1", "--q", "1/2"), "use --nvars >= 0"),
+    (("--mode", "dual", "--nvars", "-1", "--q", "1/2"), "use --nvars >= 0"),
+    (("--mode", "q-spec", "--q", "1"), "not a root of unity; q=1"),
+    (("--mode", "q-spec", "--q", "-1"), "not a root of unity; q=-1"),
+    (("--mode", "dual", "--q", "1"), "not a root of unity; q=1"),
+    (("--mode", "dual", "--q", "-1"), "not a root of unity; q=-1"),
+], ids=["miwa-nvars", "q-spec-nvars", "dual-nvars", "q-spec-one", "q-spec-minus-one", "dual-one", "dual-minus-one"])
+def test_remark1_refuses_bad_nvars_and_q(capsys, argv, message):
+    code, out, err = run(capsys, "verify", "remark1", *argv, "-d", "3")
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
 
 
 def test_eval_qphi_rejects_unit_q(capsys):

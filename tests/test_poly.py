@@ -266,14 +266,14 @@ CAPS = st.one_of(st.none(), st.integers(0, 6))
 
 @st.composite
 def capped_polys(draw):
-    """Polynomials under random caps: each family cap set or unset, some caps past 255."""
-    cap = draw(st.one_of(st.integers(0, 10), st.just(300)))
+    """Polynomials under random caps: each family cap set or unset, some at the largest cap, 255."""
+    cap = draw(st.one_of(st.integers(0, 10), st.just(255)))
     fam_caps = (draw(CAPS), draw(CAPS))
     terms = {}
     for _ in range(draw(st.integers(0, 8))):
         pairs = draw(st.lists(st.tuples(st.sampled_from(VARS), st.integers(1, 3)), max_size=3))
-        if draw(st.booleans()) and cap == 300:
-            pairs.append((T1, draw(st.integers(100, 290))))
+        if draw(st.booleans()) and cap == 255:
+            pairs.append((T1, draw(st.integers(100, 255))))
         terms[mono(pairs)] = F(draw(st.integers(-9, 9)), draw(st.integers(1, 12)))
     return GradedPoly(cap, terms, fam_caps)
 
@@ -336,12 +336,25 @@ def test_product_matches_pairwise_product(p, q, r):
     assert (pq * r).terms == pairwise_product(want, r).terms
 
 
-def test_comparisons_across_slot_widths_leave_both_exact():
-    # a cap past 255 packs wider slots; comparing must not squeeze t1^290 into 8-bit slots
-    narrow, wide = var(T1, 5), poly_of(300, ([(T1, 290)], 1), ([(T1, 1)], 1))
-    assert narrow != wide and wide != narrow
-    assert compare_windowed(narrow, wide, 300, 300) == ("t1^290", "0", "1")
-    assert derivative(wide, T1) == poly_of(299, ([(T1, 289)], 290), ([], 1))
+def test_caps_past_255_are_refused_and_cap_255_stays_exact():
+    # an exponent slot holds 8 bits: every route to a cap past 255 is refused, and t1^255 fills its slot exactly
+    low = var(T1, 5)
+    for build in (lambda: GradedPoly(256, {}), lambda: lift(low, 256), lambda: weighted_sum([(1, low)], 256)):
+        with pytest.raises(ValueError, match="255"):
+            build()
+    top = poly_of(255, ([(T1, 255)], 1), ([(T1, 1)], 1))
+    assert (top * GradedPoly.constant(1, 255)).terms == top.terms
+    assert derivative(top, T1) == poly_of(254, ([(T1, 254)], 255), ([], 1))
+    assert derivative(top, B1).is_zero()  # nothing spilled into the b1 slot next to t1's
+    assert top == poly_of(255, ([(T1, 1)], 1), ([(T1, 255)], 1)) and low != top and top != low
+    assert compare_windowed(low, top, 255, 255) == ("t1^255", "0", "1")
+
+
+def test_equality_with_a_non_number_is_not_implemented():
+    p = var(T1)
+    assert p.__eq__("x") is NotImplemented and p.__eq__(None) is NotImplemented
+    assert p != "x" and p != None and not p == [p]  # noqa: E711
+    assert GradedPoly.zero(3) == 0 and GradedPoly.constant(F(1, 2), 3) == F(1, 2)
 
 
 SMALL_CAPS = st.one_of(st.none(), st.integers(0, 6))
@@ -362,7 +375,7 @@ def agrees(p, ref):
     assert (p.cap, tuple(p.fam_caps)) == (ref.cap, ref.fam_caps)
     assert p.constant_term() == ref.terms.get((), 0)
     assert p.is_zero() == (not ref.terms)
-    assert p == GradedPoly(300, ref.terms)  # packed at a wider slot width
+    assert p == GradedPoly(255, ref.terms)  # equality reads the packed terms, not the caps
     assert hash(p) == hash(frozenset(ref.terms.items()))
     assert p.terms == ref.terms
 

@@ -8,7 +8,7 @@ import pytest
 from taukit import verify
 from taukit.poly import (
     GradedPoly,
-    _unpack,
+    _family_pairs,
     bvar,
     derivative,
     format_monomial,
@@ -202,9 +202,9 @@ BILINEAR = {
 
 @pytest.mark.parametrize("check", sorted(BILINEAR))
 def test_passing_bilinear_check_decodes_no_term(check):
-    before = _unpack.cache_info()
+    before = _family_pairs.cache_info()
     assert BILINEAR[check](7).passed
-    assert _unpack.cache_info() == before
+    assert _family_pairs.cache_info() == before
 
 
 def sorted_scan(lhs, rhs, t_max, b_max):
