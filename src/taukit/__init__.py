@@ -80,6 +80,7 @@ from .verify import (
     check_hirota,
     check_kp_bilinear,
     check_ode,
+    check_prop4,
     check_qdiff,
     check_remark1,
     check_toda,

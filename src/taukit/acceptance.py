@@ -38,7 +38,6 @@ from .tau import (
     askey_wilson,
     classical_reference,
     pfs_multivar,
-    prop4_pair,
     q_bracket,
     qphi_one_var_coeffs,
     tau_general,
@@ -50,6 +49,7 @@ from .verify import (
     check_hirota,
     check_kp_bilinear,
     check_ode,
+    check_prop4,
     check_qdiff,
     check_remark1,
     check_toda,
@@ -236,14 +236,12 @@ def criterion_08_prop4(seed: int) -> CheckReport:
             r = draw_lin_rspec(rng)
             b = rng.choice(_NONINT_POOL)
             m = rng.choice((-1, 0, 1))
-            left, right = prop4_pair(r, b, m, d, GenericTimes(FAMILY_T))
-            if left != right:
+            if not check_prop4(r, b, m, d).passed:
                 yield _verdict({"d": d}, f"rational variant M={m} b={b}")
         for q, b in ((F(1, 4), F(1, 2)), (F(1, 8), F(2, 3)), (F(4, 9), F(3, 2))):
             r = draw_qlin_rspec(rng, q, span=9)
             m = rng.choice((-1, 0, 1))
-            left, right = prop4_pair(r, b, m, d, GenericTimes(FAMILY_T))
-            if left != right:
+            if not check_prop4(r, b, m, d).passed:
                 yield _verdict({"d": d}, f"q variant q={q} b={b} M={m}")
 
     return _first_failure(reports()) or _verdict({"d": d, "draws": "3 rational + 3 q"})

@@ -18,25 +18,22 @@ from fractions import Fraction
 from .partitions import enumerate_up_to
 from .poly import format_rational, parse_rational
 from .rspec import PoleError, RSpec, content_product, rspec_from_json
-from .schur import GenericTimes
 from .tau import (
     askey_wilson,
     clebsch_gordan_q,
     pfq_one_var_coeffs,
-    prop4_pair,
     qphi_multivar,
     qphi_one_var_coeffs,
 )
 from .verify import (
     CheckReport,
-    _report,
     check_hirota,
     check_kp_bilinear,
     check_ode,
+    check_prop4,
     check_qdiff,
     check_remark1,
     check_toda,
-    compare_windowed,
     det_oracle_tau,
 )
 
@@ -64,6 +61,13 @@ def _needs(args, flag: str, what: str) -> str:
     return value
 
 
+def _non_negative(value: int, flag: str) -> int:
+    """value, refusing a negative one with a message that names its flag."""
+    if value < 0:
+        raise ValueError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
 def emit(payload, fmt: str = "json") -> str:
     """Bit-stable serialization: a mapping as JSON, a mapping or (headers, rows) table as CSV."""
     if fmt == "json":
@@ -88,7 +92,7 @@ def _partition_key(lam) -> str:
 def cmd_expand(args) -> int:
     r = _load_rspec(args.rspec)
     table = {}
-    for lam in enumerate_up_to(args.degree):
+    for lam in enumerate_up_to(_non_negative(args.degree, "-d/--degree")):
         table[_partition_key(lam)] = format_rational(content_product(r, lam, args.charge))
     if args.format == "csv":
         print(emit((("partition", "coefficient"), list(table.items())), "csv"))
@@ -128,7 +132,7 @@ def cmd_eval(args) -> int:
         a, b, c, dd = params
         q, cv = parse_rational(_needs(args, "q", "aw")), parse_rational(args.cos)
         out = {
-            "sum": format_rational(askey_wilson(args.n, a, b, c, dd, q, cv)),
+            "sum": format_rational(askey_wilson(_non_negative(args.n, "--n"), a, b, c, dd, q, cv)),
             "p_n": format_rational(askey_wilson(args.n, a, b, c, dd, q, cv, with_prefactor=True)),
         }
     elif args.family == "cg":
@@ -159,6 +163,8 @@ def _print_report(report: CheckReport, fmt: str) -> int:
 
 def cmd_verify(args) -> int:
     name = args.check
+    if name not in ("ode", "qdiff"):
+        _non_negative(args.degree, "-d/--degree")
     if name in ("hirota", "toda", "kp", "oracle"):
         r = _load_rspec(_needs(args, "rspec", name))
         if name == "hirota":
@@ -168,6 +174,8 @@ def cmd_verify(args) -> int:
         elif name == "kp":
             report = check_kp_bilinear(r, args.charge, args.degree)
         else:
+            if args.window is not None and args.window < args.degree:
+                raise ValueError(f"--window must be >= -d/--degree ({args.degree}), got {args.window}")
             _, report = det_oracle_tau(r, args.charge, args.degree, args.window)
     elif name == "ode":
         report = check_ode(_rat_list(args.a), _rat_list(args.b), args.order)
@@ -184,10 +192,7 @@ def cmd_verify(args) -> int:
         bs = _rat_list(args.b)
         if len(bs) != 1:
             raise ValueError("prop4 needs --b with exactly one rational")
-        left, right = prop4_pair(r, bs[0], args.charge, args.degree, GenericTimes())
-        failure = compare_windowed(left, right, args.degree, args.degree)
-        params = {"b": format_rational(bs[0]), "M": args.charge, "d": args.degree}
-        report = _report("prop4", failure, args.degree, params)
+        report = check_prop4(r, bs[0], args.charge, args.degree)
     else:
         raise ValueError(f"unknown check {name!r}")
     return _print_report(report, args.format)

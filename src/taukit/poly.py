@@ -2,39 +2,35 @@
 
 Two variable families are supported, printed ``t1, t2, ...`` and
 ``b1, b2, ...``, with weighted degree wdeg(t_k) = wdeg(b_k) = k.  A
-GradedPoly stores only monomials of total weighted degree <= cap, so the
-arithmetic happens in the quotient of the full polynomial ring by the
-ideal of terms above the cap.  Coefficients are exact rationals
-throughout; nothing in this module rounds.
+GradedPoly stores only the monomials in its window, the box t-weight <=
+t_max, b-weight <= b_max, so the arithmetic happens in the quotient of the
+full polynomial ring by the ideal of terms outside the box.  Coefficients
+are exact rationals throughout; nothing in this module rounds.
 
-Optionally a polynomial carries per-family caps as well.  Monomials whose
-t-weight (or b-weight) exceeds the family cap are likewise discarded; the
-surviving monomials again form a quotient ring, which keeps box-truncated
-computations exact.
-
-The caps are the window a product is formed in; nothing outside it is
-formed.  ``p * q`` keeps the tighter caps, and ``derivative`` lowers them by
-the weight of its variable, where an arbitrary truncated polynomial stays
-exact.  A caller that knows another window (a tau truncated at grade d
-misses only monomials whose two weights both exceed d) passes it to
-``mul_in`` or ``lift``.
+The box is the window a product is formed in; nothing outside it is
+formed.  ``p * q`` keeps the componentwise smaller bounds, and
+``derivative`` lowers its own family's bound by the weight of its
+variable, where an arbitrary truncated polynomial stays exact.  A caller
+that knows another window (a tau truncated at grade d misses only
+monomials whose two weights both exceed d) passes it to ``mul_in`` or
+``lift``.
 
 A polynomial is stored in one packed form: every monomial is one int, the
 exponent of t_k in 8-bit slot 2k - 2 and that of b_k in slot 2k - 1, so
-multiplying monomials adds ints (no exponent exceeds the cap, and caps
-above 255 are refused, so no carry occurs); the coefficients are integer
-numerators over one denominator, reduced so that equal polynomials pack
-equally; the terms sit in buckets keyed by (t-weight, b-weight).  A
-product visits only the bucket pairs that fit the caps.  Sums,
-derivatives, windows, comparisons and the constant term read the packed
-form; ``terms``, the {Monomial: Fraction} dict, is a view that a computed
+multiplying monomials adds ints (no exponent exceeds its family's
+bound, and bounds above 255 are refused, so no carry occurs); the
+coefficients are integer numerators over one denominator, reduced so that
+equal polynomials pack equally; the terms sit in buckets keyed by
+(t-weight, b-weight).  A product visits only the bucket pairs that fit the
+box.  Sums, derivatives, windows, comparisons and the constant term read
+the packed form; ``terms``, the {Monomial: Fraction} dict, is a view that a computed
 polynomial decodes on its first read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain, product as _iproduct
 from math import comb, factorial, gcd, lcm, prod
 from numbers import Rational
@@ -101,22 +97,16 @@ def format_monomial(m: Monomial) -> str:
     return "*".join(parts)
 
 
-def _min_cap(a: int | None, b: int | None) -> int | None:
-    """The tighter of two caps; None is no cap."""
-    return b if a is None else a if b is None else min(a, b)
-
-
-def _fits(cap: int, fam_caps):
-    """Test of a (t-weight, b-weight) bucket against a window; None is no family cap."""
-    tcap, bcap = (cap if c is None else c for c in fam_caps)
-    return lambda tb: tb[0] <= tcap and tb[1] <= bcap and tb[0] + tb[1] <= cap
+def _fits(t_max: int, b_max: int):
+    """Test of a (t-weight, b-weight) bucket against the box (t_max, b_max)."""
+    return lambda tb: tb[0] <= t_max and tb[1] <= b_max
 
 
 # -- packed monomials ---------------------------------------------------------------
 
 _WIDTH = 8  # bits per exponent slot
-_MAX_CAP = (1 << _WIDTH) - 1  # the largest cap: no exponent exceeds the cap, so none overflows its slot
-_T_SLOTS = sum(_MAX_CAP << 2 * _WIDTH * i for i in range(_MAX_CAP))  # the t-slots of every index a cap allows
+_MAX_BOUND = (1 << _WIDTH) - 1  # the largest bound: no exponent exceeds its bound, so none overflows its slot
+_T_SLOTS = sum(_MAX_BOUND << 2 * _WIDTH * i for i in range(_MAX_BOUND))  # the t-slots of every index a bound allows
 
 
 def _shift(v: Var) -> int:
@@ -134,7 +124,7 @@ def _family_pairs(part: int, family: str) -> tuple:
     """The (Var, exponent) pairs of one family, its exponents held in the t-slots of ``part``."""
     pairs, index = [], 1
     while part:
-        if e := part & _MAX_CAP:
+        if e := part & _MAX_BOUND:
             pairs.append((Var(family, index), e))
         part >>= 2 * _WIDTH
         index += 1
@@ -149,31 +139,31 @@ def _unpack(k: int) -> Monomial:
 class GradedPoly:
     """Immutable truncated polynomial, held packed; ``terms`` is a decoded view, do not mutate it."""
 
-    __slots__ = ("cap", "fam_caps", "_packed", "_terms")
+    __slots__ = ("t_max", "b_max", "_packed", "_terms")
 
-    def __init__(self, cap, terms=None, fam_caps=(None, None)):
-        fits = _fits(cap, fam_caps)
+    def __init__(self, t_max, b_max, terms=None):
+        fits = _fits(t_max, b_max)
         terms = {m: Fraction(c) for m, c in (terms or {}).items() if c and fits(mono_weights(m))}
         den = lcm(*(c.denominator for c in terms.values()))
         sums: dict = {}
         for m, c in terms.items():
             sums.setdefault(mono_weights(m), {})[_key(m)] = c.numerator * (den // c.denominator)
-        self._store(cap, fam_caps, den, sums)
+        self._store(t_max, b_max, den, sums)
         self._terms = terms
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(cap: int, fam_caps=(None, None)) -> "GradedPoly":
-        return GradedPoly(cap, {}, fam_caps)
+    def zero(t_max: int, b_max: int) -> "GradedPoly":
+        return GradedPoly(t_max, b_max)
 
     @staticmethod
-    def constant(value, cap: int, fam_caps=(None, None)) -> "GradedPoly":
-        return GradedPoly(cap, {ONE_MONO: Fraction(value)}, fam_caps)
+    def constant(value, t_max: int, b_max: int) -> "GradedPoly":
+        return GradedPoly(t_max, b_max, {ONE_MONO: Fraction(value)})
 
     @staticmethod
-    def variable(v: Var, cap: int, fam_caps=(None, None)) -> "GradedPoly":
-        return GradedPoly(cap, {mono([(v, 1)]): Fraction(1)}, fam_caps)
+    def variable(v: Var, t_max: int, b_max: int) -> "GradedPoly":
+        return GradedPoly(t_max, b_max, {mono([(v, 1)]): Fraction(1)})
 
     # -- packed form ---------------------------------------------------------
 
@@ -185,13 +175,13 @@ class GradedPoly:
             self._terms = {_unpack(k): Fraction(n, den) for bucket in buckets.values() for k, n in bucket.items()}
         return self._terms
 
-    def _store(self, cap, fam_caps, den, sums):
+    def _store(self, t_max, b_max, den, sums):
         """Keep bucketed {packed monomial: numerator over den} sums, reduced; the sum dicts may be kept.
 
-        Every polynomial passes here, so the cap is checked here: an exponent up to the cap must fit its slot.
+        Every polynomial passes here, so the bounds are checked here: an exponent up to 255 fits its slot.
         """
-        if not 0 <= cap <= _MAX_CAP:
-            raise ValueError(f"cap must be between 0 and {_MAX_CAP} (an exponent slot holds {_WIDTH} bits), got {cap}")
+        if not (0 <= t_max <= _MAX_BOUND and 0 <= b_max <= _MAX_BOUND):
+            raise ValueError(f"the box {t_max, b_max} must lie in 0..{_MAX_BOUND} (a slot holds {_WIDTH} bits)")
         common = gcd(den, *chain.from_iterable(map(dict.values, sums.values())))
         buckets = {}
         while sums:
@@ -200,24 +190,25 @@ class GradedPoly:
                 acc = {k: n // common for k, n in acc.items() if n}
             if acc:
                 buckets[tb] = acc
-        self.cap, self.fam_caps, self._packed, self._terms = cap, fam_caps, (den // common, buckets), None
+        self.t_max, self.b_max, self._packed, self._terms = t_max, b_max, (den // common, buckets), None
 
     @classmethod
-    def _from_sums(cls, cap, fam_caps, den, sums) -> "GradedPoly":
+    def _from_sums(cls, t_max, b_max, den, sums) -> "GradedPoly":
         """A polynomial from bucketed sums, as ``_store`` keeps them."""
         out = object.__new__(cls)
-        out._store(cap, fam_caps, den, sums)
+        out._store(t_max, b_max, den, sums)
         return out
 
     # -- ring structure ----------------------------------------------------
 
-    def _join_caps(self, other: "GradedPoly") -> tuple[int, tuple]:
-        return min(self.cap, other.cap), tuple(map(_min_cap, self.fam_caps, other.fam_caps))
+    def _meet(self, other: "GradedPoly") -> tuple[int, int]:
+        """The meet of two boxes."""
+        return min(self.t_max, other.t_max), min(self.b_max, other.b_max)
 
     def __add__(self, other):
         if not isinstance(other, GradedPoly):
-            other = GradedPoly.constant(other, self.cap, self.fam_caps)
-        return weighted_sum(((1, self), (1, other)), *self._join_caps(other))
+            other = GradedPoly.constant(other, self.t_max, self.b_max)
+        return weighted_sum(((1, self), (1, other)), *self._meet(other))
 
     __radd__ = __add__
 
@@ -226,27 +217,26 @@ class GradedPoly:
 
     def __sub__(self, other):
         if not isinstance(other, GradedPoly):
-            other = GradedPoly.constant(other, self.cap, self.fam_caps)
-        return weighted_sum(((1, self), (-1, other)), *self._join_caps(other))
+            other = GradedPoly.constant(other, self.t_max, self.b_max)
+        return weighted_sum(((1, self), (-1, other)), *self._meet(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def scale(self, value) -> "GradedPoly":
-        return weighted_sum(((value, self),), self.cap, self.fam_caps)
+        return weighted_sum(((value, self),), self.t_max, self.b_max)
 
     def __mul__(self, other):
         if not isinstance(other, GradedPoly):
             return self.scale(other)
-        cap, fc = self._join_caps(other)
-        fits = _fits(cap, fc)
+        t_max, b_max = self._meet(other)
         den_a, left = self._packed
         den_b, right = other._packed
         sums: dict = {}
         for (t1, b1), bucket1 in left.items():
             for (t2, b2), bucket2 in right.items():
                 tb = (t1 + t2, b1 + b2)
-                if not fits(tb):
+                if tb[0] > t_max or tb[1] > b_max:
                     continue
                 acc = sums.setdefault(tb, {})
                 get = acc.get
@@ -254,13 +244,13 @@ class GradedPoly:
                     for k2, n2 in bucket2.items():
                         k = k1 + k2
                         acc[k] = get(k, 0) + n1 * n2
-        return GradedPoly._from_sums(cap, fc, den_a * den_b, sums)
+        return GradedPoly._from_sums(t_max, b_max, den_a * den_b, sums)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, Rational):
-            other = GradedPoly.constant(other, self.cap)
+            other = GradedPoly.constant(other, self.t_max, self.b_max)
         elif not isinstance(other, GradedPoly):
             return NotImplemented
         return self._packed == other._packed
@@ -288,34 +278,34 @@ class GradedPoly:
         return not self._packed[1]
 
 
-def lift(p, cap: int, fam_caps=(None, None)) -> GradedPoly:
-    """A GradedPoly or a scalar as a GradedPoly in the window (cap, fam_caps).
+def lift(p, t_max: int, b_max: int) -> GradedPoly:
+    """A GradedPoly or a scalar as a GradedPoly in the box (t_max, b_max).
 
-    Terms of p outside the window are dropped.  The window may also be
-    larger than the caps of p: the caller then states that p is exact there.
+    Terms of p outside the box are dropped.  The box may also be larger
+    than the box of p: the caller then states that p is exact there.
     """
     if not isinstance(p, GradedPoly):
-        return GradedPoly.constant(p, cap, fam_caps)
+        return GradedPoly.constant(p, t_max, b_max)
     den, buckets = p._packed
-    fits = _fits(cap, fam_caps)
-    return GradedPoly._from_sums(cap, fam_caps, den, {tb: b for tb, b in buckets.items() if fits(tb)})
+    fits = _fits(t_max, b_max)
+    return GradedPoly._from_sums(t_max, b_max, den, {tb: b for tb, b in buckets.items() if fits(tb)})
 
 
-def mul_in(p: GradedPoly, q: GradedPoly, cap: int, fam_caps) -> GradedPoly:
-    """p * q formed in the window (cap, fam_caps) alone, whatever the caps of p and q.
+def mul_in(p: GradedPoly, q: GradedPoly, t_max: int, b_max: int) -> GradedPoly:
+    """p * q formed in the box (t_max, b_max) alone, whatever the boxes of p and q.
 
-    The window is the caller's statement of where the product is exact.
+    The box is the caller's statement of where the product is exact.
     """
-    return lift(p, cap, fam_caps) * lift(q, cap, fam_caps)
+    return lift(p, t_max, b_max) * lift(q, t_max, b_max)
 
 
-def weighted_sum(pieces, cap: int, fam_caps=(None, None)) -> GradedPoly:
-    """sum of c * p over the (scalar c, GradedPoly p) pairs, in the window (cap, fam_caps).
+def weighted_sum(pieces, t_max: int, b_max: int) -> GradedPoly:
+    """sum of c * p over the (scalar c, GradedPoly p) pairs, in the box (t_max, b_max).
 
     Summed in integers over one common denominator, one division per term.
     """
     pieces = [(Fraction(c), p) for c, p in pieces if c]
-    fits = _fits(cap, fam_caps)
+    fits = _fits(t_max, b_max)
     packed = [(c, *p._packed) for c, p in pieces]
     den = lcm(*(c.denominator * d for c, d, _ in packed))
     sums: dict = {}
@@ -327,7 +317,7 @@ def weighted_sum(pieces, cap: int, fam_caps=(None, None)) -> GradedPoly:
                 get = acc.get
                 for k, n in bucket.items():
                     acc[k] = get(k, 0) + factor * n
-    return GradedPoly._from_sums(cap, tuple(fam_caps), den, sums)
+    return GradedPoly._from_sums(t_max, b_max, den, sums)
 
 
 def first_difference(p: GradedPoly, q: GradedPoly, t_max: int, b_max: int):
@@ -335,11 +325,10 @@ def first_difference(p: GradedPoly, q: GradedPoly, t_max: int, b_max: int):
     differ with t-weight <= t_max and b-weight <= b_max, or None; only those are decoded."""
     (den_p, left), (den_q, right) = p._packed, q._packed
     diffs = []
-    for tb in left.keys() | right.keys():
-        if tb[0] <= t_max and tb[1] <= b_max:
-            a, b = left.get(tb, {}), right.get(tb, {})
-            pairs = ((k, a.get(k, 0), b.get(k, 0)) for k in a.keys() | b.keys())
-            diffs += [(sum(tb), k, x, y) for k, x, y in pairs if x * den_q != y * den_p]
+    for tb in filter(_fits(t_max, b_max), left.keys() | right.keys()):
+        a, b = left.get(tb, {}), right.get(tb, {})
+        pairs = ((k, a.get(k, 0), b.get(k, 0)) for k in a.keys() | b.keys())
+        diffs += [(sum(tb), k, x, y) for k, x, y in pairs if x * den_q != y * den_p]
     first = min(diffs, key=lambda diff: (diff[0], _unpack(diff[1])), default=None)
     return first and (_unpack(first[1]), Fraction(first[2], den_p), Fraction(first[3], den_q))
 
@@ -348,39 +337,39 @@ def first_difference(p: GradedPoly, q: GradedPoly, t_max: int, b_max: int):
 
 
 def derivative(p: GradedPoly, v: Var) -> GradedPoly:
-    """Formal partial derivative; the caps drop by wdeg(v), where an arbitrary p stays exact."""
+    """Formal partial derivative; the bound of v's family drops by wdeg(v), where an arbitrary p stays exact."""
     den, buckets = p._packed
     shift = _shift(v)
     drop = (v.index, 0) if v.family == FAMILY_T else (0, v.index)
     sums = {}
     for (t, b), bucket in buckets.items():
-        acc = {k - (1 << shift): n * e for k, n in bucket.items() if (e := k >> shift & _MAX_CAP)}
+        acc = {k - (1 << shift): n * e for k, n in bucket.items() if (e := k >> shift & _MAX_BOUND)}
         if acc:
             sums[t - drop[0], b - drop[1]] = acc
-    fam_caps = tuple(c if c is None else max(c - w, 0) for c, w in zip(p.fam_caps, drop))
-    return GradedPoly._from_sums(max(p.cap - v.index, 0), fam_caps, den, sums)
+    return GradedPoly._from_sums(max(p.t_max - drop[0], 0), max(p.b_max - drop[1], 0), den, sums)
 
 
-def _nilpotent_series(p: GradedPoly, coeffs: list[Fraction]) -> GradedPoly:
-    """sum coeffs[k] * p**k for a p with zero constant term (finite sum)."""
-    powers = [GradedPoly.constant(1, p.cap, p.fam_caps), p]
+def _nilpotent_series(p: GradedPoly, coeff) -> GradedPoly:
+    """sum coeff(k) * p**k for a p with zero constant term, whose powers past t_max + b_max vanish."""
+    coeffs = [coeff(k) for k in range(p.t_max + p.b_max + 1)]
+    powers = [GradedPoly.constant(1, p.t_max, p.b_max), p]
     while len(powers) < len(coeffs) and not powers[-1].is_zero():
         powers.append(powers[-1] * p)
-    return weighted_sum(zip(coeffs, powers), p.cap, p.fam_caps)
+    return weighted_sum(zip(coeffs, powers), p.t_max, p.b_max)
 
 
 def exp_series(p: GradedPoly) -> GradedPoly:
     """Truncated exp; requires constant term 0."""
     if p.constant_term() != 0:
         raise ValueError("exp requires zero constant term")
-    return _nilpotent_series(p, [Fraction(1, factorial(k)) for k in range(p.cap + 1)])
+    return _nilpotent_series(p, lambda k: Fraction(1, factorial(k)))
 
 
 def log_series(p: GradedPoly) -> GradedPoly:
     """Truncated log; requires constant term 1."""
     if p.constant_term() != 1:
         raise ValueError("log requires constant term 1")
-    return _nilpotent_series(p - 1, [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, p.cap + 1)])
+    return _nilpotent_series(p - 1, lambda k: Fraction((-1) ** (k + 1), k) if k else Fraction(0))
 
 
 def inverse(p: GradedPoly) -> GradedPoly:
@@ -389,8 +378,7 @@ def inverse(p: GradedPoly) -> GradedPoly:
     if c == 0:
         raise ValueError("inverse requires nonzero constant term")
     x = p.scale(Fraction(1) / c) - 1
-    coeffs = [Fraction((-1) ** k) for k in range(p.cap + 1)]
-    return _nilpotent_series(x, coeffs).scale(Fraction(1) / c)
+    return _nilpotent_series(x, lambda k: Fraction((-1) ** k)).scale(Fraction(1) / c)
 
 
 def hirota_D(f: GradedPoly, g: GradedPoly, alpha: Iterable[tuple[Var, int]]) -> GradedPoly:
@@ -417,17 +405,16 @@ def hirota_D(f: GradedPoly, g: GradedPoly, alpha: Iterable[tuple[Var, int]]) -> 
 
     of_f = partials(f)
     of_g = of_f if g is f else partials(g)
-    pieces, caps = [], []
+    pieces, windows = [], []
     for beta in box:
         rest = tuple(e - b for b, e in zip(beta, exps))
-        caps.append(of_f[beta]._join_caps(of_g[rest]))
+        windows.append(of_f[beta]._meet(of_g[rest]))
         weight = (-1) ** sum(rest) * prod(comb(e, b) for b, e in zip(beta, exps))
         if g is f and rest != beta:
             weight *= (rest > beta) * (1 + (-1) ** sum(exps))
         if weight:
             pieces.append((weight, of_f[beta] * of_g[rest]))
-    fam_caps = tuple(reduce(_min_cap, fc) for fc in zip(*(c for _, c in caps)))
-    return weighted_sum(pieces, min(c for c, _ in caps), fam_caps)
+    return weighted_sum(pieces, *map(min, zip(*windows)))
 
 
 # -- exact scalar helpers -----------------------------------------------------

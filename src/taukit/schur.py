@@ -198,7 +198,7 @@ def _schur_generic(outer: Partition, inner: Partition, family: str, d: int) -> G
         if chi:
             m, fact = _rho_monomial(rho, family)
             terms[m] = Fraction(chi, fact)
-    return GradedPoly(d, terms)
+    return GradedPoly(d, d, terms)
 
 
 def power_sums_basis(d: int, family: str = FAMILY_T) -> list[GradedPoly]:
@@ -238,7 +238,7 @@ def schur_pair_sum(coeffs: dict, d: int) -> GradedPoly:
                 total = sum(map(mul, weighted, cols[j]))
                 if total:
                     acc[tkeys[i] + bkeys[j]] = acc[tkeys[j] + bkeys[i]] = total * facts[i] * facts[j]
-    return GradedPoly._from_sums(2 * d, (d, d), den * scale * scale, sums)
+    return GradedPoly._from_sums(d, d, den * scale * scale, sums)
 
 
 # -- evaluated kinds: Jacobi-Trudi ------------------------------------------------

@@ -160,10 +160,8 @@ def tau_general(chain: ChainSpec, m: int, d: int):
             raise ValueError("generic time sets on the two sides must use distinct families")
     if not gen_left and not gen_right:
         return sum((left[lam] * right[lam] for lam in parts), Fraction(0))
-    cap = 2 * d if (gen_left and gen_right) else d
-    fam_caps = (d, d) if (gen_left and gen_right) else (None, None)
-    pieces = ((1, lift(left[lam], cap, fam_caps) * lift(right[lam], cap, fam_caps)) for lam in parts)
-    return weighted_sum(pieces, cap, fam_caps)
+    pieces = ((1, lift(left[lam], d, d) * lift(right[lam], d, d)) for lam in parts)
+    return weighted_sum(pieces, d, d)
 
 
 # -- hypergeometric families -------------------------------------------------------
@@ -188,7 +186,7 @@ def pfs_multivar(a, b, m: int, t, d: int):
 def _render_single(coeffs: dict, t, d: int):
     if not _is_generic(t):
         return sum((c * schur_poly(lam, t, d) for lam, c in coeffs.items() if c), Fraction(0))
-    return weighted_sum(((c, schur_poly(lam, t, d)) for lam, c in coeffs.items() if c), d)
+    return weighted_sum(((c, schur_poly(lam, t, d)) for lam, c in coeffs.items() if c), d, d)
 
 
 def _basic_q(q) -> Fraction:

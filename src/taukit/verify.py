@@ -45,7 +45,7 @@ from .rspec import (
     zero_pole_scan,
 )
 from .schur import GenericTimes, MiwaTimes, power_sums_basis, schur_poly
-from .tau import _basic_q, _family_symbol, _row_coeffs, tau_series
+from .tau import _basic_q, _family_symbol, _row_coeffs, prop4_pair, tau_series
 
 # -- reports ---------------------------------------------------------------------
 
@@ -108,7 +108,7 @@ def _bilinear_window(name: str, d: int) -> int:
 def check_hirota(r: RSpec, m: int, d: int) -> CheckReport:
     """tau(M) d_b1 d_t1 tau(M) - d_t1 tau(M) d_b1 tau(M) = r(M) tau(M-1) tau(M+1)."""
     window = _bilinear_window("hirota", d)
-    w = (2 * window, (window, window))
+    w = (window, window)
     t1, b1 = tvar(1), bvar(1)
     tau_lo, tau_mid, tau_hi = (_generic_tau(r, n, d) for n in (m - 1, m, m + 1))
     d_t, d_b = derivative(tau_mid, t1), derivative(tau_mid, b1)
@@ -132,7 +132,7 @@ def check_toda(r: RSpec, m: int, d: int, gauge: str = "generalized") -> CheckRep
     if gauge not in ("generalized", "standard"):
         raise ValueError(f"unknown gauge {gauge!r}")
     window = _bilinear_window("toda", d)
-    w = (2 * window, (window, window))
+    w = (window, window)
     t1, b1 = tvar(1), bvar(1)
     taus = {n: _generic_tau(r, n, d) for n in range(m - 1, m + 3)}
     logs = {n: log_series(tau if n in (m, m + 1) else lift(tau, *w)) for n, tau in taus.items()}
@@ -171,7 +171,7 @@ def check_kp_bilinear(r: RSpec, m: int, d: int) -> CheckReport:
         + hirota_D(tau, tau, [(tvar(2), 2)]).scale(3)
         - hirota_D(tau, tau, [(tvar(1), 1), (tvar(3), 1)]).scale(4)
     )
-    zero = GradedPoly.zero(expr.cap, expr.fam_caps)
+    zero = GradedPoly.zero(expr.t_max, expr.b_max)
     failure = compare_windowed(expr, zero, 2 * d, d)
     return _report(
         "kp", failure, d, {"rspec": rspec_to_json(r), "M": m, "d": d}
@@ -228,9 +228,7 @@ def _window_block(r: RSpec, m: int, d: int, window: int) -> list:
     nilpotent; entry sums stop where the graded truncation kills them.
     Each product p_a(t) p_b(beta) is formed once and shared by the entries.
     """
-    cap, fam_caps = 2 * d, (d, d)
-    pt = [lift(p, cap, fam_caps) for p in power_sums_basis(d, FAMILY_T)]
-    pb = [lift(p, cap, fam_caps) for p in power_sums_basis(d, FAMILY_B)]
+    pt, pb = power_sums_basis(d, FAMILY_T), power_sums_basis(d, FAMILY_B)
     pair = {(a, b): pt[a] * pb[b] for a in range(d + 1) for b in range(d + 1)}
     rval = {n: r_eval(r, n + m) for n in range(-window, d)}
 
@@ -246,7 +244,7 @@ def _window_block(r: RSpec, m: int, d: int, window: int) -> list:
                 prod_r *= rval[l - 1]
             if prod_r:
                 pieces.append((prod_r, pair[l - j, l - k]))
-        return weighted_sum(pieces, cap, fam_caps)
+        return weighted_sum(pieces, d, d)
 
     idx = range(0, -window - 1, -1)
     return [[entry(j, k) for k in idx] for j in idx]
@@ -311,6 +309,16 @@ def det_oracle_tau(r: RSpec, m: int, d: int, window: int | None = None, extra_wi
     return det_w, report
 
 
+# -- reparametrized pairs --------------------------------------------------------------
+
+
+def check_prop4(r: RSpec, b, m: int, d: int) -> CheckReport:
+    """Proposition 4: the two sides of ``prop4_pair`` agree at t-weight <= d."""
+    left, right = prop4_pair(r, b, m, d, GenericTimes())
+    failure = compare_windowed(left, right, d, d)
+    return _report("prop4", failure, d, {"b": format_rational(b), "M": m, "d": d})
+
+
 # -- truncation checks -------------------------------------------------------------------
 
 
@@ -332,6 +340,7 @@ def check_remark1(mode: str, params: dict, d: int) -> CheckReport:
     miwa:   s_lam of N variables vanishes exactly when l(lam) > N;
     dual:   the conjugate statements via (1 - q^{-K+D}) and the negated
             Miwa substitution on K variables.
+    The Miwa variables params["x"] (default 1/2, 1/3, ...) must be N (or K) nonzero rationals.
     """
     if mode not in ("q-spec", "miwa", "dual"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -347,7 +356,10 @@ def check_remark1(mode: str, params: dict, d: int) -> CheckReport:
         spec = RSpec(num=(QLinFactor(Fraction(1), Fraction(sign * cut)),), q=q)
         routes.append(lambda lam: content_product(spec, lam, 0))
     if mode != "q-spec":
-        times = MiwaTimes(params.get("x") or tuple(Fraction(1, i + 2) for i in range(cut)), sign)
+        x = params.get("x", [Fraction(1, i + 2) for i in range(cut)])
+        if len(x) != cut or 0 in x:
+            raise ValueError(f"remark1 {mode} needs x of {key} = {cut} nonzero values, got [{', '.join(map(str, x))}]")
+        times = MiwaTimes(x, sign)
         routes.append(lambda lam: schur_poly(lam, times, d))
     echo = {"mode": mode, key: cut, **({} if q is None else {"q": format_rational(q)}), "d": d}
     failure = _vanishing_failure(enumerate_up_to(d), vanishes, *routes)

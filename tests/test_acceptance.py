@@ -55,6 +55,21 @@ def test_criterion_stops_at_its_first_failing_report(monkeypatch):
     assert len(calls) == 2
 
 
+def test_prop4_criterion_fails_where_the_prop4_check_fails(monkeypatch):
+    from fractions import Fraction as F
+
+    from taukit import verify
+    from taukit.poly import GradedPoly, mono, tvar
+
+    # the pair differs at t1^5, the corner of the compared window
+    def pair(r, b, m, d, t):
+        return GradedPoly(d, d, {(): 1}), GradedPoly(d, d, {(): 1, mono([(tvar(1), d)]): F(1, 7)})
+
+    monkeypatch.setattr(verify, "prop4_pair", pair)
+    report = acceptance.criterion_08_prop4(SEED)
+    assert not report.passed and report.first_failure[0].startswith("rational variant M=")
+
+
 def test_a_report_is_named_from_its_criterion_whatever_the_outcome(monkeypatch):
     # the suite's JSON keys must not depend on whether a criterion passed, failed or raised
     criteria = [acceptance.criterion_05_classical, acceptance.criterion_14_cg]

@@ -297,15 +297,31 @@ def test_orders_that_compare_nothing_are_refused(capsys, argv):
 
 
 def test_verify_prop4_failure_names_monomial(capsys, monkeypatch):
-    from taukit import cli
+    from taukit import verify
     from taukit.poly import GradedPoly, mono, tvar
 
-    left = GradedPoly(2, {(): F(1), mono([(tvar(1), 1)]): F(1, 2)})
-    right = GradedPoly(2, {(): F(1), mono([(tvar(1), 1)]): F(1, 3)})
-    monkeypatch.setattr(cli, "prop4_pair", lambda *args: (left, right))
+    left = GradedPoly(2, 2, {(): F(1), mono([(tvar(1), 1)]): F(1, 2)})
+    right = GradedPoly(2, 2, {(): F(1), mono([(tvar(1), 1)]): F(1, 3)})
+    monkeypatch.setattr(verify, "prop4_pair", lambda *args: (left, right))
     code, out, _ = run(capsys, "verify", "prop4", "--rspec", RATIO_SPEC, "--b", "1/5", "-d", "2")
     assert code == 1
     assert json.loads(out)["failure"] == {"at": "t1", "lhs": "1/2", "rhs": "1/3"}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("expand", "--rspec", RATIO_SPEC, "-d", "-1"), "-d/--degree"),
+    (("verify", "oracle", "--rspec", RATIO_SPEC, "-d", "-1"), "-d/--degree"),
+    (("verify", "hirota", "--rspec", RATIO_SPEC, "-d", "-1"), "-d/--degree"),
+    (("verify", "remark1", "-d", "-1"), "-d/--degree"),
+    (("verify", "prop4", "--rspec", RATIO_SPEC, "--b", "1/5", "-d", "-1"), "-d/--degree"),
+    (("verify", "oracle", "--rspec", RATIO_SPEC, "-d", "3", "--window", "-1"), "--window"),
+    (("verify", "oracle", "--rspec", RATIO_SPEC, "-d", "3", "--window", "2"), "--window"),
+    (("eval", "aw", "--n", "-1", "--params", "1/5,1/7,2/7,1/11", "--q", "1/2"), "--n"),
+], ids=["expand", "oracle", "hirota", "remark1", "prop4", "window-negative", "window-below-d", "aw-n"])
+def test_negative_sizes_name_their_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} must be >= ") and "Traceback" not in err
 
 
 def test_unknown_subcommand_usage(capsys):

@@ -28,12 +28,13 @@ from taukit.verify import compare_windowed
 T1, T2, T3, B1 = tvar(1), tvar(2), tvar(3), bvar(1)
 
 
-def poly_of(cap, *terms):
-    return GradedPoly(cap, {mono(m): F(c) for m, c in terms})
+def poly_of(d, *terms):
+    """A polynomial in the box (d, d)."""
+    return GradedPoly(d, d, {mono(m): F(c) for m, c in terms})
 
 
-def var(v, cap=6):
-    return GradedPoly.variable(v, cap)
+def var(v, t_max=6, b_max=None):
+    return GradedPoly.variable(v, t_max, t_max if b_max is None else b_max)
 
 
 # -- arithmetic ------------------------------------------------------------------
@@ -56,8 +57,8 @@ def test_add_cancels():
 
 
 def test_result_cap_is_min():
-    p = lift(var(T1, 5), 4) * var(T1, 3)
-    assert p.cap == 3
+    p = lift(var(T1, 5), 4, 2) * var(T1, 3, 5)
+    assert (p.t_max, p.b_max) == (3, 2)
 
 
 # -- derivative -------------------------------------------------------------------
@@ -66,13 +67,15 @@ def test_result_cap_is_min():
 def test_derivative_examples():
     p = poly_of(4, ([(T1, 2)], F(1, 2)), ([(T2, 1)], 1))
     assert derivative(p, T1) == var(T1, 3)
-    assert derivative(p, T2) == GradedPoly.constant(1, 2)
+    assert derivative(p, T2) == GradedPoly.constant(1, 2, 4)
     assert derivative(poly_of(4, ([(T1, 1), (B1, 1)], 1)), B1) == var(T1, 3)
 
 
 def test_derivative_cap_drops():
-    p = poly_of(5, ([(T2, 1)], 1))
-    assert derivative(p, T2).cap == 3
+    p = poly_of(5, ([(T2, 1)], 1), ([(bvar(2), 1)], 1))
+    assert (derivative(p, T2).t_max, derivative(p, T2).b_max) == (3, 5)
+    assert (derivative(p, bvar(2)).t_max, derivative(p, bvar(2)).b_max) == (5, 3)
+    assert (derivative(p, bvar(7)).t_max, derivative(p, bvar(7)).b_max) == (5, 0)
 
 
 # -- exp / log ---------------------------------------------------------------------
@@ -103,7 +106,7 @@ def test_exp_rejects_constant():
 
 def test_inverse():
     u = 1 + var(T1, 4)
-    assert (inverse(u) * u) == GradedPoly.constant(1, 4)
+    assert (inverse(u) * u) == GradedPoly.constant(1, 4, 4)
 
 
 # -- Hirota derivative ---------------------------------------------------------------
@@ -115,7 +118,7 @@ def test_hirota_odd_diagonal_vanishes():
 
 
 def test_hirota_t1_on_t1_and_1():
-    assert hirota_D(var(T1, 3), GradedPoly.constant(1, 3), [(T1, 1)]) == 1
+    assert hirota_D(var(T1, 3), GradedPoly.constant(1, 3, 3), [(T1, 1)]) == 1
 
 
 class YPoly:
@@ -230,7 +233,7 @@ def small_polys(draw, cap=5):
         )
         c = F(draw(st.integers(-4, 4)), draw(st.integers(1, 4)))
         terms[mono(m)] = terms.get(mono(m), 0) + c
-    return GradedPoly(cap, terms)
+    return GradedPoly(cap, cap, terms)
 
 
 @given(small_polys(), small_polys(), small_polys())
@@ -251,7 +254,7 @@ def test_derivative_commutes(p):
 @given(small_polys())
 @settings(max_examples=40)
 def test_hirota_parity(p):
-    q = 1 + p - GradedPoly.constant(p.constant_term(), p.cap)
+    q = 1 + p - GradedPoly.constant(p.constant_term(), p.t_max, p.b_max)
     even_fg = hirota_D(p, q, [(T1, 2)])
     even_gf = hirota_D(q, p, [(T1, 2)])
     assert even_fg == even_gf
@@ -261,46 +264,45 @@ def test_hirota_parity(p):
 
 
 VARS = [T1, T2, T3, B1, bvar(2)]
-CAPS = st.one_of(st.none(), st.integers(0, 6))
+BOUNDS = st.one_of(st.integers(0, 10), st.just(255))
 
 
 @st.composite
 def capped_polys(draw):
-    """Polynomials under random caps: each family cap set or unset, some at the largest cap, 255."""
-    cap = draw(st.one_of(st.integers(0, 10), st.just(255)))
-    fam_caps = (draw(CAPS), draw(CAPS))
+    """Polynomials in random boxes (t_max, b_max), either bound at times the largest, 255."""
+    t_max, b_max = draw(BOUNDS), draw(BOUNDS)
     terms = {}
     for _ in range(draw(st.integers(0, 8))):
         pairs = draw(st.lists(st.tuples(st.sampled_from(VARS), st.integers(1, 3)), max_size=3))
-        if draw(st.booleans()) and cap == 255:
-            pairs.append((T1, draw(st.integers(100, 255))))
+        for v, bound in ((T1, t_max), (B1, b_max)):
+            if draw(st.booleans()) and bound == 255:
+                pairs.append((v, draw(st.integers(100, 255))))
         terms[mono(pairs)] = F(draw(st.integers(-9, 9)), draw(st.integers(1, 12)))
-    return GradedPoly(cap, terms, fam_caps)
+    return GradedPoly(t_max, b_max, terms)
 
 
-def in_caps(m, cap, fam_caps):
+def in_caps(m, t_max, b_max):
     t = sum(v.index * e for v, e in m if v.family == "t")
     b = sum(v.index * e for v, e in m if v.family == "b")
-    return t + b <= cap and all(c is None or w <= c for w, c in zip((t, b), fam_caps))
+    return t <= t_max and b <= b_max
 
 
 class RefPoly:
-    """The naive reference: a {Monomial: Fraction} dict and its caps, every operation term by term."""
+    """The naive reference: a {Monomial: Fraction} dict and its box, every operation term by term."""
 
-    def __init__(self, cap, fam_caps, terms):
-        self.cap, self.fam_caps = cap, tuple(fam_caps)
-        self.terms = {m: F(c) for m, c in terms.items() if c and in_caps(m, cap, self.fam_caps)}
+    def __init__(self, t_max, b_max, terms):
+        self.t_max, self.b_max = t_max, b_max
+        self.terms = {m: F(c) for m, c in terms.items() if c and in_caps(m, t_max, b_max)}
 
     def derivative(self, v):
-        drop = [v.index if v.family == fam else 0 for fam in "tb"]
-        fam_caps = [c if c is None else max(c - w, 0) for c, w in zip(self.fam_caps, drop)]
+        dt, db = (v.index if v.family == fam else 0 for fam in "tb")
         terms = {}
         for m, c in self.terms.items():
             e = dict(m).get(v, 0)
             if e:
                 rest = mono([(u, k - (u == v)) for u, k in m])
                 terms[rest] = terms.get(rest, 0) + c * e
-        return RefPoly(max(self.cap - v.index, 0), fam_caps, terms)
+        return RefPoly(max(self.t_max - dt, 0), max(self.b_max - db, 0), terms)
 
     def series(self, coeffs):
         """sum coeffs[k] * self**k, self without constant term."""
@@ -308,21 +310,19 @@ class RefPoly:
         for c in coeffs:
             for m, v in power.items():
                 out[m] = out.get(m, 0) + c * v
-            power = pairwise_product(RefPoly(self.cap, self.fam_caps, power), self).terms
-        return RefPoly(self.cap, self.fam_caps, out)
+            power = pairwise_product(RefPoly(self.t_max, self.b_max, power), self).terms
+        return RefPoly(self.t_max, self.b_max, out)
 
 
 def pairwise_product(p, q, window=None):
-    """p * q by every pair of terms, kept in the window, by default the tighter caps."""
-    fam = [min(c for c in pair if c is not None) if any(c is not None for c in pair) else None
-           for pair in zip(p.fam_caps, q.fam_caps)]
-    cap, fam = window or (min(p.cap, q.cap), fam)
+    """p * q by every pair of terms, kept in the window, by default the meet of the two boxes."""
+    t_max, b_max = window or (min(p.t_max, q.t_max), min(p.b_max, q.b_max))
     acc = {}
     for m1, c1 in p.terms.items():
         for m2, c2 in q.terms.items():
             m = mono(m1 + m2)
             acc[m] = acc.get(m, 0) + c1 * c2
-    return RefPoly(cap, fam, acc)
+    return RefPoly(t_max, b_max, acc)
 
 
 @given(capped_polys(), capped_polys(), capped_polys())
@@ -331,21 +331,27 @@ def test_product_matches_pairwise_product(p, q, r):
     pq = p * q
     want = pairwise_product(p, q)
     assert pq.terms == want.terms
-    assert (pq.cap, pq.fam_caps) == (want.cap, want.fam_caps)
+    assert (pq.t_max, pq.b_max) == (want.t_max, want.b_max)
     # the product's own packed form feeds the next product
     assert (pq * r).terms == pairwise_product(want, r).terms
 
 
 def test_caps_past_255_are_refused_and_cap_255_stays_exact():
-    # an exponent slot holds 8 bits: every route to a cap past 255 is refused, and t1^255 fills its slot exactly
+    # an exponent slot holds 8 bits: every route to a bound past 255, on either side, is refused,
+    # and t1^255 and b1^255 fill their slots exactly
     low = var(T1, 5)
-    for build in (lambda: GradedPoly(256, {}), lambda: lift(low, 256), lambda: weighted_sum([(1, low)], 256)):
-        with pytest.raises(ValueError, match="255"):
-            build()
+    for box in ((256, 5), (5, 256)):
+        for build in (GradedPoly, lambda *w: lift(low, *w), lambda *w: weighted_sum([(1, low)], *w)):
+            with pytest.raises(ValueError, match="255"):
+                build(*box)
     top = poly_of(255, ([(T1, 255)], 1), ([(T1, 1)], 1))
-    assert (top * GradedPoly.constant(1, 255)).terms == top.terms
+    assert (top * GradedPoly.constant(1, 255, 255)).terms == top.terms
     assert derivative(top, T1) == poly_of(254, ([(T1, 254)], 255), ([], 1))
     assert derivative(top, B1).is_zero()  # nothing spilled into the b1 slot next to t1's
+    b_top = poly_of(255, ([(B1, 255)], 1), ([(B1, 1)], 1))
+    assert (b_top * b_top).terms == {mono([(B1, 2)]): 1}
+    assert derivative(b_top, B1) == poly_of(254, ([(B1, 254)], 255), ([], 1))
+    assert derivative(b_top, T2).is_zero()  # nothing spilled into the t2 slot next to b1's
     assert top == poly_of(255, ([(T1, 1)], 1), ([(T1, 255)], 1)) and low != top and top != low
     assert compare_windowed(low, top, 255, 255) == ("t1^255", "0", "1")
 
@@ -354,28 +360,28 @@ def test_equality_with_a_non_number_is_not_implemented():
     p = var(T1)
     assert p.__eq__("x") is NotImplemented and p.__eq__(None) is NotImplemented
     assert p != "x" and p != None and not p == [p]  # noqa: E711
-    assert GradedPoly.zero(3) == 0 and GradedPoly.constant(F(1, 2), 3) == F(1, 2)
+    assert GradedPoly.zero(3, 3) == 0 and GradedPoly.constant(F(1, 2), 3, 3) == F(1, 2)
 
 
-SMALL_CAPS = st.one_of(st.none(), st.integers(0, 6))
+SMALL_BOUNDS = st.integers(0, 6)
 
 
 @st.composite
 def raw_polys(draw):
-    """(cap, family caps, terms) with cap <= 6; terms may lie outside the caps."""
+    """(t_max, b_max, terms) with both bounds <= 6; terms may lie outside the box."""
     terms = {}
     for _ in range(draw(st.integers(0, 6))):
         pairs = draw(st.lists(st.tuples(st.sampled_from(VARS), st.integers(1, 3)), max_size=3))
         terms[mono(pairs)] = F(draw(st.integers(-9, 9)), draw(st.integers(1, 12)))
-    return draw(st.integers(0, 6)), (draw(SMALL_CAPS), draw(SMALL_CAPS)), terms
+    return draw(SMALL_BOUNDS), draw(SMALL_BOUNDS), terms
 
 
 def agrees(p, ref):
     """Every reading of the packed p matches the reference; the decoded terms are read last."""
-    assert (p.cap, tuple(p.fam_caps)) == (ref.cap, ref.fam_caps)
+    assert (p.t_max, p.b_max) == (ref.t_max, ref.b_max)
     assert p.constant_term() == ref.terms.get((), 0)
     assert p.is_zero() == (not ref.terms)
-    assert p == GradedPoly(255, ref.terms)  # equality reads the packed terms, not the caps
+    assert p == GradedPoly(255, 255, ref.terms)  # equality reads the packed terms, not the box
     assert hash(p) == hash(frozenset(ref.terms.items()))
     assert p.terms == ref.terms
 
@@ -383,22 +389,23 @@ def agrees(p, ref):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_packed_core_matches_reference(data):
-    cap, fam_caps, terms = data.draw(raw_polys())
-    p, ref = GradedPoly(cap, terms, fam_caps), RefPoly(cap, fam_caps, terms)
+    raw = data.draw(raw_polys())
+    p, ref = GradedPoly(*raw), RefPoly(*raw)
     seen = [(p, ref)]
     ops = ["mul", "mul_in", "lift", "derivative", "sum", "log", "exp", "inverse"]
     for op in data.draw(st.lists(st.sampled_from(ops), min_size=1, max_size=4)):
-        window = (data.draw(st.integers(0, 6)), (data.draw(SMALL_CAPS), data.draw(SMALL_CAPS)))
+        window = (data.draw(SMALL_BOUNDS), data.draw(SMALL_BOUNDS))
         other = data.draw(raw_polys())
-        q, q_ref = GradedPoly(other[0], other[2], other[1]), RefPoly(*other)
+        q, q_ref = GradedPoly(*other), RefPoly(*other)
         const = ref.terms.get((), F(0))
-        x_ref = RefPoly(ref.cap, ref.fam_caps, {m: c for m, c in ref.terms.items() if m})
+        x_ref = RefPoly(ref.t_max, ref.b_max, {m: c for m, c in ref.terms.items() if m})
+        top = x_ref.t_max + x_ref.b_max
         if op == "mul":
             p, ref = p * q, pairwise_product(ref, q_ref)
         elif op == "mul_in":
             p, ref = mul_in(p, q, *window), pairwise_product(ref, q_ref, window)
-        elif op == "lift":  # a window narrower or wider than the caps of p
-            window = (max(p.cap + data.draw(st.integers(-3, 2)), 0), window[1])
+        elif op == "lift":  # a window narrower or wider than the box of p
+            window = tuple(max(bound + data.draw(st.integers(-3, 2)), 0) for bound in (p.t_max, p.b_max))
             p, ref = lift(p, *window), RefPoly(*window, ref.terms)
         elif op == "derivative":
             v = data.draw(st.sampled_from(VARS))
@@ -410,15 +417,15 @@ def test_packed_core_matches_reference(data):
                 acc[m] = acc.get(m, 0) + b * c
             p, ref = weighted_sum([(a, p), (b, q)], *window), RefPoly(*window, acc)
         elif op == "exp":
-            p, ref = exp_series(p - const), x_ref.series([F(1, factorial(k)) for k in range(x_ref.cap + 1)])
+            p, ref = exp_series(p - const), x_ref.series([F(1, factorial(k)) for k in range(top + 1)])
         elif op == "log":
-            coeffs = [F(0)] + [F((-1) ** (k + 1), k) for k in range(1, x_ref.cap + 1)]
+            coeffs = [F(0)] + [F((-1) ** (k + 1), k) for k in range(1, top + 1)]
             p, ref = log_series(p - const + 1), x_ref.series(coeffs)
         else:
             c = const or F(1)  # inverse of p, or of p + 1 when p has no constant term
             p = inverse(p if const else p + 1)
-            x_ref = RefPoly(x_ref.cap, x_ref.fam_caps, {m: v / c for m, v in x_ref.terms.items()})
-            ref = x_ref.series([F((-1) ** k) / c for k in range(x_ref.cap + 1)])
+            x_ref = RefPoly(x_ref.t_max, x_ref.b_max, {m: v / c for m, v in x_ref.terms.items()})
+            ref = x_ref.series([F((-1) ** k) / c for k in range(top + 1)])
         agrees(p, ref)
         seen.append((p, ref))
     for (p1, r1), (p2, r2) in zip(seen, seen[1:] + seen[:1]):

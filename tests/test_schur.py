@@ -26,8 +26,8 @@ from taukit.tau import tau_series
 T = GenericTimes("t")
 
 
-def poly_of(cap, *terms):
-    return GradedPoly(cap, {mono(m): F(c) for m, c in terms})
+def poly_of(d, *terms):
+    return GradedPoly(d, d, {mono(m): F(c) for m, c in terms})
 
 
 # -- power sums -----------------------------------------------------------------
@@ -36,14 +36,14 @@ def poly_of(cap, *terms):
 def brute_power_sums(d):
     """Coefficients of exp(sum t_i z^i) expanded term by term, z-degree <= d."""
     # series in z with GradedPoly coefficients: list index = z-power
-    out = [GradedPoly.constant(1, d)] + [GradedPoly.zero(d) for _ in range(d)]
-    xi = [GradedPoly.zero(d) for _ in range(d + 1)]
+    out = [GradedPoly.constant(1, d, d)] + [GradedPoly.zero(d, d) for _ in range(d)]
+    xi = [GradedPoly.zero(d, d) for _ in range(d + 1)]
     for i in range(1, d + 1):
-        xi[i] = GradedPoly.variable(tvar(i), d)
-    power = [GradedPoly.constant(1, d)] + [GradedPoly.zero(d) for _ in range(d)]
+        xi[i] = GradedPoly.variable(tvar(i), d, d)
+    power = [GradedPoly.constant(1, d, d)] + [GradedPoly.zero(d, d) for _ in range(d)]
     factorial = 1
     for k in range(1, d + 1):
-        nxt = [GradedPoly.zero(d) for _ in range(d + 1)]
+        nxt = [GradedPoly.zero(d, d) for _ in range(d + 1)]
         for za in range(d + 1):
             if power[za].is_zero():
                 continue
@@ -172,7 +172,7 @@ def test_skew_examples():
     got = skew_schur_poly((2, 1), (1,), T, 4)
     assert got == schur_poly((2,), T, 4) + schur_poly((1, 1), T, 4)
     assert got == poly_of(4, ([(tvar(1), 2)], 1))
-    assert skew_schur_poly((2, 1), (2, 1), T, 4) == GradedPoly.constant(1, 4)
+    assert skew_schur_poly((2, 1), (2, 1), T, 4) == GradedPoly.constant(1, 4, 4)
 
 
 def test_skew_rejects_non_contained():

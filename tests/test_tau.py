@@ -59,7 +59,7 @@ def lin(*shifts, den=()):
 
 def test_zero_beta_gives_one():
     r = lin(F(1, 2), den=(F(1, 3),))
-    assert tau_series(r, 0, 5, T, NumericTimes(())) == GradedPoly.constant(1, 5)
+    assert tau_series(r, 0, 5, T, NumericTimes(())) == GradedPoly.constant(1, 5, 5)
     assert tau_series(r, 0, 5, NumericTimes(()), NumericTimes(())) == 1
 
 
@@ -119,10 +119,10 @@ def test_tau_expansion_caches_coefficients():
 
 def schur_product_tau(r, m, d):
     """sum r_lam s_lam(t) s_lam(b), multiplied out with GradedPoly products."""
-    total = GradedPoly.zero(2 * d, (d, d))
+    total = GradedPoly.zero(d, d)
     for lam in enumerate_up_to(d):
-        st = GradedPoly(2 * d, schur_poly(lam, T, d).terms, (d, d))
-        sb = GradedPoly(2 * d, schur_poly(lam, B, d).terms, (d, d))
+        st = GradedPoly(d, d, schur_poly(lam, T, d).terms)
+        sb = GradedPoly(d, d, schur_poly(lam, B, d).terms)
         total = total + (st * sb).scale(content_product(r, lam, m))
     return total
 
@@ -183,6 +183,13 @@ def test_chain_single_pair_collapses():
     rt, r = lin(F(1, 2)), lin(F(5, 7), den=(F(1, 3),))
     chain = ChainSpec(left=((rt, T),), right=((r, B),))
     assert tau_general(chain, 1, 4) == tau_two_sided(rt, r, 1, 4, T, B)
+
+
+def test_chain_windows_are_the_box():
+    rt, r = lin(F(1, 2)), lin(F(5, 7), den=(F(1, 3),))
+    for right in (((r, B),), ((r, NumericTimes((F(1, 2),))),)):
+        got = tau_general(ChainSpec(left=((rt, T),), right=right), 0, 4)
+        assert (got.t_max, got.b_max) == (4, 4)
 
 
 def test_chain_extra_zero_times_is_identity_layer():
@@ -270,7 +277,7 @@ def test_pfs_equals_tau_series_route():
     a, b = [F(1, 3), F(3, 2)], [F(2, 7)]
     for m in (-1, 0, 1):
         direct = pfs_multivar(a, b, m, T, 5)
-        want = GradedPoly(5)
+        want = GradedPoly(5, 5)
         for lam in enumerate_up_to(5):
             want = want + schur_poly(lam, T, 5).scale(poch_ratio(a, b, m, lam) / hook_data(lam).product)
         assert direct == want

@@ -13,6 +13,8 @@ from taukit.poly import (
     derivative,
     format_monomial,
     format_rational,
+    hirota_D,
+    lift,
     mono,
     mono_weights,
     mul_in,
@@ -56,15 +58,15 @@ def test_report_json_shape():
 
 
 def test_compare_windowed_finds_first_failure():
-    t1 = GradedPoly.variable(tvar(1), 4)
+    t1 = GradedPoly.variable(tvar(1), 4, 4)
     lhs = 1 + t1
     rhs = 1 + t1.scale(2)
     where, lv, rv = compare_windowed(lhs, rhs, 4, 4)
     assert where == "t1" and lv == "1" and rv == "2"
     assert compare_windowed(lhs, rhs, 0, 0) is None  # outside the window
-    corner = GradedPoly(4, {mono([(tvar(1), 1), (bvar(2), 1)]): F(1, 2)})
-    assert compare_windowed(corner, GradedPoly.zero(4), 1, 2) == ("b2*t1", "1/2", "0")
-    assert compare_windowed(corner, GradedPoly.zero(4), 1, 1) is None
+    corner = GradedPoly(4, 4, {mono([(tvar(1), 1), (bvar(2), 1)]): F(1, 2)})
+    assert compare_windowed(corner, GradedPoly.zero(4, 4), 1, 2) == ("b2*t1", "1/2", "0")
+    assert compare_windowed(corner, GradedPoly.zero(4, 4), 1, 1) is None
 
 
 # -- Hirota bilinear --------------------------------------------------------------------
@@ -108,12 +110,12 @@ def test_hirota_grade_ten():
 def test_explicit_window_keeps_what_derivative_caps_drop():
     # d_t1 tau keeps t-weight <= d - 1 and d_b1 tau b-weight <= d - 1; their
     # product is exact for t-weight <= d, b-weight <= d - 1, and so is
-    # t2 * d_t1 tau, whose coefficient at (d, d - 1) the caps alone would drop
+    # t2 * d_t1 tau, whose coefficient at (d, d - 1) the boxes alone would drop
     d = 5
     t1, t2, b1 = tvar(1), tvar(2), bvar(1)
     tau = tau_series(RATIO, 0, d, GenericTimes("t"), GenericTimes("b"))
     exact = tau_series(RATIO, 0, d + 2, GenericTimes("t"), GenericTimes("b"))
-    window = (2 * d - 1, (d, d - 1))
+    window = (d, d - 1)
 
     def in_window(terms):
         return {m: c for m, c in terms.items() if c and mono_weights(m)[0] <= d and mono_weights(m)[1] <= d - 1}
@@ -126,19 +128,38 @@ def test_explicit_window_keeps_what_derivative_caps_drop():
                 acc[m] = acc.get(m, 0) + c1 * c2
         return acc
 
-    variable = GradedPoly.variable(t2, 2 * d + 4)
+    variable = GradedPoly.variable(t2, 2 * d + 4, 2 * d + 4)
     cases = [
         ((derivative(tau, t1), derivative(tau, b1)), (derivative(exact, t1), derivative(exact, b1))),
         ((variable, derivative(tau, t1)), (variable, derivative(exact, t1))),
     ]
     for (p, q), (p_exact, q_exact) in cases:
         got = mul_in(p, q, *window)
-        assert got.fam_caps == (d, d - 1)
+        assert (got.t_max, got.b_max) == window
         assert got.terms == in_window(pairwise(p_exact, q_exact))
     dropped = variable * derivative(tau, t1)
-    assert dropped.fam_caps == (d - 1, d)
+    assert (dropped.t_max, dropped.b_max) == (d - 1, d)
     top = mono([(b1, d - 1), (t2, 1), (t1, d - 2)])
     assert got.coeff(top) != 0 and dropped.coeff(top) == 0
+
+
+def test_windows_are_boxes():
+    # a tau truncated at grade d lives in the box (d, d); a derivative lowers its own family's
+    # bound; hirota_D's result is the meet of the boxes of its pieces
+    d = 5
+    t1, b2 = tvar(1), bvar(2)
+    tau = verify._generic_tau(RATIO, 0, d)
+
+    def box(p):
+        return p.t_max, p.b_max
+
+    assert box(tau) == (d, d)
+    assert box(derivative(tau, t1)) == (d - 1, d)
+    assert box(derivative(tau, b2)) == (d, d - 2)
+    assert box(hirota_D(tau, tau, [(t1, 1), (b2, 1)])) == (d - 1, d - 2)
+    g = lift(tau, d - 2, d)
+    # pieces: tau * d_t1 g in (d - 3, d) and d_t1 tau * g in (d - 2, d)
+    assert box(hirota_D(tau, g, [(t1, 1)])) == (d - 3, d)
 
 
 # CheckReport JSON at d = 8 for r = (D+1/2)/(D+1/3), M = 0, captured while products still
@@ -162,7 +183,7 @@ def test_golden_reports(check, tau, monkeypatch):
 
         def mutated(r, m, d):
             base = render(r, m, d)
-            extra = GradedPoly(base.cap, {mono([(tvar(1), 2), (bvar(2), 1)]): F(1, 5)}, base.fam_caps)
+            extra = GradedPoly(base.t_max, base.b_max, {mono([(tvar(1), 2), (bvar(2), 1)]): F(1, 5)})
             return base + extra
 
         monkeypatch.setattr(verify, "_generic_tau", mutated)
@@ -223,7 +244,7 @@ def test_windowed_failure_matches_sorted_scan(check, at, monkeypatch):
 
     def mutated(r, m, d):
         base = render(r, m, d)
-        return base + GradedPoly(base.cap, {mono(at): F(2, 7)}, base.fam_caps)
+        return base + GradedPoly(base.t_max, base.b_max, {mono(at): F(2, 7)})
 
     seen = []
 
@@ -413,13 +434,13 @@ def _cofactor_det(block, idx):
 
     The block's rows and columns run over the indices 0, -1, ..., so index j sits at -j.
     """
-    one = GradedPoly.constant(1, block[0][0].cap, block[0][0].fam_caps)
+    one = GradedPoly.constant(1, block[0][0].t_max, block[0][0].b_max)
     minors = {(): one}
 
     def minor(cols):
         if cols not in minors:
             row = idx[len(idx) - len(cols)]
-            total = GradedPoly.zero(one.cap, one.fam_caps)
+            total = GradedPoly.zero(one.t_max, one.b_max)
             for i, col in enumerate(cols):
                 term = block[-row][-col] * minor(cols[:i] + cols[i + 1:])
                 total = total + term if i % 2 == 0 else total - term
@@ -455,6 +476,19 @@ def test_remark1_qspec_vanishing():
 def test_remark1_miwa_vanishing():
     assert check_remark1("miwa", {"N": 2}, 6).passed
     assert check_remark1("miwa", {"N": 1, "x": (F(1, 2),)}, 6).passed
+
+
+@pytest.mark.parametrize("mode, params", [
+    ("miwa", {"N": 3, "x": (F(1, 2), F(1, 3))}),
+    ("miwa", {"N": 2, "x": (F(1, 2), F(0))}),
+    ("dual", {"K": 2, "q": F(1, 2), "x": (F(1, 2), F(1, 3), F(1, 5))}),
+    ("dual", {"K": 1, "q": F(1, 2), "x": (0,)}),
+], ids=["miwa-short", "miwa-zero", "dual-long", "dual-zero"])
+def test_remark1_refuses_x_it_does_not_cover(mode, params):
+    # another count of nonzero variables moves where s_lam(x) vanishes: a failing report would
+    # read as a broken identity
+    with pytest.raises(ValueError, match=r"needs x of [NK] = \d nonzero values"):
+        check_remark1(mode, params, 4)
 
 
 def test_remark1_dual():
@@ -504,15 +538,15 @@ def test_oracle_comparison_catches_wrong_spec():
 # -- the window block really is a product of nilpotent exponentials ----------------------------
 
 
-def matrix_exp_nilpotent(x, size, cap, fam_caps):
+def matrix_exp_nilpotent(x, size, t_max, b_max):
     """exp of a strictly triangular GradedPoly matrix, summed until X^k = 0."""
     from math import factorial
 
-    one = GradedPoly.constant(1, cap, fam_caps)
-    zero = GradedPoly.zero(cap, fam_caps)
+    one = GradedPoly.constant(1, t_max, b_max)
+    zero = GradedPoly.zero(t_max, b_max)
     out = [[one if i == j else zero for j in range(size)] for i in range(size)]
     power = [row[:] for row in out]
-    for k in range(1, size + cap + 1):
+    for k in range(1, size + t_max + b_max + 1):
         nxt = [[zero for _ in range(size)] for _ in range(size)]
         nonzero = False
         for i in range(size):
@@ -539,10 +573,9 @@ def test_window_block_matches_literal_matrix_exponentials():
     from taukit.verify import _window_block
 
     r, m, d, window = RATIO, 1, 3, 3
-    cap, fam_caps = 2 * d, (d, d)
     idx = list(range(-window, d + 1))
     size = len(idx)
-    zero = GradedPoly.zero(cap, fam_caps)
+    zero = GradedPoly.zero(d, d)
 
     # xi(t, shift): entry (j, k) = t_{k-j}; on the other side the shift is
     # inverted and weighted by the diagonal r(. + M)
@@ -551,14 +584,14 @@ def test_window_block_matches_literal_matrix_exponentials():
     for a, j in enumerate(idx):
         for b, k in enumerate(idx):
             if 1 <= k - j <= d:
-                xi_up[a][b] = GradedPoly.variable(tvar(k - j), cap, fam_caps)
+                xi_up[a][b] = GradedPoly.variable(tvar(k - j), d, d)
             if 1 <= j - k <= d:
                 prod = F(1)
                 for i in range(k, j):
                     prod *= r_eval(r, i + m)
-                xi_dn[a][b] = GradedPoly.variable(bvar(j - k), cap, fam_caps).scale(prod)
-    u_plus = matrix_exp_nilpotent(xi_up, size, cap, fam_caps)
-    u_minus = matrix_exp_nilpotent(xi_dn, size, cap, fam_caps)
+                xi_dn[a][b] = GradedPoly.variable(bvar(j - k), d, d).scale(prod)
+    u_plus = matrix_exp_nilpotent(xi_up, size, d, d)
+    u_minus = matrix_exp_nilpotent(xi_dn, size, d, d)
     block = _window_block(r, m, d, window)
     for a, j in enumerate(idx):
         if j > 0:
@@ -585,13 +618,11 @@ def test_window_block_xi_argument_powers():
     pb = power_sums_basis(2, "b")
     for j in (-2, -1, 0):
         for k in (-2, -1, 0):
-            want = GradedPoly.zero(4, (2, 2))
+            want = GradedPoly.zero(2, 2)
             for l in range(max(j, k), 3):
                 if l - j > 2 or l - k > 2:
                     continue
-                want = want + GradedPoly(4, pt[l - j].terms, (2, 2)) * GradedPoly(
-                    4, pb[l - k].terms, (2, 2)
-                )
+                want = want + GradedPoly(2, 2, pt[l - j].terms) * GradedPoly(2, 2, pb[l - k].terms)
             assert block[-j][-k] == want
 
 
