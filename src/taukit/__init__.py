@@ -7,7 +7,6 @@ lattice identities these series satisfy.
 """
 
 from .partitions import (
-    HookData,
     conjugate,
     contains,
     enumerate_up_to,
@@ -27,6 +26,7 @@ from .poly import (
     log_series,
     mono,
     parse_rational,
+    q_number,
     tvar,
 )
 from .rspec import (

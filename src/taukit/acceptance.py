@@ -305,8 +305,8 @@ def criterion_11_example6(seed: int) -> CheckReport:
                 num *= poch_partition(a1 + m, (n1,)) if n1 else F(1)
                 den = poch_partition(bt + m, (n,)) if n else F(1)
                 den *= poch_partition(b1 + m, (n1,)) if n1 else F(1)
-                fact1 = hook_data((n1,) if n1 else ()).product
-                fact2 = hook_data((n2,) if n2 else ()).product
+                fact1 = hook_data((n1,) if n1 else ())
+                fact2 = hook_data((n2,) if n2 else ())
                 want += num / den * y1**n1 * y2**n2 * x**n / (fact1 * fact2)
         got = tau_general(chain, m, d)
         if got != want:

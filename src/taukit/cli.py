@@ -101,17 +101,21 @@ def cmd_expand(args) -> int:
     return OK
 
 
+def _one_var(coeffs: list[Fraction], x: Fraction | None) -> dict:
+    """A one-variable series as its coefficients, and its value at x when x is given."""
+    out = {"coefficients": [format_rational(c) for c in coeffs]}
+    if x is not None:
+        out["value"] = format_rational(sum((c * x**k for k, c in enumerate(coeffs)), Fraction(0)))
+    return out
+
+
 def cmd_eval(args) -> int:
     fmt = args.format
     if args.family in ("pfq", "qphi") and args.order < 0:
         raise ValueError(f"--order must be >= 0 for eval {args.family}, got {args.order}")
     if args.family == "pfq":
-        a, b = _rat_list(args.a), _rat_list(args.b)
-        coeffs = pfq_one_var_coeffs(a, b, args.charge, args.order)
-        out = {"coefficients": [format_rational(c) for c in coeffs]}
-        if args.x:
-            x = parse_rational(args.x)
-            out["value"] = format_rational(sum((c * x**k for k, c in enumerate(coeffs)), Fraction(0)))
+        coeffs = pfq_one_var_coeffs(_rat_list(args.a), _rat_list(args.b), args.charge, args.order)
+        out = _one_var(coeffs, parse_rational(args.x) if args.x else None)
     elif args.family == "qphi":
         a, b = _rat_list(args.a), _rat_list(args.b)
         q = parse_rational(_needs(args, "q", "qphi"))
@@ -119,12 +123,7 @@ def cmd_eval(args) -> int:
         if len(xs) > 1:
             out = {"value": format_rational(qphi_multivar(a, b, args.charge, q, xs, args.order))}
         else:
-            coeffs = qphi_one_var_coeffs(a, b, args.charge, q, args.order)
-            out = {"coefficients": [format_rational(c) for c in coeffs]}
-            if xs:
-                out["value"] = format_rational(
-                    sum((c * xs[0] ** k for k, c in enumerate(coeffs)), Fraction(0))
-                )
+            out = _one_var(qphi_one_var_coeffs(a, b, args.charge, q, args.order), xs[0] if xs else None)
     elif args.family == "aw":
         params = _rat_list(args.params)
         if len(params) != 4:
@@ -145,6 +144,8 @@ def cmd_eval(args) -> int:
         raise ValueError(f"unknown eval family {args.family!r}")
     if fmt == "csv" and "coefficients" in out:
         rows = list(enumerate(out["coefficients"]))
+        if "value" in out:
+            rows.append(("value", out["value"]))
         print(emit((("order", "coefficient"), rows), "csv"))
     else:
         print(emit(out, fmt))

@@ -7,7 +7,6 @@ pairs, row ``i`` and column ``j``, and the content of a cell is ``j - i``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Iterator
@@ -69,14 +68,6 @@ def contains(outer: Partition, inner: Partition) -> bool:
     return all(inner[i] <= outer[i] for i in range(len(inner)))
 
 
-@dataclass(frozen=True)
-class HookData:
-    hooks: tuple  # hook length per cell, row-major
-    product: Fraction  # H = prod of hook lengths
-    q_product: Fraction | None  # H(q) = prod (1 - q^h), when q is given
-    n_stat: int  # sum (i-1) * lam_i
-
-
 def hook_lengths(lam: Partition) -> tuple:
     conj = conjugate(lam)
     return tuple(lam[i - 1] + conj[j - 1] - i - j + 1 for i, j in cells(lam))
@@ -86,14 +77,13 @@ def n_statistic(lam: Partition) -> int:
     return sum((i - 1) * part for i, part in enumerate(lam, start=1))
 
 
-def hook_data(lam: Partition, q: Fraction | None = None) -> HookData:
-    """Hook lengths, their product, the q-hook product, and the n-statistic."""
-    if q is not None and q == 0:
+def hook_data(lam: Partition, q: Fraction | None = None) -> Fraction:
+    """The hook product of lam: H = prod h at q = None, H(q) = prod (1 - q^h) otherwise."""
+    if q == 0:
         raise ValueError("q must be nonzero")
     hooks = hook_lengths(lam)
-    q_product = None
-    if q is not None:
-        # prod (1 - (a/b)^h) = prod (b^h - a^h) / b^(sum h), reduced once
-        a, b = Fraction(q).as_integer_ratio()
-        q_product = Fraction(prod(b**h - a**h for h in hooks), b ** sum(hooks))
-    return HookData(hooks=hooks, product=Fraction(prod(hooks)), q_product=q_product, n_stat=n_statistic(lam))
+    if q is None:
+        return Fraction(prod(hooks))
+    # prod (1 - (a/b)^h) = prod (b^h - a^h) / b^(sum h), reduced once
+    a, b = Fraction(q).as_integer_ratio()
+    return Fraction(prod(b**h - a**h for h in hooks), b ** sum(hooks))

@@ -471,6 +471,15 @@ def rational_pow(base: Fraction, exponent: Fraction) -> Fraction:
     return root ** int(exponent.numerator)
 
 
+def q_number(x: Fraction, q: Fraction | None) -> Fraction:
+    """The factor of every classical and q-product: x at q = None, 1 - q^x otherwise."""
+    if q is None:
+        return Fraction(x)
+    if q == 0:
+        raise ValueError("q must be nonzero")
+    return 1 - rational_pow(q, x)
+
+
 def is_integral(x: Fraction) -> bool:
     return Fraction(x).denominator == 1
 

@@ -20,8 +20,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .partitions import check_partition, contains
-from .poly import format_rational, parse_rational, rational_pow
+from .partitions import check_partition, contains, contents
+from .poly import format_rational, parse_rational, q_number, rational_pow
 
 
 class PoleError(ArithmeticError):
@@ -165,29 +165,14 @@ def skew_content_product(r: RSpec, outer, inner, m: int) -> Fraction:
 
 
 def poch_partition(a, lam, q: Fraction | None = None) -> Fraction:
-    """Pochhammer symbol of a partition.
+    """Pochhammer symbol of a partition, the product of q_number(a + j - i, q) over its cells:
 
-    q given:  (q^a; q)_lam = prod_cells (1 - q^(a + j - i));
-    q absent: (a)_lam = prod_cells (a + j - i).
+    (q^a; q)_lam = prod_cells (1 - q^(a + j - i)), and (a)_lam = prod_cells (a + j - i) at q = None.
     """
     a = Fraction(a)
-    lam = check_partition(lam)
-    if not lam:
-        return Fraction(1)
-    if q is None:
-        out = Fraction(1)
-        for i, part in enumerate(lam, start=1):
-            for j in range(1, part + 1):
-                out *= a + j - i
-        return out
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("q must be nonzero")
-    qa = rational_pow(q, a)
     out = Fraction(1)
-    for i, part in enumerate(lam, start=1):
-        for j in range(1, part + 1):
-            out *= 1 - qa * q ** (j - i)
+    for c in contents(check_partition(lam)):
+        out *= q_number(a + c, q)
     return out
 
 

@@ -7,11 +7,14 @@ A Schur value is computed from a "times" specification:
 * ``NumericTimes(t)``: explicit rational values t_m; the value is a
   rational number.
 * ``MiwaTimes(x, sign)``: t_m = sign * sum_i x_i^m / m.
-* ``PrincipalTimes(a, q)``: t_m = (1 - (q^a)^m) / (m (1 - q^m)); with
-  ``q=None`` the rational degeneration t_m = a/m.
+* ``PrincipalTimes(a, q)``: t_m = [a m] / (m [m]) with [x] = q_number(x, q),
+  that is (1 - q^{am}) / (m (1 - q^m)), and a/m at ``q=None``.
 * ``PrincipalInfinityTimes(q)``: symbolic marker for the large-a limit of
-  the principal family; Schur values collapse to hook-product formulas
-  1/H_lam (``q=None``) or q^{n(lam)}/H_lam(q).
+  the principal family; Schur values collapse to the one hook product,
+  q^{n(lam)}/H_lam(q), which is 1/H_lam at ``q=None``.
+
+As everywhere in taukit, the classical case of a q-product is q = None:
+each factor is q_number(x, q), x classically and 1 - q^x otherwise.
 
 Each evaluated kind (numeric, Miwa, principal) gives its values
 [t_1, ..., t_d] through ``values(d)``.
@@ -21,8 +24,9 @@ chi^lam(rho) / prod m_k!, rho having m_k parts equal to k.  Evaluated =
 Jacobi-Trudi over p_m values resolved once per times object and kept in
 its memo for its lifetime (never a bialternant ratio, which would hit 0/0
 at coincident points); tests use it on plain value lists as the
-independent oracle for the characters and the memo, and the closed
-hook/content form in ``schur_principal_value`` likewise.
+independent oracle for the characters and the memo, and the closed form
+``schur_principal_value`` = (q^a; q)_lam times the principal-infinity value
+likewise.
 """
 
 from __future__ import annotations
@@ -40,13 +44,13 @@ from .partitions import (
     Partition,
     check_partition,
     conjugate,
-    contents,
     contains,
     hook_data,
     n_statistic,
     partitions_of,
 )
-from .poly import FAMILY_B, FAMILY_T, GradedPoly, Var, _key, rational_pow
+from .poly import FAMILY_B, FAMILY_T, GradedPoly, Var, _key, q_number
+from .rspec import poch_partition
 
 # -- times specifications -----------------------------------------------------
 
@@ -115,20 +119,15 @@ class PrincipalTimes(_EvaluatedTimes):
             object.__setattr__(self, "q", Fraction(self.q))
 
     def values(self, d: int) -> list[Fraction]:
-        """[t_1, ..., t_d] with t_m = (1 - q^{am}) / (m (1 - q^m)), or a/m without q.
+        """[t_1, ..., t_d] with t_m = [a m] / (m [m]), [x] = q_number(x, q).
 
-        Refuses q = 0 and a q with q^m = 1 for some m <= d.
+        That is (1 - q^{am}) / (m (1 - q^m)), and a/m at q = None.  Refuses
+        q = 0, a q with q^m = 1 for some m <= d, and an irrational q^a.
         """
-        a, q = self.a, self.q
-        if q is None:
-            return [a / m for m in range(1, d + 1)]
-        if q == 0:
-            raise ValueError("q must be nonzero")
-        for m in range(1, d + 1):
-            if q**m == 1:
-                raise ValueError(f"q^{m} = 1: q is a root of unity in range")
-        qa = rational_pow(q, a)
-        return [(1 - qa**m) / (m * (1 - q**m)) for m in range(1, d + 1)]
+        dens = [m * q_number(m, self.q) for m in range(1, d + 1)]
+        if 0 in dens:
+            raise ValueError(f"q^{dens.index(0) + 1} = 1: q is a root of unity in range")
+        return [q_number(self.a * m, self.q) / den for m, den in enumerate(dens, start=1)]
 
 
 @dataclass(frozen=True)
@@ -318,17 +317,14 @@ def schur_poly(lam, times, d: int):
 
     Generic times go through the characters, evaluated times through the
     Jacobi-Trudi determinant of the p_m values (p_k = 0 for k < 0,
-    s_empty = 1).  The infinity markers resolve to 1/H_lam and
-    q^{n(lam)}/H_lam(q).
+    s_empty = 1).  The infinity marker resolves to q^{n(lam)}/H_lam(q),
+    1/H_lam at q = None.
     """
     lam = check_partition(lam)
     if isinstance(times, GenericTimes):
         return _schur_generic(lam, (), times.family, d)
     if isinstance(times, PrincipalInfinityTimes):
-        hd = hook_data(lam, times.q)
-        if times.q is None:
-            return Fraction(1) / hd.product
-        return Fraction(times.q) ** n_statistic(lam) / hd.q_product
+        return Fraction(times.q or 1) ** n_statistic(lam) / hook_data(lam, times.q)
     return _jacobi_trudi(lam, (), lambda twisted, top: times._power_sums(d, twisted, top))
 
 
@@ -350,25 +346,7 @@ def skew_schur_poly(outer, inner, times, d: int):
 
 
 def schur_principal_value(lam, a, q: Fraction | None = None) -> Fraction:
-    """Closed product form of s_lam at principal times.
-
-    q given:  prod_cells (1 - q^(a + j - i)) * q^{n(lam)} / H_lam(q);
-    q absent: prod_cells (a + j - i) / H_lam.
+    """Closed product form of s_lam at PrincipalTimes(a, q): the Pochhammer symbol of lam
+    times the principal-infinity value, (q^a; q)_lam q^{n(lam)} / H_lam(q), or (a)_lam / H_lam at q = None.
     """
-    lam = check_partition(lam)
-    a = Fraction(a)
-    if q is None:
-        hd = hook_data(lam)
-        num = Fraction(1)
-        for c in contents(lam):
-            num *= a + c
-        return num / hd.product
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("q must be nonzero")
-    hd = hook_data(lam, q)
-    qa = rational_pow(q, a)
-    num = Fraction(1)
-    for c in contents(lam):
-        num *= 1 - qa * q**c
-    return num * q ** n_statistic(lam) / hd.q_product
+    return poch_partition(a, lam, q) * schur_poly(lam, PrincipalInfinityTimes(q), 0)

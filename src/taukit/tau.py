@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .partitions import contains, enumerate_up_to
-from .poly import is_integral, lift, rational_pow, weighted_sum
+from .poly import is_integral, lift, q_number, rational_pow, weighted_sum
 from .rspec import (
     LinFactor,
     PoleError,
@@ -234,36 +234,27 @@ def pfq_one_var_coeffs(a, b, m: int, order: int) -> list[Fraction]:
 def classical_reference(a, b, order: int, q=None) -> list[Fraction]:
     """Taylor coefficients of pFs (or pPhis) by direct term-ratio recursion.
 
-    Independent of the partition machinery: c_0 = 1 and
+    Independent of the partition machinery: c_0 = 1 and, with [x] = q_number(x, q)
+    (x at q = None, 1 - q^x otherwise),
 
-        plain: c_{k+1} = c_k * prod(a_i + k) / (prod(b_j + k) * (k + 1)),
-        q:     c_{k+1} = c_k * prod(1 - q^{a_i+k})
-                         / (prod(1 - q^{b_j+k}) * (1 - q^{k+1})).
+        c_{k+1} = c_k * prod [a_i + k] / (prod [b_j + k] * [k + 1]).
+
+    A zero [b_j + k] raises PoleError.  [k + 1] divides last, so at a root
+    of unity q that pole is reported before [k + 1] = 0 is divided by.
     """
     a = [Fraction(v) for v in a]
     b = [Fraction(v) for v in b]
     coeffs = [Fraction(1)]
     for k in range(order):
         c = coeffs[-1]
-        if q is None:
-            for ai in a:
-                c *= ai + k
-            for bj in b:
-                if bj + k == 0:
-                    raise PoleError(int(-bj), f"series parameter pole at b={bj}, k={k}")
-                c /= bj + k
-            c /= k + 1
-        else:
-            qq = Fraction(q)
-            for ai in a:
-                c *= 1 - rational_pow(qq, ai + k)
-            for bj in b:
-                f = 1 - rational_pow(qq, bj + k)
-                if f == 0:
-                    raise PoleError(k, f"series parameter pole at b={bj}, k={k}")
-                c /= f
-            c /= 1 - qq ** (k + 1)
-        coeffs.append(c)
+        for ai in a:
+            c *= q_number(ai + k, q)
+        for bj in b:
+            f = q_number(bj + k, q)
+            if f == 0:
+                raise PoleError(k, f"series parameter pole at b={bj}, k={k}")
+            c /= f
+        coeffs.append(c / q_number(k + 1, q))
     return coeffs
 
 

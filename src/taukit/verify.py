@@ -32,6 +32,7 @@ from .poly import (
     lift,
     log_series,
     mul_in,
+    q_number,
     tvar,
     weighted_sum,
 )
@@ -101,7 +102,7 @@ def _generic_tau(r: RSpec, m: int, d: int) -> GradedPoly:
 def _bilinear_window(name: str, d: int) -> int:
     """The diagonal grade d - 1 a bilinear check compares up to; refuses an empty window."""
     if d < 1:
-        raise ValueError(f"{name} compares grades up to d - 1: degree d = {d} compares nothing, use d >= 1")
+        raise ValueError(f"{name} compares grades up to d - 1: degree d = {d} compares nothing, use -d/--degree >= 1")
     return d - 1
 
 
@@ -164,7 +165,7 @@ def check_kp_bilinear(r: RSpec, m: int, d: int) -> CheckReport:
     b-weight alone; below d = 4 it holds no coefficient.
     """
     if d < 4:
-        raise ValueError(f"kp compares b-weights 4..d: degree d = {d} compares nothing, use d >= 4")
+        raise ValueError(f"kp compares b-weights 4..d: degree d = {d} compares nothing, use -d/--degree >= 4")
     tau = _generic_tau(r, m, d)
     expr = (
         hirota_D(tau, tau, [(tvar(1), 4)])
@@ -182,7 +183,7 @@ def check_kp_bilinear(r: RSpec, m: int, d: int) -> CheckReport:
 
 
 def _check_termwise(name: str, a, b, q, order: int) -> CheckReport:
-    """step(k) c_{k+1} = r(k) c_k for k < order, r the family symbol of (a, b, q)."""
+    """[k + 1] c_{k+1} = r(k) c_k for k < order, [x] = q_number(x, q), r the family symbol of (a, b, q)."""
     if order < 1:
         raise ValueError(f"{name} compares x^0..x^(order-1): order = {order} compares nothing, use --order >= 1")
     if q is not None:
@@ -193,8 +194,7 @@ def _check_termwise(name: str, a, b, q, order: int) -> CheckReport:
     coeffs = _row_coeffs(r, 0, order)
     failure = None
     for k in range(order):
-        step = k + 1 if q is None else 1 - q ** (k + 1)
-        lhs, rhs = step * coeffs[k + 1], r_eval(r, k) * coeffs[k]
+        lhs, rhs = q_number(k + 1, q) * coeffs[k + 1], r_eval(r, k) * coeffs[k]
         if lhs != rhs:
             failure = (f"x^{k}", format_rational(lhs), format_rational(rhs))
             break

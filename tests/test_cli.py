@@ -82,6 +82,23 @@ def test_eval_qphi_coefficients(capsys):
     assert payload["coefficients"] == [str(c) for c in ref]
 
 
+@pytest.mark.parametrize("argv, x", [
+    (("eval", "pfq", "--a", "1/2", "--b", "3/2", "--order", "3"), "1/2"),
+    (("eval", "qphi", "--a", "2", "--b", "3", "--q", "1/2", "--order", "5"), "1/3"),
+], ids=["pfq", "qphi"])
+def test_eval_csv_ends_with_the_value(capsys, argv, x):
+    _, out, _ = run(capsys, *argv, "--x", x)
+    payload = json.loads(out)
+    code, out, _ = run(capsys, *argv, "--x", x, "--format", "csv")
+    assert code == 0
+    rows = out.split("\n")
+    assert rows[0] == "order,coefficient"
+    assert rows[1:-1] == [f"{k},{c}" for k, c in enumerate(payload["coefficients"])]
+    assert rows[-1] == f"value,{payload['value']}"
+    _, out, _ = run(capsys, *argv, "--format", "csv")
+    assert out.split("\n") == rows[:-1]
+
+
 def test_eval_aw(capsys):
     code, out, _ = run(
         capsys, "eval", "aw", "--n", "2", "--params", "1/5,1/7,2/7,1/11",
@@ -194,6 +211,49 @@ def test_verify_failed_check_exits_one(capsys):
     capsys.readouterr()
 
 
+# -- suite -------------------------------------------------------------------------------
+
+# `taukit suite` stdout at seed 1729, byte for byte
+GOLDEN_SUITE = (
+    "PASS criterion-01-oracle\n"
+    "PASS criterion-02-hirota\n"
+    "PASS criterion-03-toda\n"
+    "PASS criterion-04-kp\n"
+    "PASS criterion-05-classical\n"
+    "PASS criterion-06-qdiff\n"
+    "PASS criterion-07-ode\n"
+    "PASS criterion-08-prop4\n"
+    "PASS criterion-09-remark1\n"
+    "PASS criterion-10-poch-bridge\n"
+    "PASS criterion-11-example6\n"
+    "PASS criterion-12-aw\n"
+    "PASS criterion-13-two-sided\n"
+    "PASS criterion-14-cg\n"
+    "{"
+    '"criterion-01-oracle":"pass",'
+    '"criterion-02-hirota":"pass",'
+    '"criterion-03-toda":"pass",'
+    '"criterion-04-kp":"pass",'
+    '"criterion-05-classical":"pass",'
+    '"criterion-06-qdiff":"pass",'
+    '"criterion-07-ode":"pass",'
+    '"criterion-08-prop4":"pass",'
+    '"criterion-09-remark1":"pass",'
+    '"criterion-10-poch-bridge":"pass",'
+    '"criterion-11-example6":"pass",'
+    '"criterion-12-aw":"pass",'
+    '"criterion-13-two-sided":"pass",'
+    '"criterion-14-cg":"pass"'
+    "}\n"
+)
+
+
+def test_suite_stdout_golden(capsys, monkeypatch):
+    monkeypatch.setenv("TAUKIT_SEED", "1729")
+    assert main(["suite"]) == 0
+    assert capsys.readouterr().out == GOLDEN_SUITE
+
+
 # -- error handling -----------------------------------------------------------------------
 
 
@@ -278,9 +338,10 @@ def test_eval_qphi_rejects_unit_q(capsys):
 
 
 def test_bilinear_checks_refuse_empty_window(capsys):
-    for check, d in (("hirota", "0"), ("toda", "0"), ("kp", "3")):
-        code, _, err = run(capsys, "verify", check, "--rspec", RATIO_SPEC, "-d", d)
-        assert code == 2 and f"d = {d}" in err
+    for check, d, floor in (("hirota", "0", 1), ("toda", "0", 1), ("kp", "3", 4)):
+        code, out, err = run(capsys, "verify", check, "--rspec", RATIO_SPEC, "-d", d)
+        assert code == 2 and out == "" and f"d = {d}" in err
+        assert err.endswith(f"use -d/--degree >= {floor}") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -102,21 +102,18 @@ def brute_hooks(lam):
 
 
 def test_hook_data_two_one():
-    hd = hook_data((2, 1))
-    assert sorted(hd.hooks) == [1, 1, 3]
-    assert hd.product == 3
-    assert hd.n_stat == 1
+    assert sorted(hook_lengths((2, 1))) == [1, 1, 3]
+    assert hook_data((2, 1)) == 3
+    assert n_statistic((2, 1)) == 1
 
 
 def test_hook_data_q():
     q = F(1, 2)
-    hd = hook_data((2, 1), q)
-    assert hd.q_product == (1 - q**3) * (1 - q) ** 2
+    assert hook_data((2, 1), q) == (1 - q**3) * (1 - q) ** 2
 
 
 def test_hook_data_empty():
-    hd = hook_data((), F(1, 3))
-    assert hd.product == 1 and hd.q_product == 1 and hd.n_stat == 0
+    assert hook_data(()) == 1 and hook_data((), F(1, 3)) == 1 and n_statistic(()) == 0
 
 
 def test_hooks_match_brute_force():
