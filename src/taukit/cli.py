@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .partitions import enumerate_up_to
 from .poly import format_rational, parse_rational
-from .rspec import PoleError, RSpec, content_product, rspec_from_json
+from .rspec import PoleError, RSpec, _named, content_product, rspec_from_json
 from .tau import (
     askey_wilson,
     clebsch_gordan_q,
@@ -59,6 +59,12 @@ def _needs(args, flag: str, what: str) -> str:
     if not value:
         raise ValueError(f"{what} needs --{flag}")
     return value
+
+
+def _flag(args, flag: str, parse=_rat_list, needed_by: str = ""):
+    """parse(value of --flag), a malformed value refused naming the flag; with needed_by, an empty one as by _needs."""
+    text = _needs(args, flag, needed_by) if needed_by else getattr(args, flag)
+    return _named(f"--{flag}", parse, text)
 
 
 def _non_negative(value: int, flag: str) -> int:
@@ -114,31 +120,31 @@ def cmd_eval(args) -> int:
     if args.family in ("pfq", "qphi") and args.order < 0:
         raise ValueError(f"--order must be >= 0 for eval {args.family}, got {args.order}")
     if args.family == "pfq":
-        coeffs = pfq_one_var_coeffs(_rat_list(args.a), _rat_list(args.b), args.charge, args.order)
-        out = _one_var(coeffs, parse_rational(args.x) if args.x else None)
+        coeffs = pfq_one_var_coeffs(_flag(args, "a"), _flag(args, "b"), args.charge, args.order)
+        out = _one_var(coeffs, _flag(args, "x", parse_rational) if args.x else None)
     elif args.family == "qphi":
-        a, b = _rat_list(args.a), _rat_list(args.b)
-        q = parse_rational(_needs(args, "q", "qphi"))
-        xs = _rat_list(args.x) if args.x else []
+        a, b = _flag(args, "a"), _flag(args, "b")
+        q = _flag(args, "q", parse_rational, "qphi")
+        xs = _flag(args, "x")
         if len(xs) > 1:
             out = {"value": format_rational(qphi_multivar(a, b, args.charge, q, xs, args.order))}
         else:
             out = _one_var(qphi_one_var_coeffs(a, b, args.charge, q, args.order), xs[0] if xs else None)
     elif args.family == "aw":
-        params = _rat_list(args.params)
+        params = _flag(args, "params")
         if len(params) != 4:
             raise ValueError("aw needs --params a,b,c,d")
         a, b, c, dd = params
-        q, cv = parse_rational(_needs(args, "q", "aw")), parse_rational(args.cos)
+        q, cv = _flag(args, "q", parse_rational, "aw"), _flag(args, "cos", parse_rational)
         out = {
             "sum": format_rational(askey_wilson(_non_negative(args.n, "--n"), a, b, c, dd, q, cv)),
             "p_n": format_rational(askey_wilson(args.n, a, b, c, dd, q, cv, with_prefactor=True)),
         }
     elif args.family == "cg":
-        params = _rat_list(args.params)
+        params = _flag(args, "params")
         if len(params) != 5:
             raise ValueError("cg needs --params l1,l2,l,j,k")
-        v = clebsch_gordan_q(*params, parse_rational(_needs(args, "q", "cg")))
+        v = clebsch_gordan_q(*params, _flag(args, "q", parse_rational, "cg"))
         out = {"rational": format_rational(v.rational), "radicand": format_rational(v.radicand)}
     else:
         raise ValueError(f"unknown eval family {args.family!r}")
@@ -179,18 +185,18 @@ def cmd_verify(args) -> int:
                 raise ValueError(f"--window must be >= -d/--degree ({args.degree}), got {args.window}")
             _, report = det_oracle_tau(r, args.charge, args.degree, args.window)
     elif name == "ode":
-        report = check_ode(_rat_list(args.a), _rat_list(args.b), args.order)
+        report = check_ode(_flag(args, "a"), _flag(args, "b"), args.order)
     elif name == "qdiff":
-        a, b = _rat_list(args.a), _rat_list(args.b)
-        report = check_qdiff(a, b, parse_rational(_needs(args, "q", "qdiff")), args.order)
+        a, b = _flag(args, "a"), _flag(args, "b")
+        report = check_qdiff(a, b, _flag(args, "q", parse_rational, "qdiff"), args.order)
     elif name == "remark1":
         params = {"N": args.nvars, "K": args.nvars}
         if args.q or args.mode != "miwa":
-            params["q"] = parse_rational(_needs(args, "q", f"remark1 --mode {args.mode}"))
+            params["q"] = _flag(args, "q", parse_rational, f"remark1 --mode {args.mode}")
         report = check_remark1(args.mode, params, args.degree)
     elif name == "prop4":
         r = _load_rspec(_needs(args, "rspec", name))
-        bs = _rat_list(args.b)
+        bs = _flag(args, "b")
         if len(bs) != 1:
             raise ValueError("prop4 needs --b with exactly one rational")
         report = check_prop4(r, bs[0], args.charge, args.degree)

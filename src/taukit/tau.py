@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .partitions import contains, enumerate_up_to
-from .poly import is_integral, lift, q_number, rational_pow, weighted_sum
+from .poly import is_integral, q_number, rational_pow, weighted_sum
 from .rspec import (
     LinFactor,
     PoleError,
@@ -69,13 +69,17 @@ def _is_generic(times) -> bool:
 
 
 def _render_pairs(coeffs: dict, t, beta, d: int):
-    """sum_lam coeffs[lam] * s_lam(t) * s_lam(beta) as a polynomial or a number."""
+    """sum_lam c * s_lam(t) * s_lam(beta), c = coeffs[lam]; s_lam(gen) only where c * s_lam(other) != 0."""
     if _is_generic(t) and _is_generic(beta):
         if t.family == beta.family:
             raise ValueError("generic time sets on the two slots must use distinct families")
         return schur_pair_sum(coeffs, d)
     gen, other = (t, beta) if _is_generic(t) else (beta, t)
-    return _render_single({lam: c * schur_poly(lam, other, d) for lam, c in coeffs.items() if c}, gen, d)
+    weights = {lam: c * schur_poly(lam, other, d) for lam, c in coeffs.items() if c}
+    pieces = ((w, schur_poly(lam, gen, d)) for lam, w in weights.items() if w)
+    if _is_generic(gen):
+        return weighted_sum(pieces, d, d)
+    return sum((w * s for w, s in pieces), Fraction(0))
 
 
 def tau_series(r: RSpec, m: int, d: int, t, beta):
@@ -103,7 +107,9 @@ class ChainSpec:
     """Ordered (RSpec, times) pairs for the two sides of a chained expansion.
 
     Each side is read outward from the vacuum: the first pair plays the
-    plain (r, beta)-role, later pairs attach skew layers.
+    plain (r, beta)-role, later pairs attach skew layers.  A side holds at
+    most one generic time set, and the two sides' generic sets use distinct
+    families, so their product stays in the box (d, d).
     """
 
     left: tuple
@@ -112,56 +118,40 @@ class ChainSpec:
     def __post_init__(self):
         if not self.left or not self.right:
             raise ValueError("each side of the chain needs at least one (rspec, times) pair")
-        for side in (self.left, self.right):
-            generics = [tm for _, tm in side if _is_generic(tm)]
-            if len(generics) > 1:
-                raise ValueError("at most one generic time set per chain side")
+        left, right = ([tm.family for _, tm in side if _is_generic(tm)] for side in (self.left, self.right))
+        if len(left) > 1 or len(right) > 1:
+            raise ValueError("at most one generic time set per chain side")
+        if left and left == right:
+            raise ValueError("generic time sets on the two sides must use distinct families")
 
 
-def _chain_vector(side, m: int, d: int, parts: list) -> dict:
-    """Apply the side's transitions to the delta vector at the empty partition.
+def _chain_vector(side, m: int, d: int) -> dict:
+    """The side's layers applied to the vacuum vector {(): 1}, as {lam: nonzero value}.
 
-    Transition for a pair (r, times): new[lam] = sum over mu inside lam of
-    old[mu] * r_{lam/mu}(M) * s_{lam/mu}(times), computed by dynamic
-    programming over the partition list.
+    A layer (r, times) maps the held entries (mu, value) to
+    new[lam] = sum over held mu inside lam of value * r_{lam/mu}(M) * s_{lam/mu}(times).
     """
-    vec = {lam: (Fraction(1) if lam == () else Fraction(0)) for lam in parts}
+    parts = enumerate_up_to(d)
+    vec = {(): Fraction(1)}
     for rsp, times in side:
         new = {}
-        for lam in parts:
-            total = None
-            for mu in parts:
-                if sum(mu) > sum(lam) or not contains(lam, mu):
-                    continue
-                prev = vec[mu]
-                if isinstance(prev, Fraction) and prev == 0:
+        for mu, value in vec.items():
+            for lam in parts:
+                if not contains(lam, mu):
                     continue
                 weight = skew_content_product(rsp, lam, mu, m)
-                if weight == 0:
-                    continue
-                sval = skew_schur_poly(lam, mu, times, d)
-                piece = prev * sval * weight if not isinstance(sval, Fraction) else prev * (sval * weight)
-                total = piece if total is None else total + piece
-            new[lam] = total if total is not None else Fraction(0)
-        vec = new
+                if weight:
+                    piece = value * (weight * skew_schur_poly(lam, mu, times, d))
+                    new[lam] = new[lam] + piece if lam in new else piece
+        vec = {lam: v for lam, v in new.items() if v != 0}
     return vec
 
 
 def tau_general(chain: ChainSpec, m: int, d: int):
-    """Chained tau-series: nested-partition sums with skew content weights."""
-    parts = enumerate_up_to(d)
-    left = _chain_vector(chain.left, m, d, parts)
-    right = _chain_vector(chain.right, m, d, parts)
-    gen_left = any(_is_generic(tm) for _, tm in chain.left)
-    gen_right = any(_is_generic(tm) for _, tm in chain.right)
-    if gen_left and gen_right:
-        fams = {tm.family for _, tm in chain.left + chain.right if _is_generic(tm)}
-        if len(fams) < 2:
-            raise ValueError("generic time sets on the two sides must use distinct families")
-    if not gen_left and not gen_right:
-        return sum((left[lam] * right[lam] for lam in parts), Fraction(0))
-    pieces = ((1, lift(left[lam], d, d) * lift(right[lam], d, d)) for lam in parts)
-    return weighted_sum(pieces, d, d)
+    """Chained tau-series, a polynomial in the box (d, d) if either side holds generic times, else a number."""
+    left = _chain_vector(chain.left, m, d)
+    right = _chain_vector(chain.right, m, d)
+    return sum((value * right[lam] for lam, value in left.items() if lam in right), Fraction(0))
 
 
 # -- hypergeometric families -------------------------------------------------------
@@ -181,12 +171,6 @@ def pfs_multivar(a, b, m: int, t, d: int):
     a polynomial for generic t, otherwise a number.
     """
     return tau_series(_family_symbol(a, b), m, d, PrincipalInfinityTimes(), t)
-
-
-def _render_single(coeffs: dict, t, d: int):
-    if not _is_generic(t):
-        return sum((c * schur_poly(lam, t, d) for lam, c in coeffs.items() if c), Fraction(0))
-    return weighted_sum(((c, schur_poly(lam, t, d)) for lam, c in coeffs.items() if c), d, d)
 
 
 def _basic_q(q) -> Fraction:
@@ -452,7 +436,10 @@ def prop4_pair(r: RSpec, b, m: int, d: int, t):
     Left: tau with the original symbol at the infinite principal times;
     right: tau with the symbol divided by (b + D) (rational case) or by
     (1 - q^{b+D}) (q case), at the finite principal times of modulus b + M.
+    A q-symbol's q must be nonzero and not a root of unity.
     """
+    if r.q is not None:
+        _basic_q(r.q)
     b = Fraction(b)
     r_b = rspec_mul(r, _family_symbol((), (b,), r.q))
     return tau_series(r, m, d, PrincipalInfinityTimes(r.q), t), tau_series(r_b, m, d, PrincipalTimes(b + m, r.q), t)

@@ -337,6 +337,33 @@ def test_eval_qphi_rejects_unit_q(capsys):
     assert code == 2 and "root of unity" in err and "pole" not in err
 
 
+@pytest.mark.parametrize("q", ["1", "-1"])
+def test_verify_prop4_refuses_unit_q(capsys, q):
+    spec = '{"q":"%s","num":[{"qlin":{"coeff":"1/2","shift":"2"}}]}' % q
+    code, out, err = run(capsys, "verify", "prop4", "--rspec", spec, "--b", "3", "-d", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: q must be nonzero and not a root of unity; q={q}"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("eval", "pfq", "--a", "1/2", "--b", "3/2", "--x", "1/4,1/3"), "--x"),
+    (("eval", "pfq", "--a", "1/2,x", "--b", "3/2"), "--a"),
+    (("verify", "qdiff", "--a", "2", "--b", "3", "--q", "abc"), "--q"),
+    (("verify", "prop4", "--rspec", RATIO_SPEC, "--b", "zz", "-d", "2"), "--b"),
+    (("eval", "cg", "--params", "1/2,1/2,1,1/2,q", "--q", "1/2"), "--params"),
+    (("eval", "aw", "--n", "2", "--params", "1/5,1/7,2/7,1/11", "--q", "1/2", "--cos", "x"), "--cos"),
+], ids=["pfq-x", "pfq-a", "qdiff-q", "prop4-b", "cg-params", "aw-cos"])
+def test_malformed_rational_names_its_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag}: not a rational: ") and "Traceback" not in err
+
+
+def test_decimal_rational_flag_is_exact(capsys):
+    code, out, _ = run(capsys, "verify", "qdiff", "--a", "2", "--b", "3", "--q", "0.5", "--order", "3")
+    assert code == 0 and json.loads(out)["params"]["q"] == "1/2"
+
+
 def test_bilinear_checks_refuse_empty_window(capsys):
     for check, d, floor in (("hirota", "0", 1), ("toda", "0", 1), ("kp", "3", 4)):
         code, out, err = run(capsys, "verify", check, "--rspec", RATIO_SPEC, "-d", d)

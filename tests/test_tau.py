@@ -203,6 +203,11 @@ def test_chain_requires_nonempty_sides():
         ChainSpec(left=(), right=((D, B),))
 
 
+def test_chain_refuses_one_generic_family_on_both_sides():
+    with pytest.raises(ValueError, match="distinct families"):
+        ChainSpec(left=((RSpec(), T),), right=((RSpec(), MiwaTimes((F(1, 2),))), (D, GenericTimes("t"))))
+
+
 def test_chain_layers_obey_schur_branching():
     # with unit weights, stacking two one-variable layers equals one two-variable slot:
     # sum over mu inside lam of s_mu(x) s_{lam/mu}(y) = s_lam(x, y)
@@ -220,6 +225,16 @@ def test_chain_layers_obey_schur_branching():
     )
     merged_left = tau_series(RSpec(), 0, 5, MiwaTimes((x, y)), B)
     assert tau_general(stacked_left, 0, 5) == merged_left
+    # r = D + 2 on both layers: r_mu r_{lam/mu} = r_lam, and at d = 6 the layers
+    # meet skew weights that vanish, r(-2) = 0, on either side
+    r = lin(F(2))
+    layers = ((r, MiwaTimes((x,))), (r, MiwaTimes((y,))))
+    for m in (-1, 0, 1):
+        assert any(content_product(r, lam, m) == 0 for lam in enumerate_up_to(6))
+        want = tau_series(r, m, 6, T, MiwaTimes((x, y)))
+        assert tau_general(ChainSpec(left=((RSpec(), T),), right=layers), m, 6) == want
+        want_left = tau_series(r, m, 6, MiwaTimes((x, y)), B)
+        assert tau_general(ChainSpec(left=layers, right=((RSpec(), B),)), m, 6) == want_left
 
 
 def test_chain_double_series_closed_form():
