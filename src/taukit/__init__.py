@@ -36,6 +36,7 @@ from .rspec import (
     QPairFactor,
     RSpec,
     content_product,
+    content_products,
     h_from_r,
     poch_partition,
     r_eval,

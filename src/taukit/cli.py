@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / check passed, 1 check failed, 2 usage error
 (including malformed inputs and poles, which are reported with the
-offending integer point).
+offending integer point and the flag whose denominator vanishes there).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .partitions import enumerate_up_to
 from .poly import format_rational, parse_rational
-from .rspec import PoleError, RSpec, _named, content_product, rspec_from_json
+from .rspec import PoleError, RSpec, _named, content_products, rspec_from_json, zero_pole_scan
 from .tau import (
     askey_wilson,
     clebsch_gordan_q,
@@ -97,9 +97,8 @@ def _partition_key(lam) -> str:
 
 def cmd_expand(args) -> int:
     r = _load_rspec(args.rspec)
-    table = {}
-    for lam in enumerate_up_to(_non_negative(args.degree, "-d/--degree")):
-        table[_partition_key(lam)] = format_rational(content_product(r, lam, args.charge))
+    parts = enumerate_up_to(_non_negative(args.degree, "-d/--degree"))
+    table = {_partition_key(lam): format_rational(c) for lam, c in content_products(r, parts, args.charge)}
     if args.format == "csv":
         print(emit((("partition", "coefficient"), list(table.items())), "csv"))
     else:
@@ -268,6 +267,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pole_flag(args, point: int) -> str:
+    """The flag whose denominator vanishes at a pole; prop4 expands its --rspec side before its (b + D) side."""
+    if args.command == "eval":
+        return "--b" if args.family in ("pfq", "qphi") else "--params"
+    check = getattr(args, "check", None)
+    if check in ("ode", "qdiff") or (
+        check == "prop4" and (point, "pole") not in zero_pole_scan(_load_rspec(args.rspec), point, point)
+    ):
+        return "--b"
+    return "--rspec"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -277,7 +288,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except PoleError as exc:
-        print(f"error: pole at integer point {exc.point}: {exc}", file=sys.stderr)
+        flag = _pole_flag(args, exc.point)
+        print(f"error: pole at integer point {exc.point}: a denominator given by {flag} vanishes there", file=sys.stderr)
         return USAGE_ERROR
     except (ValueError, KeyError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 from .partitions import check_partition, contains, contents
 from .poly import format_rational, parse_rational, q_number, rational_pow
@@ -148,6 +149,29 @@ def content_product(r: RSpec, lam, m: int) -> Fraction:
         for j in range(1, part + 1):
             out *= r_eval(r, j - i + m)
     return out
+
+
+def content_products(r: RSpec, parts, m: int, inner=()) -> Iterator[tuple[tuple, Fraction]]:
+    """(lam, r_{lam/inner}(M)) for lam in parts, in order, each from its parent by one r_eval.
+
+    The parent is lam less the last cell of its lowest row past inner, a
+    corner; parts lists each parent before its children, as enumerate_up_to
+    and its sublists do.  So each cell is evaluated once, and, the pairs
+    being made as they are drawn, a pole is met at the same partition and
+    point, and after the same other work, as by the per-cell products.
+    """
+    values = {}
+    for lam in parts:
+        if lam == inner:
+            value = Fraction(1)
+        else:
+            i = len(lam) - 1
+            while i < len(inner) and lam[i] == inner[i]:
+                i -= 1
+            parent = lam[:i] + ((lam[i] - 1,) if lam[i] > 1 else ()) + lam[i + 1:]
+            value = values[parent] * r_eval(r, lam[i] - i - 1 + m)
+        values[lam] = value
+        yield lam, value
 
 
 def skew_content_product(r: RSpec, outer, inner, m: int) -> Fraction:

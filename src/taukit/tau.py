@@ -27,9 +27,8 @@ from .rspec import (
     QLinFactor,
     QPairFactor,
     RSpec,
-    content_product,
+    content_products,
     rspec_mul,
-    skew_content_product,
 )
 from .schur import (
     GenericTimes,
@@ -57,8 +56,7 @@ class TauExpansion:
     def build(r: RSpec, m: int, d: int) -> "TauExpansion":
         if d < 0:
             raise ValueError("truncation grade must be >= 0")
-        coeffs = {lam: content_product(r, lam, m) for lam in enumerate_up_to(d)}
-        return TauExpansion(rspec=r, charge=m, grade=d, coeffs=coeffs)
+        return TauExpansion(rspec=r, charge=m, grade=d, coeffs=dict(content_products(r, enumerate_up_to(d), m)))
 
     def render(self, t, beta):
         return _render_pairs(self.coeffs, t, beta, self.grade)
@@ -93,10 +91,9 @@ def tau_two_sided(r_tilde: RSpec, r: RSpec, m: int, d: int, t_tilde, beta):
     The coefficient is computed as the product of the two content products,
     which must agree with tau_series of the merged symbol.
     """
-    coeffs = {}
-    for lam in enumerate_up_to(d):
-        coeffs[lam] = content_product(r_tilde, lam, m) * content_product(r, lam, m)
-    return _render_pairs(coeffs, t_tilde, beta, d)
+    parts = enumerate_up_to(d)
+    pairs = zip(content_products(r_tilde, parts, m), content_products(r, parts, m))
+    return _render_pairs({lam: a * b for (lam, a), (_, b) in pairs}, t_tilde, beta, d)
 
 
 # -- chained (skew) expansions ----------------------------------------------------
@@ -136,10 +133,7 @@ def _chain_vector(side, m: int, d: int) -> dict:
     for rsp, times in side:
         new = {}
         for mu, value in vec.items():
-            for lam in parts:
-                if not contains(lam, mu):
-                    continue
-                weight = skew_content_product(rsp, lam, mu, m)
+            for lam, weight in content_products(rsp, [lam for lam in parts if contains(lam, mu)], m, mu):
                 if weight:
                     piece = value * (weight * skew_schur_poly(lam, mu, times, d))
                     new[lam] = new[lam] + piece if lam in new else piece
@@ -194,7 +188,7 @@ def qphi_multivar(a, b, m: int, q, x, d: int) -> Fraction:
     q = _basic_q(q)
     xs = tuple(Fraction(v) for v in x)
     r = _family_symbol(a, b, q)
-    coeffs = {lam: content_product(r, lam, m) for lam in enumerate_up_to(d) if len(lam) <= len(xs)}
+    coeffs = dict(content_products(r, [lam for lam in enumerate_up_to(d) if len(lam) <= len(xs)], m))
     return _render_pairs(coeffs, MiwaTimes(xs), PrincipalInfinityTimes(q), d)
 
 
@@ -202,7 +196,7 @@ def _row_coeffs(r: RSpec, m: int, order: int) -> list[Fraction]:
     """r_(n)(M) s_(n)(beta) at principal-infinity beta, n = 0..order: the one-variable series."""
     beta = PrincipalInfinityTimes(r.q)
     rows = [(n,) if n else () for n in range(order + 1)]
-    return [content_product(r, row, m) * schur_poly(row, beta, order) for row in rows]
+    return [c * schur_poly(row, beta, order) for row, c in content_products(r, rows, m)]
 
 
 def qphi_one_var_coeffs(a, b, m: int, q, order: int) -> list[Fraction]:

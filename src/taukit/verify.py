@@ -39,7 +39,7 @@ from .poly import (
 from .rspec import (
     QLinFactor,
     RSpec,
-    content_product,
+    content_products,
     h_from_r,
     r_eval,
     rspec_to_json,
@@ -351,10 +351,11 @@ def check_remark1(mode: str, params: dict, d: int) -> CheckReport:
     q = None if mode == "miwa" else _basic_q(params["q"])
     sign = -1 if mode == "dual" else 1
     vanishes = lambda lam: len(conjugate(lam) if mode == "dual" else lam) > cut
+    parts = enumerate_up_to(d)
     routes = []
     if mode != "miwa":
         spec = RSpec(num=(QLinFactor(Fraction(1), Fraction(sign * cut)),), q=q)
-        routes.append(lambda lam: content_product(spec, lam, 0))
+        routes.append(dict(content_products(spec, parts, 0)).__getitem__)
     if mode != "q-spec":
         x = params.get("x", [Fraction(1, i + 2) for i in range(cut)])
         if len(x) != cut or 0 in x:
@@ -362,5 +363,5 @@ def check_remark1(mode: str, params: dict, d: int) -> CheckReport:
         times = MiwaTimes(x, sign)
         routes.append(lambda lam: schur_poly(lam, times, d))
     echo = {"mode": mode, key: cut, **({} if q is None else {"q": format_rational(q)}), "d": d}
-    failure = _vanishing_failure(enumerate_up_to(d), vanishes, *routes)
+    failure = _vanishing_failure(parts, vanishes, *routes)
     return _report("remark1", failure, d, echo)

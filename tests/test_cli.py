@@ -300,6 +300,31 @@ def test_pole_reports_offending_point(capsys):
     assert "pole at integer point 1" in err
 
 
+POLE_SPEC = '{"den":[{"lin":{"shift":"-1"}}]}'
+
+
+@pytest.mark.parametrize("argv, point, flag", [
+    (["expand", "--rspec", POLE_SPEC, "-d", "3"], 1, "--rspec"),
+    (["verify", "hirota", "--rspec", POLE_SPEC, "-d", "3"], 1, "--rspec"),
+    (["verify", "toda", "--rspec", POLE_SPEC, "-d", "3"], 1, "--rspec"),
+    (["verify", "kp", "--rspec", POLE_SPEC, "-d", "4"], 1, "--rspec"),
+    (["verify", "oracle", "--rspec", POLE_SPEC, "-d", "3"], 1, "--rspec"),
+    (["eval", "pfq", "--a", "1/2", "--b", "0", "--order", "3"], 0, "--b"),
+    (["eval", "qphi", "--a", "2", "--b", "0", "--q", "1/2", "--order", "3"], 0, "--b"),
+    (["eval", "qphi", "--a", "2", "--b", "-1", "--q", "1/2", "--x", "1/3,1/5", "--order", "3"], 1, "--b"),
+    (["verify", "ode", "--a", "1/2", "--b", "0", "--order", "3"], 0, "--b"),
+    (["verify", "qdiff", "--a", "2", "--b", "-2", "--q", "1/2", "--order", "3"], 2, "--b"),
+    (["verify", "prop4", "--rspec", POLE_SPEC, "--b", "1/2", "-d", "3"], 1, "--rspec"),
+    (["verify", "prop4", "--rspec", '{"num":[{"lin":{"shift":"1/2"}}]}', "--b", "-2", "-d", "3"], 2, "--b"),
+    (["verify", "prop4", "--rspec", '{"den":[{"lin":{"shift":"2"}}]}', "--b", "-2", "-d", "3"], -2, "--rspec"),
+], ids=["expand", "hirota", "toda", "kp", "oracle", "pfq", "qphi", "qphi-multivar", "ode", "qdiff",
+        "prop4-rspec", "prop4-b", "prop4-both"])
+def test_pole_is_one_line_naming_its_flag(capsys, argv, point, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: pole at integer point {point}: a denominator given by {flag} vanishes there"
+
+
 def test_rspec_json_integer_is_exact(capsys):
     code, out, _ = run(capsys, "expand", "--rspec", '{"num":[{"lin":{"shift":1}}]}', "-d", "2")
     assert code == 0

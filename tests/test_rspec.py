@@ -1,10 +1,14 @@
+import contextlib
+import io
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taukit.partitions import contents, enumerate_up_to
+import taukit.rspec
+from taukit import cli
+from taukit.partitions import contains, contents, enumerate_up_to
 from taukit.rspec import (
     LinFactor,
     PoleError,
@@ -12,6 +16,7 @@ from taukit.rspec import (
     QPairFactor,
     RSpec,
     content_product,
+    content_products,
     h_from_r,
     poch_partition,
     r_eval,
@@ -22,6 +27,7 @@ from taukit.rspec import (
     skew_content_product,
     zero_pole_scan,
 )
+from taukit.tau import TauExpansion, _row_coeffs, pfq_one_var_coeffs, qphi_multivar
 
 D = RSpec(num=(LinFactor(F(0)),))  # r(D) = D
 
@@ -177,6 +183,115 @@ def test_skew_times_inner_equals_outer():
 def test_skew_rejects_non_contained():
     with pytest.raises(ValueError):
         skew_content_product(D, (1,), (2,), 0)
+
+
+# -- content product tables ------------------------------------------------------------
+
+Q = F(1, 2)
+# each pool mixes factors with an integer zero in -1..2 at q = 1/2 (a pole when drawn into den) and factors without
+_factors = st.one_of(
+    st.builds(LinFactor, st.sampled_from([F(-2), F(0), F(1), F(1, 3), F(-5, 2)])),
+    st.builds(QLinFactor, st.sampled_from([F(1), F(4), F(2, 5)]), st.sampled_from([F(-1), F(0), F(2)])),
+    st.builds(QPairFactor, st.sampled_from([F(4), F(1, 2), F(1, 5)]), st.sampled_from([F(1), F(1, 2)])),
+)
+_symbols = st.builds(
+    lambda c, num, den: RSpec(constant=c, num=num, den=den, q=Q),
+    st.sampled_from([F(1), F(-3, 2)]),
+    st.lists(_factors, max_size=2),
+    st.lists(_factors, max_size=1),
+)
+
+
+def per_cell(product, parts, *args):
+    """{lam: product(lam)} in the order of parts, and the PoleError that stops it, if any."""
+    out = {}
+    try:
+        for lam in parts:
+            out[lam] = product(lam, *args)
+    except PoleError as exc:
+        return out, exc.point
+    return out, None
+
+
+def table(r, parts, m, inner=()):
+    try:
+        return dict(content_products(r, parts, m, inner)), None
+    except PoleError as exc:
+        return None, exc.point
+
+
+@given(_symbols, st.integers(-2, 2), st.integers(0, 8))
+@settings(max_examples=40, deadline=None)
+def test_content_products_match_per_cell_products(r, m, d):
+    parts = enumerate_up_to(d)
+    values, point = per_cell(lambda lam: content_product(r, lam, m), parts)
+    assert table(r, parts, m) == ((values, None) if point is None else (None, point))
+    for mu in enumerate_up_to(min(d, 3)):
+        above = [lam for lam in parts if contains(lam, mu)]
+        values, point = per_cell(lambda lam: skew_content_product(r, lam, mu, m), above)
+        assert table(r, above, m, mu) == ((values, None) if point is None else (None, point))
+
+
+def pole_of(fn, *args):
+    with pytest.raises(PoleError) as err:
+        fn(*args)
+    return err.value.point, str(err.value)
+
+
+def lin_den(*shifts):
+    return RSpec(den=tuple(LinFactor(F(s)) for s in shifts))
+
+
+# point and message at M = -1, 0, 2, recorded from the per-cell content products
+@pytest.mark.parametrize("r, points", [
+    (lin_den(-1), (1, 1, 1)),
+    (RSpec(num=(LinFactor(F(0)),), den=(LinFactor(F(3)),)), (-3, -3, -3)),
+    (RSpec(num=(LinFactor(F(1, 2)),), den=(QLinFactor(F(1), F(-2)),), q=Q), (2, 2, 2)),
+    (RSpec(num=(QPairFactor(F(1, 4), F(1)),), den=(QPairFactor(F(4), F(1)),), q=Q), (2, 2, 2)),
+    (lin_den(-3, 2), (-2, -2, 3)),
+    (lin_den(-2, 2), (-2, 2, 2)),
+    (lin_den(2, -2), (-2, 2, 2)),
+], ids=["lin", "lin-column", "qlin", "qpair", "two-poles", "tie", "tie-swapped"])
+def test_first_pole_of_a_table_is_pinned(r, points):
+    for m, point in zip((-1, 0, 2), points):
+        assert pole_of(TauExpansion.build, r, m, 8) == (point, f"pole of r at integer point {point}")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["expand", "--rspec", rspec_to_json(r), "-M", str(m), "-d", "8"])
+        assert code == 2
+        assert err.getvalue() == f"error: pole at integer point {point}: a denominator given by --rspec vanishes there\n"
+
+
+@pytest.mark.parametrize("b, qphi_points, pfq_points", [
+    ([0], (0, 0, None), (0, 0, None)),
+    ([-1], (1, 1, 1), (1, 1, None)),
+    ([-3], (3, 3, 3), (3, 3, 3)),
+    ([2], (-2, None, None), (None, None, None)),
+    ([-3, 1], (-1, -1, 3), (-1, 3, 3)),
+    ([2, -1], (-2, 1, 1), (1, 1, None)),
+])
+def test_first_pole_of_a_family_is_pinned(b, qphi_points, pfq_points):
+    for m, qphi_point, pfq_point in zip((-1, 0, 2), qphi_points, pfq_points):
+        for point, fn, args in (
+            (qphi_point, qphi_multivar, ([2], b, m, Q, (F(1, 3), F(1, 5)), 8)),
+            (pfq_point, pfq_one_var_coeffs, ([F(1, 3)], b, m, 8)),
+        ):
+            if point is None:
+                fn(*args)
+            else:
+                assert pole_of(fn, *args) == (point, f"pole of r at integer point {point}")
+
+
+def test_one_evaluation_per_partition(monkeypatch):
+    calls = []
+    r_eval = taukit.rspec.r_eval
+    monkeypatch.setattr(taukit.rspec, "r_eval", lambda r, n: calls.append(n) or r_eval(r, n))
+    r = lin(F(1, 2), den=(F(1, 3),))
+    TauExpansion.build(r, 1, 12)
+    assert len(calls) == len(enumerate_up_to(12)) - 1
+    calls.clear()
+    _row_coeffs(r, 0, 50)
+    assert len(calls) == 50
 
 
 # -- partition Pochhammer symbols ------------------------------------------------------

@@ -179,6 +179,24 @@ def test_two_sided_equals_merged_spec():
         assert tau_two_sided(rt, r, m, 5, T, B) == tau_series(rspec_mul(rt, r), m, 5, T, B)
 
 
+@pytest.mark.parametrize("dt, dr, point", [(2, -1, 1), (-1, 2, 1), (-2, 2, 2), (2, -2, 2)])
+def test_two_sided_raises_the_pole_its_partitions_meet_first(dt, dr, point):
+    # recorded from the per-cell content products: the row (2) reaches r's
+    # pole at 1 before the column (1,1,1) reaches r~'s at -2
+    with pytest.raises(PoleError) as err:
+        tau_two_sided(lin(den=(F(dt),)), lin(den=(F(dr),)), 0, 4, MiwaTimes((F(1, 3),)), PrincipalTimes(F(3, 2), None))
+    assert (err.value.point, str(err.value)) == (point, f"pole of r at integer point {point}")
+
+
+def test_chain_refuses_times_before_a_later_pole():
+    # the layer's first skew cell reads the times, which q = 1 refuses, before
+    # the pole at 1 is reached; tabulating the weights first would swap them
+    layer = (lin(den=(F(-1),)), PrincipalTimes(F(2), F(1)))
+    chain = ChainSpec(left=((RSpec(), MiwaTimes((F(1, 3),))), layer), right=((RSpec(), MiwaTimes((F(1, 5),))),))
+    with pytest.raises(ValueError, match=r"^q\^1 = 1: q is a root of unity in range$"):
+        tau_general(chain, 0, 5)
+
+
 def test_chain_single_pair_collapses():
     rt, r = lin(F(1, 2)), lin(F(5, 7), den=(F(1, 3),))
     chain = ChainSpec(left=((rt, T),), right=((r, B),))
