@@ -37,7 +37,6 @@ from .rspec import (
     RSpec,
     content_product,
     content_products,
-    h_from_r,
     poch_partition,
     r_eval,
     rspec_from_json,

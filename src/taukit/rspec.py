@@ -17,7 +17,7 @@ matching exact rational root, keeping every evaluation in the rationals.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -200,55 +200,36 @@ def poch_partition(a, lam, q: Fraction | None = None) -> Fraction:
     return out
 
 
-def h_from_r(r: RSpec, lo: int, hi: int) -> dict[int, Fraction]:
-    """Table n -> h(n) on [lo, hi] from h(lo) = 1, h(n) = h(n-1) / r(n).
-
-    Requires r to have neither zeros nor poles on (lo, hi].
-    """
-    if hi < lo:
-        raise ValueError("hi must be >= lo")
-    table = {lo: Fraction(1)}
-    for n in range(lo + 1, hi + 1):
-        v = r_eval(r, n)
-        if v == 0:
-            raise ZeroDivisionError(f"r({n}) = 0: h is undefined past this point")
-        table[n] = table[n - 1] / v
-    return table
-
-
 def zero_pole_scan(r: RSpec, lo: int, hi: int) -> list[tuple[int, str]]:
-    """All integer zeros and poles of r in [lo, hi], in increasing order."""
+    """All integer zeros and poles of r in [lo, hi], in increasing order, as ``r_eval`` decides them (a pole first)."""
     if hi < lo:
         raise ValueError("hi must be >= lo")
     found = []
     for n in range(lo, hi + 1):
-        den_zero = any(f.value(n, r.q) == 0 for f in r.den)
-        num_zero = any(f.value(n, r.q) == 0 for f in r.num)
-        if den_zero:
+        try:
+            if r_eval(r, n) == 0:
+                found.append((n, "zero"))
+        except PoleError:
             found.append((n, "pole"))
-        elif num_zero:
-            found.append((n, "zero"))
     return found
 
 
 # -- JSON wire format ----------------------------------------------------------
 
 
-def factor_to_obj(f) -> dict:
-    if isinstance(f, LinFactor):
-        return {"lin": {"shift": format_rational(f.shift)}}
-    if isinstance(f, QLinFactor):
-        return {"qlin": {"coeff": format_rational(f.coeff), "shift": format_rational(f.shift)}}
-    if isinstance(f, QPairFactor):
-        return {"qpair": {"amp": format_rational(f.amp), "cos": format_rational(f.cosv)}}
-    raise TypeError(f"unknown factor {f!r}")
-
-
+# kind -> (class, wire fields in the order of the class's dataclass fields); both directions read it
 _FACTOR_FIELDS = {
     "lin": (LinFactor, ("shift",)),
     "qlin": (QLinFactor, ("coeff", "shift")),
     "qpair": (QPairFactor, ("amp", "cos")),
 }
+
+
+def factor_to_obj(f) -> dict:
+    for kind, (cls, fields) in _FACTOR_FIELDS.items():
+        if isinstance(f, cls):
+            return {kind: {name: format_rational(v) for name, v in zip(fields, astuple(f))}}
+    raise TypeError(f"unknown factor {f!r}")
 
 
 def _named(where: str, parse, value):

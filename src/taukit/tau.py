@@ -145,7 +145,11 @@ def tau_general(chain: ChainSpec, m: int, d: int):
     """Chained tau-series, a polynomial in the box (d, d) if either side holds generic times, else a number."""
     left = _chain_vector(chain.left, m, d)
     right = _chain_vector(chain.right, m, d)
-    return sum((value * right[lam] for lam, value in left.items() if lam in right), Fraction(0))
+    products = [value * right[lam] for lam, value in left.items() if lam in right]
+    if any(_is_generic(tm) for _, tm in chain.left + chain.right):
+        # one pass: a running sum would re-form the whole polynomial at each product
+        return weighted_sum(((1, p) for p in products), d, d)
+    return sum(products, Fraction(0))
 
 
 # -- hypergeometric families -------------------------------------------------------

@@ -40,7 +40,6 @@ from .rspec import (
     QLinFactor,
     RSpec,
     content_products,
-    h_from_r,
     r_eval,
     rspec_to_json,
     zero_pole_scan,
@@ -125,8 +124,9 @@ def check_toda(r: RSpec, m: int, d: int, gauge: str = "generalized") -> CheckRep
     """Lattice field equation at site M, in the generalized or standard gauge.
 
     The field comes from the tau-ratio: exp(-phi_n) = tau(n+1)/tau(n).  The
-    standard gauge multiplies the exponential couplings by ratios of the
-    h-table, which requires r to have no integer zeros in the touched range.
+    standard gauge normalises by h(n) = h(n-1)/r(n), whose couplings are r's
+    own values: its report is the generalized one with both sides negated, and
+    it refuses integer zeros of r on M-1..M+1, where h is undefined.
     Only phi_M is differentiated, so only log tau(M) and log tau(M+1) are
     formed in the taus' box (d, d); the rest is formed in the compare window.
     """
@@ -141,15 +141,12 @@ def check_toda(r: RSpec, m: int, d: int, gauge: str = "generalized") -> CheckRep
     lhs = derivative(derivative(phi[m], t1), b1)
     hop_down = exp_series(phi[m - 1] - phi[m])
     hop_up = exp_series(phi[m] - phi[m + 1])
-    if gauge == "generalized":
-        rhs = hop_down.scale(r_eval(r, m)) - hop_up.scale(r_eval(r, m + 1))
-    else:
+    rhs = hop_down.scale(r_eval(r, m)) - hop_up.scale(r_eval(r, m + 1))
+    if gauge == "standard":
         zeros = [n for n, kind in zero_pole_scan(r, m - 1, m + 1) if kind == "zero"]
         if zeros:
             raise ValueError(f"standard gauge needs r without integer zeros; found at {zeros}")
-        h = h_from_r(r, m - 2, m + 1)
-        lhs = -lhs
-        rhs = hop_up.scale(h[m] / h[m + 1]) - hop_down.scale(h[m - 1] / h[m])
+        lhs, rhs = -lhs, -rhs
     failure = compare_windowed(lhs, rhs, window, window)
     return _report(
         "toda", failure, window,
@@ -235,14 +232,10 @@ def _window_block(r: RSpec, m: int, d: int, window: int) -> list:
     def entry(j: int, k: int) -> GradedPoly:
         pieces = []
         prod_r = Fraction(1)
-        for i in range(k, max(j, k)):
-            prod_r *= rval[i]
-        for l in range(max(j, k), min(j, k) + d + 1):
-            if l > d:
-                break
-            if l > max(j, k):
+        for l in range(k, min(j, k) + d + 1):
+            if l > k:
                 prod_r *= rval[l - 1]
-            if prod_r:
+            if l >= j and prod_r:
                 pieces.append((prod_r, pair[l - j, l - k]))
         return weighted_sum(pieces, d, d)
 

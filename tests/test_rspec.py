@@ -17,7 +17,6 @@ from taukit.rspec import (
     RSpec,
     content_product,
     content_products,
-    h_from_r,
     poch_partition,
     r_eval,
     rspec_from_json,
@@ -322,34 +321,6 @@ def test_poch_q_is_content_product_of_qlin():
         assert poch_partition(a, lam, q) == content_product(r, lam, 0)
 
 
-# -- h tables and gauge constants ----------------------------------------------------------
-
-
-def test_h_identity_function():
-    table = h_from_r(RSpec(), -3, 3)
-    assert all(v == 1 for v in table.values())
-
-
-def test_h_recursion_example():
-    table = h_from_r(lin(F(1)), -1, 2)
-    assert table[-1] == 1 and table[0] == 1
-    assert table[1] == F(1, 2)
-    assert table[2] == F(1, 6)
-
-
-def test_h_ratio_is_inverse_r():
-    a, b = F(1, 3), F(2, 7)
-    r = lin(a, den=(b,))
-    table = h_from_r(r, -2, 4)
-    for n in range(-1, 5):
-        assert table[n] / table[n - 1] == (n + b) / (n + a)
-
-
-def test_h_rejects_zero():
-    with pytest.raises(ZeroDivisionError):
-        h_from_r(D, -1, 1)
-
-
 # -- zero / pole scanning ---------------------------------------------------------------------
 
 
@@ -371,6 +342,39 @@ def test_scan_reports_poles():
     assert zero_pole_scan(r, 0, 3) == [(1, "pole")]
 
 
+def test_scan_shared_zero_and_pole_reads_pole():
+    # (D - 1)/(D - 1): a numerator and a denominator factor vanish together at n = 1
+    assert zero_pole_scan(lin(-1, den=(-1,)), -2, 3) == [(1, "pole")]
+
+
+def test_scan_qpair_double_zero():
+    # amp 1, cos 1: (1 - q^n)^2, a double zero at n = 0
+    r = RSpec(num=(QPairFactor(F(1), F(1)),), q=F(1, 2))
+    assert zero_pole_scan(r, -3, 3) == [(0, "zero")]
+
+
+def test_scan_rejects_reversed_range():
+    with pytest.raises(ValueError, match="hi must be >= lo"):
+        zero_pole_scan(D, 1, 0)
+
+
+def per_factor_scan(r, lo, hi):
+    """Zeros and poles from each factor's own value: a vanishing denominator factor makes a pole."""
+    found = []
+    for n in range(lo, hi + 1):
+        if any(f.value(n, r.q) == 0 for f in r.den):
+            found.append((n, "pole"))
+        elif any(f.value(n, r.q) == 0 for f in r.num):
+            found.append((n, "zero"))
+    return found
+
+
+@given(_symbols, st.integers(-6, 0), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_scan_matches_per_factor_scan(r, lo, hi):
+    assert zero_pole_scan(r, lo, hi) == per_factor_scan(r, lo, hi)
+
+
 # -- JSON wire format --------------------------------------------------------------------------
 
 
@@ -384,6 +388,19 @@ def test_json_round_trip():
     text = rspec_to_json(r)
     assert rspec_from_json(text) == r
     assert rspec_to_json(rspec_from_json(text)) == text
+
+
+def test_json_wire_form_is_pinned():
+    r = RSpec(
+        constant=F(-3, 2),
+        num=(LinFactor(F(1, 2)), QLinFactor(F(2, 3), F(-1))),
+        den=(QPairFactor(F(1, 5), F(1, 2)), LinFactor(F(-4))),
+        q=F(1, 3),
+    )
+    assert rspec_to_json(r) == (
+        '{"constant":"-3/2","q":"1/3","num":[{"lin":{"shift":"1/2"}},{"qlin":{"coeff":"2/3","shift":"-1"}}],'
+        '"den":[{"qpair":{"amp":"1/5","cos":"1/2"}},{"lin":{"shift":"-4"}}]}'
+    )
 
 
 def test_json_rejects_malformed():
