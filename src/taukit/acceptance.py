@@ -46,6 +46,7 @@ from .tau import (
 )
 from .verify import (
     CheckReport,
+    _report,
     check_hirota,
     check_kp_bilinear,
     check_ode,
@@ -100,10 +101,7 @@ def _verdict(params: dict, why: str | None = None) -> CheckReport:
 
     ``run_criterion`` names it, as it names every report a criterion returns.
     """
-    return CheckReport(
-        name="", passed=why is None, max_checked_grade=params.get("d", 0),
-        first_failure=None if why is None else (why, "", ""), params=params,
-    )
+    return _report("", None if why is None else (why, "", ""), params.get("d", 0), params)
 
 
 def _first_failure(reports) -> CheckReport | None:
@@ -180,23 +178,21 @@ def criterion_05_classical(seed: int) -> CheckReport:
     rng = random.Random(f"{seed}/classical")
     order = 10
 
-    def reports():
-        for p, s in ((1, 0), (2, 1), (3, 2)):
-            extra_a = [rng.choice(_NONINT_POOL) + rng.choice((0, 1)) for _ in range(p - 1)]
-            bs = [rng.choice(_NONINT_POOL) + rng.choice((0, 1)) for _ in range(s)]
-            a = [F(0)] + extra_a
-            for m in (1, -1):
-                series = pfs_multivar(a, bs, m, GenericTimes(FAMILY_T), order)
-                shifted = [1 + m * v for v in extra_a], [1 + m * v for v in bs]
-                ref = classical_reference(*shifted, order)
-                for n in range(order + 1):
-                    got = series.coeff(mono([(tvar(1), n)]))
-                    want = ref[n] * m**n
-                    if got != want:
-                        why = f"(p,s)=({p},{s}) M={m} coefficient {n}: {got} != {want}"
-                        yield _verdict({"order": order}, why)
-
-    return _first_failure(reports()) or _verdict({"order": order, "families": "(1,0),(2,1),(3,2)"})
+    for p, s in ((1, 0), (2, 1), (3, 2)):
+        extra_a = [rng.choice(_NONINT_POOL) + rng.choice((0, 1)) for _ in range(p - 1)]
+        bs = [rng.choice(_NONINT_POOL) + rng.choice((0, 1)) for _ in range(s)]
+        a = [F(0)] + extra_a
+        for m in (1, -1):
+            series = pfs_multivar(a, bs, m, GenericTimes(FAMILY_T), order)
+            shifted = [1 + m * v for v in extra_a], [1 + m * v for v in bs]
+            ref = classical_reference(*shifted, order)
+            for n in range(order + 1):
+                got = series.coeff(mono([(tvar(1), n)]))
+                want = ref[n] * m**n
+                if got != want:
+                    why = f"(p,s)=({p},{s}) M={m} coefficient {n}: {got} != {want}"
+                    return _verdict({"order": order}, why)
+    return _verdict({"order": order, "families": "(1,0),(2,1),(3,2)"})
 
 
 def criterion_06_qdiff(seed: int) -> CheckReport:
@@ -231,20 +227,18 @@ def criterion_08_prop4(seed: int) -> CheckReport:
     rng = random.Random(f"{seed}/prop4")
     d = 5
 
-    def reports():
-        for _ in range(3):
-            r = draw_lin_rspec(rng)
-            b = rng.choice(_NONINT_POOL)
-            m = rng.choice((-1, 0, 1))
-            if not check_prop4(r, b, m, d).passed:
-                yield _verdict({"d": d}, f"rational variant M={m} b={b}")
-        for q, b in ((F(1, 4), F(1, 2)), (F(1, 8), F(2, 3)), (F(4, 9), F(3, 2))):
-            r = draw_qlin_rspec(rng, q, span=9)
-            m = rng.choice((-1, 0, 1))
-            if not check_prop4(r, b, m, d).passed:
-                yield _verdict({"d": d}, f"q variant q={q} b={b} M={m}")
-
-    return _first_failure(reports()) or _verdict({"d": d, "draws": "3 rational + 3 q"})
+    for _ in range(3):
+        r = draw_lin_rspec(rng)
+        b = rng.choice(_NONINT_POOL)
+        m = rng.choice((-1, 0, 1))
+        if not check_prop4(r, b, m, d).passed:
+            return _verdict({"d": d}, f"rational variant M={m} b={b}")
+    for q, b in ((F(1, 4), F(1, 2)), (F(1, 8), F(2, 3)), (F(4, 9), F(3, 2))):
+        r = draw_qlin_rspec(rng, q, span=9)
+        m = rng.choice((-1, 0, 1))
+        if not check_prop4(r, b, m, d).passed:
+            return _verdict({"d": d}, f"q variant q={q} b={b} M={m}")
+    return _verdict({"d": d, "draws": "3 rational + 3 q"})
 
 
 def criterion_09_remark1(seed: int) -> CheckReport:
@@ -265,21 +259,19 @@ def criterion_10_poch_bridge(seed: int) -> CheckReport:
     d = 6
     parts = enumerate_up_to(d)
 
-    def reports():
-        for q in (F(1, 2), F(2, 3)):
-            for a in (F(1), F(2), F(3), F(-1)):
-                spec = RSpec(num=(QLinFactor(F(1), a),), q=q)
-                for lam in parts:
-                    if poch_partition(a, lam, q) != content_product(spec, lam, 0):
-                        why = f"poch != content at lam={lam}, a={a}, q={q}"
-                        yield _verdict({"d": d}, why)
-            for a in (F(1), F(2), F(3)):
-                for lam in parts:
-                    if schur_poly(lam, PrincipalTimes(a, q), d) != schur_principal_value(lam, a, q):
-                        why = f"principal identity fails at lam={lam}, a={a}, q={q}"
-                        yield _verdict({"d": d}, why)
-
-    return _first_failure(reports()) or _verdict({"d": d, "q": ["1/2", "2/3"]})
+    for q in (F(1, 2), F(2, 3)):
+        for a in (F(1), F(2), F(3), F(-1)):
+            spec = RSpec(num=(QLinFactor(F(1), a),), q=q)
+            for lam in parts:
+                if poch_partition(a, lam, q) != content_product(spec, lam, 0):
+                    why = f"poch != content at lam={lam}, a={a}, q={q}"
+                    return _verdict({"d": d}, why)
+        for a in (F(1), F(2), F(3)):
+            for lam in parts:
+                if schur_poly(lam, PrincipalTimes(a, q), d) != schur_principal_value(lam, a, q):
+                    why = f"principal identity fails at lam={lam}, a={a}, q={q}"
+                    return _verdict({"d": d}, why)
+    return _verdict({"d": d, "q": ["1/2", "2/3"]})
 
 
 def criterion_11_example6(seed: int) -> CheckReport:
@@ -296,44 +288,40 @@ def criterion_11_example6(seed: int) -> CheckReport:
         ),
     )
 
-    def reports():
-        want = F(0)
-        for n1 in range(d + 1):
-            for n2 in range(d + 1 - n1):
-                n = n1 + n2
-                num = poch_partition(at + m, (n,)) if n else F(1)
-                num *= poch_partition(a1 + m, (n1,)) if n1 else F(1)
-                den = poch_partition(bt + m, (n,)) if n else F(1)
-                den *= poch_partition(b1 + m, (n1,)) if n1 else F(1)
-                fact1 = hook_data((n1,) if n1 else ())
-                fact2 = hook_data((n2,) if n2 else ())
-                want += num / den * y1**n1 * y2**n2 * x**n / (fact1 * fact2)
-        got = tau_general(chain, m, d)
-        if got != want:
-            yield _verdict({"d": d}, f"{got} != {want}")
-
-    return _first_failure(reports()) or _verdict({"d": d, "M": m})
+    want = F(0)
+    for n1 in range(d + 1):
+        for n2 in range(d + 1 - n1):
+            n = n1 + n2
+            num = poch_partition(at + m, (n,)) if n else F(1)
+            num *= poch_partition(a1 + m, (n1,)) if n1 else F(1)
+            den = poch_partition(bt + m, (n,)) if n else F(1)
+            den *= poch_partition(b1 + m, (n1,)) if n1 else F(1)
+            fact1 = hook_data((n1,) if n1 else ())
+            fact2 = hook_data((n2,) if n2 else ())
+            want += num / den * y1**n1 * y2**n2 * x**n / (fact1 * fact2)
+    got = tau_general(chain, m, d)
+    if got != want:
+        return _verdict({"d": d}, f"{got} != {want}")
+    return _verdict({"d": d, "M": m})
 
 
 def criterion_12_aw(seed: int) -> CheckReport:
     q, a, b, c, dd, cosv = F(1, 3), F(1, 5), F(1, 7), F(2, 7), F(1, 11), F(1, 2)
 
-    def reports():
-        for n in range(6):
-            # termination: the next term would carry the vanishing factor
-            if poch_partition(F(-n), (n + 1,), q) != 0:
-                yield _verdict({}, f"termination factor nonzero at n={n}")
-        for n in (1, 2, 3, 5):
-            base = askey_wilson(n, a, b, c, dd, q, cosv)
-            if askey_wilson(n, a, c, b, dd, q, cosv) != base:
-                yield _verdict({}, f"b<->c changes the sum at n={n}")
-            if askey_wilson(n, a, dd, c, b, q, cosv) != base:
-                yield _verdict({}, f"b<->d changes the sum at n={n}")
-            pn = askey_wilson(n, a, b, c, dd, q, cosv, with_prefactor=True)
-            if askey_wilson(n, b, a, c, dd, q, cosv, with_prefactor=True) != pn:
-                yield _verdict({}, f"a<->b changes p_n at n={n}")
-
-    return _first_failure(reports()) or _verdict({"q": "1/3", "point": "a=1/5,b=1/7,c=2/7,d=1/11"})
+    for n in range(6):
+        # termination: the next term would carry the vanishing factor
+        if poch_partition(F(-n), (n + 1,), q) != 0:
+            return _verdict({}, f"termination factor nonzero at n={n}")
+    for n in (1, 2, 3, 5):
+        base = askey_wilson(n, a, b, c, dd, q, cosv)
+        if askey_wilson(n, a, c, b, dd, q, cosv) != base:
+            return _verdict({}, f"b<->c changes the sum at n={n}")
+        if askey_wilson(n, a, dd, c, b, q, cosv) != base:
+            return _verdict({}, f"b<->d changes the sum at n={n}")
+        pn = askey_wilson(n, a, b, c, dd, q, cosv, with_prefactor=True)
+        if askey_wilson(n, b, a, c, dd, q, cosv, with_prefactor=True) != pn:
+            return _verdict({}, f"a<->b changes p_n at n={n}")
+    return _verdict({"q": "1/3", "point": "a=1/5,b=1/7,c=2/7,d=1/11"})
 
 
 def criterion_13_two_sided(seed: int) -> CheckReport:
@@ -341,14 +329,12 @@ def criterion_13_two_sided(seed: int) -> CheckReport:
     d = 5
     times = GenericTimes(FAMILY_T), GenericTimes(FAMILY_B)
 
-    def reports():
-        for _ in range(3):
-            rt, r = draw_lin_rspec(rng), draw_lin_rspec(rng)
-            m = rng.choice((-1, 0, 1))
-            if tau_two_sided(rt, r, m, d, *times) != tau_series(rspec_mul(rt, r), m, d, *times):
-                yield _verdict({"d": d}, f"mismatch at M={m}")
-
-    return _first_failure(reports()) or _verdict({"d": d, "draws": 3})
+    for _ in range(3):
+        rt, r = draw_lin_rspec(rng), draw_lin_rspec(rng)
+        m = rng.choice((-1, 0, 1))
+        if tau_two_sided(rt, r, m, d, *times) != tau_series(rspec_mul(rt, r), m, d, *times):
+            return _verdict({"d": d}, f"mismatch at M={m}")
+    return _verdict({"d": d, "draws": 3})
 
 
 def criterion_14_cg(seed: int) -> CheckReport:
@@ -359,24 +345,22 @@ def criterion_14_cg(seed: int) -> CheckReport:
         (F(2), F(3, 2), F(3, 2), F(0), F(1, 2)),
     ]
 
-    def reports():
-        for l1, l2, l, j, k in tuples:
-            m = j + k
-            a = (j - l1, l1 + j + 1, -l + m)
-            b = (l2 - l + j + 1, -l - l2 + j)
-            order = int(l1 - j)
-            if qphi_one_var_coeffs(a, b, 0, q, order) != classical_reference(a, b, order, q=q):
-                why = f"series factor mismatch for spins ({l1},{l2},{l},{j},{k})"
-                yield _verdict({"q": "1/2"}, why)
-        # [a] > a for q != 1, so |[a] - a| falls exactly when [a]^2 falls
-        for a_val in (2, 3):
-            sq = [q_bracket(a_val, 1 - F(1, 2**k)).square() for k in range(1, 11)]
-            for i in range(len(sq) - 1):
-                if not a_val**2 < sq[i + 1] < sq[i]:
-                    why = f"bracket [{a_val}] not monotone at step {i + 1}"
-                    yield _verdict({}, why)
-
-    return _first_failure(reports()) or _verdict({"q": "1/2", "tuples": 3, "bracket_steps": 10})
+    for l1, l2, l, j, k in tuples:
+        m = j + k
+        a = (j - l1, l1 + j + 1, -l + m)
+        b = (l2 - l + j + 1, -l - l2 + j)
+        order = int(l1 - j)
+        if qphi_one_var_coeffs(a, b, 0, q, order) != classical_reference(a, b, order, q=q):
+            why = f"series factor mismatch for spins ({l1},{l2},{l},{j},{k})"
+            return _verdict({"q": "1/2"}, why)
+    # [a] > a for q != 1, so |[a] - a| falls exactly when [a]^2 falls
+    for a_val in (2, 3):
+        sq = [q_bracket(a_val, 1 - F(1, 2**k)).square() for k in range(1, 11)]
+        for i in range(len(sq) - 1):
+            if not a_val**2 < sq[i + 1] < sq[i]:
+                why = f"bracket [{a_val}] not monotone at step {i + 1}"
+                return _verdict({}, why)
+    return _verdict({"q": "1/2", "tuples": 3, "bracket_steps": 10})
 
 
 CRITERIA = [

@@ -75,20 +75,18 @@ def _non_negative(value: int, flag: str) -> int:
 
 
 def emit(payload, fmt: str = "json") -> str:
-    """Bit-stable serialization: a mapping as JSON, a mapping or (headers, rows) table as CSV."""
+    """Bit-stable serialization: a mapping as JSON at fmt "json", else a mapping or (headers, rows) table as CSV."""
     if fmt == "json":
         return json.dumps(payload, separators=(",", ":"))
-    if fmt == "csv":
-        if isinstance(payload, dict):
-            headers, rows = ("key", "value"), list(payload.items())
-        else:
-            headers, rows = payload
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(headers)
-        writer.writerows(rows)
-        return buf.getvalue().rstrip("\n")
-    raise ValueError(f"unknown format {fmt!r}")
+    if isinstance(payload, dict):
+        headers, rows = ("key", "value"), list(payload.items())
+    else:
+        headers, rows = payload
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(headers)
+    writer.writerows(rows)
+    return buf.getvalue().rstrip("\n")
 
 
 def _partition_key(lam) -> str:
@@ -139,14 +137,12 @@ def cmd_eval(args) -> int:
             "sum": format_rational(askey_wilson(_non_negative(args.n, "--n"), a, b, c, dd, q, cv)),
             "p_n": format_rational(askey_wilson(args.n, a, b, c, dd, q, cv, with_prefactor=True)),
         }
-    elif args.family == "cg":
+    else:
         params = _flag(args, "params")
         if len(params) != 5:
             raise ValueError("cg needs --params l1,l2,l,j,k")
         v = clebsch_gordan_q(*params, _flag(args, "q", parse_rational, "cg"))
         out = {"rational": format_rational(v.rational), "radicand": format_rational(v.radicand)}
-    else:
-        raise ValueError(f"unknown eval family {args.family!r}")
     if fmt == "csv" and "coefficients" in out:
         rows = list(enumerate(out["coefficients"]))
         if "value" in out:
@@ -158,12 +154,10 @@ def cmd_eval(args) -> int:
 
 
 def _print_report(report: CheckReport, fmt: str) -> int:
+    obj = report.to_obj()
     if fmt == "csv":
-        obj = report.to_obj()
-        rows = [(k, json.dumps(v) if isinstance(v, (dict, type(None))) else v) for k, v in obj.items()]
-        print(emit((("key", "value"), rows), "csv"))
-    else:
-        print(report.to_json())
+        obj = {k: json.dumps(v) if isinstance(v, (dict, type(None))) else v for k, v in obj.items()}
+    print(emit(obj, fmt))
     return OK if report.passed else CHECK_FAILED
 
 
@@ -193,14 +187,12 @@ def cmd_verify(args) -> int:
         if args.q or args.mode != "miwa":
             params["q"] = _flag(args, "q", parse_rational, f"remark1 --mode {args.mode}")
         report = check_remark1(args.mode, params, args.degree)
-    elif name == "prop4":
+    else:
         r = _load_rspec(_needs(args, "rspec", name))
         bs = _flag(args, "b")
         if len(bs) != 1:
             raise ValueError("prop4 needs --b with exactly one rational")
         report = check_prop4(r, bs[0], args.charge, args.degree)
-    else:
-        raise ValueError(f"unknown check {name!r}")
     return _print_report(report, args.format)
 
 

@@ -278,14 +278,12 @@ class GradedPoly:
         return not self._packed[1]
 
 
-def lift(p, t_max: int, b_max: int) -> GradedPoly:
-    """A GradedPoly or a scalar as a GradedPoly in the box (t_max, b_max).
+def lift(p: GradedPoly, t_max: int, b_max: int) -> GradedPoly:
+    """p as a GradedPoly in the box (t_max, b_max).
 
     Terms of p outside the box are dropped.  The box may also be larger
     than the box of p: the caller then states that p is exact there.
     """
-    if not isinstance(p, GradedPoly):
-        return GradedPoly.constant(p, t_max, b_max)
     den, buckets = p._packed
     fits = _fits(t_max, b_max)
     return GradedPoly._from_sums(t_max, b_max, den, {tb: b for tb, b in buckets.items() if fits(tb)})
@@ -422,8 +420,6 @@ def hirota_D(f: GradedPoly, g: GradedPoly, alpha: Iterable[tuple[Var, int]]) -> 
 
 def _int_nth_root(n: int, k: int) -> int | None:
     """Exact k-th root of a non-negative integer, or None if not a power."""
-    if n < 0:
-        return None
     if n in (0, 1) or k == 1:
         return n
     lo, hi = 0, 1 << (n.bit_length() // k + 2)

@@ -60,10 +60,6 @@ class QPairFactor:
         return 1 - 2 * self.amp * self.cosv * qn + self.amp**2 * qn**2
 
 
-def _needs_q(factors) -> bool:
-    return any(isinstance(f, (QLinFactor, QPairFactor)) for f in factors)
-
-
 @dataclass(frozen=True)
 class RSpec:
     constant: Fraction = Fraction(1)
@@ -81,7 +77,7 @@ class RSpec:
             object.__setattr__(self, "q", Fraction(self.q))
         if self.constant == 0:
             raise ValueError("constant must be nonzero")
-        if _needs_q(self.num + self.den):
+        if any(isinstance(f, (QLinFactor, QPairFactor)) for f in self.num + self.den):
             if self.q is None:
                 raise ValueError("q-factors present but q not given")
             if self.q == 0:

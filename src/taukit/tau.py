@@ -62,20 +62,16 @@ class TauExpansion:
         return _render_pairs(self.coeffs, t, beta, self.grade)
 
 
-def _is_generic(times) -> bool:
-    return isinstance(times, GenericTimes)
-
-
 def _render_pairs(coeffs: dict, t, beta, d: int):
     """sum_lam c * s_lam(t) * s_lam(beta), c = coeffs[lam]; s_lam(gen) only where c * s_lam(other) != 0."""
-    if _is_generic(t) and _is_generic(beta):
+    if isinstance(t, GenericTimes) and isinstance(beta, GenericTimes):
         if t.family == beta.family:
             raise ValueError("generic time sets on the two slots must use distinct families")
         return schur_pair_sum(coeffs, d)
-    gen, other = (t, beta) if _is_generic(t) else (beta, t)
+    gen, other = (t, beta) if isinstance(t, GenericTimes) else (beta, t)
     weights = {lam: c * schur_poly(lam, other, d) for lam, c in coeffs.items() if c}
     pieces = ((w, schur_poly(lam, gen, d)) for lam, w in weights.items() if w)
-    if _is_generic(gen):
+    if isinstance(gen, GenericTimes):
         return weighted_sum(pieces, d, d)
     return sum((w * s for w, s in pieces), Fraction(0))
 
@@ -115,7 +111,7 @@ class ChainSpec:
     def __post_init__(self):
         if not self.left or not self.right:
             raise ValueError("each side of the chain needs at least one (rspec, times) pair")
-        left, right = ([tm.family for _, tm in side if _is_generic(tm)] for side in (self.left, self.right))
+        left, right = ([tm.family for _, tm in side if isinstance(tm, GenericTimes)] for side in (self.left, self.right))
         if len(left) > 1 or len(right) > 1:
             raise ValueError("at most one generic time set per chain side")
         if left and left == right:
@@ -146,7 +142,7 @@ def tau_general(chain: ChainSpec, m: int, d: int):
     left = _chain_vector(chain.left, m, d)
     right = _chain_vector(chain.right, m, d)
     products = [value * right[lam] for lam, value in left.items() if lam in right]
-    if any(_is_generic(tm) for _, tm in chain.left + chain.right):
+    if any(isinstance(tm, GenericTimes) for _, tm in chain.left + chain.right):
         # one pass: a running sum would re-form the whole polynomial at each product
         return weighted_sum(((1, p) for p in products), d, d)
     return sum(products, Fraction(0))

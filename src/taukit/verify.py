@@ -8,6 +8,8 @@ bilinear combination is uncorrupted at diagonal degrees <= d - 1 (each
 side draws on tau coefficients at most one grade higher), and a purely
 t-differentiated bilinear expression is uncorrupted wherever its b-weight
 stays <= d.  Products are formed in the compare window alone (``mul_in``).
+hirota's left side is 1/2 D_t1 D_b1 tau.tau from ``hirota_D``, as kp's is;
+its products land in the meet of their factors' boxes, the compare window.
 """
 
 from __future__ import annotations
@@ -106,13 +108,12 @@ def _bilinear_window(name: str, d: int) -> int:
 
 
 def check_hirota(r: RSpec, m: int, d: int) -> CheckReport:
-    """tau(M) d_b1 d_t1 tau(M) - d_t1 tau(M) d_b1 tau(M) = r(M) tau(M-1) tau(M+1)."""
+    """1/2 D_t1 D_b1 tau(M).tau(M) = r(M) tau(M-1) tau(M+1)."""
     window = _bilinear_window("hirota", d)
     w = (window, window)
     t1, b1 = tvar(1), bvar(1)
     tau_lo, tau_mid, tau_hi = (_generic_tau(r, n, d) for n in (m - 1, m, m + 1))
-    d_t, d_b = derivative(tau_mid, t1), derivative(tau_mid, b1)
-    lhs = mul_in(tau_mid, derivative(d_t, b1), *w) - mul_in(d_t, d_b, *w)
+    lhs = hirota_D(tau_mid, tau_mid, [(t1, 1), (b1, 1)]).scale(Fraction(1, 2))
     rhs = mul_in(tau_lo, tau_hi, *w).scale(r_eval(r, m))
     failure = compare_windowed(lhs, rhs, window, window)
     return _report(
@@ -185,8 +186,6 @@ def _check_termwise(name: str, a, b, q, order: int) -> CheckReport:
         raise ValueError(f"{name} compares x^0..x^(order-1): order = {order} compares nothing, use --order >= 1")
     if q is not None:
         q = _basic_q(q)
-    a = [Fraction(v) for v in a]
-    b = [Fraction(v) for v in b]
     r = _family_symbol(a, b, q)
     coeffs = _row_coeffs(r, 0, order)
     failure = None

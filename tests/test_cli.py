@@ -1,9 +1,13 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import taukit
 from taukit.cli import build_parser, emit, main
 from taukit.tau import classical_reference
 
@@ -254,6 +258,32 @@ def test_suite_stdout_golden(capsys, monkeypatch):
     assert capsys.readouterr().out == GOLDEN_SUITE
 
 
+# the same run with --format csv: the summary mapping as key,value rows
+GOLDEN_SUITE_CSV = GOLDEN_SUITE[: GOLDEN_SUITE.index("{")] + (
+    "key,value\n"
+    "criterion-01-oracle,pass\n"
+    "criterion-02-hirota,pass\n"
+    "criterion-03-toda,pass\n"
+    "criterion-04-kp,pass\n"
+    "criterion-05-classical,pass\n"
+    "criterion-06-qdiff,pass\n"
+    "criterion-07-ode,pass\n"
+    "criterion-08-prop4,pass\n"
+    "criterion-09-remark1,pass\n"
+    "criterion-10-poch-bridge,pass\n"
+    "criterion-11-example6,pass\n"
+    "criterion-12-aw,pass\n"
+    "criterion-13-two-sided,pass\n"
+    "criterion-14-cg,pass\n"
+)
+
+
+def test_suite_csv_stdout_golden(capsys, monkeypatch):
+    monkeypatch.setenv("TAUKIT_SEED", "1729")
+    assert main(["suite", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == GOLDEN_SUITE_CSV
+
+
 # -- error handling -----------------------------------------------------------------------
 
 
@@ -457,6 +487,9 @@ def test_missing_required_flag(capsys):
     (("verify", "kp", "-d", "4"), "rspec"),
     (("verify", "oracle", "-d", "3"), "rspec"),
     (("verify", "prop4", "--b", "1/2", "-d", "3"), "rspec"),
+    (("eval", "aw", "--params", "1/5,1/7,2/7"), "params a,b,c,d"),
+    (("eval", "cg", "--params", "1/2,1/2,1,1/2"), "params l1,l2,l,j,k"),
+    (("verify", "prop4", "--rspec", "{}", "--b", "1/5,2/5"), "b with exactly one rational"),
 ], ids=lambda v: "-".join(v[:2]) if isinstance(v, tuple) else v)
 def test_missing_flag_is_named(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
@@ -478,6 +511,24 @@ def test_verify_csv_report(capsys):
     assert any(line.startswith("pass,") for line in lines)
 
 
+# `verify hirota -d 3 --format csv` stdout, byte for byte: None and the params dict are JSON-encoded
+GOLDEN_HIROTA_CSV = (
+    "key,value\n"
+    "name,hirota\n"
+    "pass,True\n"
+    "grade,2\n"
+    "failure,null\n"
+    r'params,"{""rspec"": ""{\""constant\"":\""1\"",\""num\"":[{\""lin\"":{\""shift\"":\""1/2\""}}],'
+    r'\""den\"":[{\""lin\"":{\""shift\"":\""1/3\""}}]}"", ""M"": 0, ""d"": 3}"'
+    "\n"
+)
+
+
+def test_verify_csv_report_golden(capsys):
+    assert main(["verify", "hirota", "--rspec", RATIO_SPEC, "-M", "0", "-d", "3", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == GOLDEN_HIROTA_CSV
+
+
 def test_emit_dict_json_is_compact():
     assert emit({"a": "1"}, "json") == '{"a":"1"}'
 
@@ -485,6 +536,15 @@ def test_emit_dict_json_is_compact():
 def test_emit_csv_quotes_partitions():
     table = (("partition", "coefficient"), [("[2,1]", "1/2")])
     assert emit(table, "csv") == 'partition,coefficient\n"[2,1]",1/2'
+
+
+def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(taukit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = [sys.executable, "-m", "taukit.cli", "expand", "--rspec", "{}", "-d", "2"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == '{"[]":"1","[1]":"1","[2]":"1","[1,1]":"1"}\n'
 
 
 def test_parser_help_smoke():

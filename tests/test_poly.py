@@ -121,6 +121,12 @@ def test_hirota_t1_on_t1_and_1():
     assert hirota_D(var(T1, 3), GradedPoly.constant(1, 3, 3), [(T1, 1)]) == 1
 
 
+def test_hirota_without_derivatives_is_the_product():
+    f = 1 + var(T1, 4) + poly_of(4, ([(T2, 1), (B1, 1)], F(2, 3)))
+    g = poly_of(3, ([], F(1, 2)), ([(T1, 2)], F(-3)), ([(B1, 2)], F(5)))
+    assert hirota_D(f, g, []) == f * g
+
+
 class YPoly:
     """Brute-force oracle: polynomials in (t_i, y_i), keyed by paired exponents."""
 
@@ -457,3 +463,7 @@ def test_rational_pow_exact_roots():
     assert rational_nth_root(F(1, 3), 2) is None
     with pytest.raises(ValueError):
         rational_pow(F(1, 3), F(1, 2))
+
+
+def test_rational_pow_of_zero_at_a_positive_fractional_exponent():
+    assert rational_pow(F(0), F(1, 2)) == 0
