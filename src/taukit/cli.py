@@ -89,14 +89,10 @@ def emit(payload, fmt: str = "json") -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _partition_key(lam) -> str:
-    return json.dumps(list(lam), separators=(",", ":"))
-
-
 def cmd_expand(args) -> int:
     r = _load_rspec(args.rspec)
     parts = enumerate_up_to(_non_negative(args.degree, "-d/--degree"))
-    table = {_partition_key(lam): format_rational(c) for lam, c in content_products(r, parts, args.charge)}
+    table = {json.dumps(list(lam), separators=(",", ":")): format_rational(c) for lam, c in content_products(r, parts, args.charge)}
     if args.format == "csv":
         print(emit((("partition", "coefficient"), list(table.items())), "csv"))
     else:
@@ -202,7 +198,9 @@ def cmd_suite(args) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("TAUKIT_SEED", "1729"))
-    reports = run_suite(seed=seed, verbose=True)
+    reports = run_suite(seed=seed)
+    for r in reports:
+        print(f"PASS {r.name}" if r.passed else f"FAIL {r.name}  ({r.first_failure})")
     summary = {r.name: ("pass" if r.passed else "FAIL") for r in reports}
     print(emit(summary, args.format))
     return OK if all(r.passed for r in reports) else CHECK_FAILED

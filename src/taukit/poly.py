@@ -476,10 +476,6 @@ def q_number(x: Fraction, q: Fraction | None) -> Fraction:
     return 1 - rational_pow(q, x)
 
 
-def is_integral(x: Fraction) -> bool:
-    return Fraction(x).denominator == 1
-
-
 # -- rational parsing / formatting ------------------------------------------
 
 

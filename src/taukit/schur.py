@@ -59,6 +59,10 @@ from .rspec import poch_partition
 class GenericTimes:
     family: str = FAMILY_T
 
+    def __post_init__(self):
+        if self.family not in (FAMILY_T, FAMILY_B):
+            raise ValueError(f"generic times take family 't' or 'b', not {self.family!r}")
+
 
 @dataclass(frozen=True)
 class _EvaluatedTimes:
@@ -299,8 +303,9 @@ def _jacobi_trudi(lam: Partition, mu: Partition, power_sums) -> Fraction:
     twisted = not mu and len(lam) > (lam[0] if lam else 0)
     if twisted:
         lam = conjugate(lam)
-    ps = power_sums(twisted, lam[0] + len(lam) if lam else 0)
-    return det_fraction_matrix([[ps[k] if k >= 0 else Fraction(0) for k in row] for row in _jacobi_trudi_rows(lam, mu)])
+    rows = _jacobi_trudi_rows(lam, mu)
+    ps = power_sums(twisted, 1 + max((k for row in rows for k in row), default=-1))
+    return det_fraction_matrix([[ps[k] if k >= 0 else Fraction(0) for k in row] for row in rows])
 
 
 def _schur_numeric(lam: Partition, mu: Partition, values: list[Fraction], d: int) -> Fraction:

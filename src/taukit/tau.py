@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
-from .partitions import contains, enumerate_up_to
-from .poly import is_integral, q_number, rational_pow, weighted_sum
+from .partitions import contains, enumerate_up_to, hook_data
+from .poly import q_number, rational_pow, weighted_sum
 from .rspec import (
     LinFactor,
     PoleError,
@@ -252,10 +252,11 @@ def askey_wilson(n: int, a, b, c, dd, q, cos_eta, with_prefactor: bool = False) 
     a, b, c, dd, q, cos_eta = (Fraction(v) for v in (a, b, c, dd, q, cos_eta))
     if q == 0 or abs(q) == 1 or a == 0:
         raise ValueError("q must be nonzero and not a root of unity, a nonzero")
-    for prod_ab in (a * b, a * c, a * dd):
-        for i in range(n):
-            if prod_ab * q**i == 1:
-                raise PoleError(i, f"denominator parameter hits 1 at q^{i}")
+    # 1 - x q^i for x = ab, ac, ad in turn and i < n; the pole reported is the first zero in this order
+    lower = [1 - x * q**i for x in (a * b, a * c, a * dd) for i in range(n)]
+    if 0 in lower:
+        i = lower.index(0) % n
+        raise PoleError(i, f"denominator parameter hits 1 at q^{i}")
     abcd = a * b * c * dd
     total = Fraction(0)
     term = Fraction(1)
@@ -270,11 +271,7 @@ def askey_wilson(n: int, a, b, c, dd, q, cos_eta, with_prefactor: bool = False) 
         term = term * num / den * q
     if not with_prefactor:
         return total
-    pref = a ** (-n)
-    for prod_ab in (a * b, a * c, a * dd):
-        for i in range(n):
-            pref *= 1 - prod_ab * q**i
-    return pref * total
+    return a ** (-n) * prod(lower) * total
 
 
 def askey_wilson_rspec(n: int, a, b, c, dd, q, cos_eta) -> RSpec:
@@ -355,10 +352,8 @@ def q_bracket(a: int, q) -> SqrtValue:
 
 def _bracket_factorial(n: int, q: Fraction) -> tuple[Fraction, int]:
     """[n]! = [1][2]...[n] as (c, h) with [n]! = c * q^(h/2); [0]! = 1."""
-    c = Fraction(1)
-    for a in range(2, n + 1):
-        c *= (1 - q**a) / (1 - q)
-    return c, -n * (n - 1) // 2
+    # c = (q;q)_n / (1 - q)^n, and (q;q)_n is the hook product of the row (n)
+    return hook_data((n,) if n else (), q) / (1 - q) ** n, -n * (n - 1) // 2
 
 
 def _as_half_integer(x) -> Fraction:
@@ -399,12 +394,13 @@ def clebsch_gordan_q(l1, l2, l, j, k, q) -> SqrtValue:
     }
     c, h = Fraction(1), 0
     for name, (v, e) in factorials.items():
-        if not is_integral(v) or v < 0:
+        if v.denominator != 1 or v < 0:
             raise ValueError(f"bracket argument {name} = {v} is not a non-negative integer")
         cx, hx = _bracket_factorial(int(v), q)
         c, h = c * cx**e, h + e * hx
 
-    phi = _cg_phi32(l1, l2, l, j, m, q)
+    a, b, order = _cg_series(l1, l2, l, j, m)
+    phi = sum((coeff * q**s for s, coeff in enumerate(qphi_one_var_coeffs(a, b, 0, q, order))), Fraction(0))
     # [2l+1] = c q^(-2l/2) and q^(2B) = q^(4B/2), 4B = l2(l2+1) - l1(l1+1) - l(l+1) + 2j(m+1)
     c *= phi**2 * (1 - q ** int(2 * l + 1)) / (1 - q)
     h += int(l2 * (l2 + 1) - l1 * (l1 + 1) - l * (l + 1) + 2 * j * (m + 1) - 2 * l)
@@ -412,13 +408,11 @@ def clebsch_gordan_q(l1, l2, l, j, k, q) -> SqrtValue:
     return SqrtValue.of(sign, c * rational_pow(q, Fraction(h, 2)))
 
 
-def _cg_phi32(l1, l2, l, j, m, q: Fraction) -> Fraction:
-    """The terminating balanced 3-on-2 series factor, argument and base q."""
-    a_params = (j - l1, l1 + j + 1, -l + m)
-    b_params = (l2 - l + j + 1, -l - l2 + j)
-    order = int(l1 - j)  # (q^{j-l1}; q)_s vanishes past s = l1 - j
-    coeffs = qphi_one_var_coeffs(a_params, b_params, 0, q, order)
-    return sum((c * q**s for s, c in enumerate(coeffs)), Fraction(0))
+def _cg_series(l1, l2, l, j, m) -> tuple:
+    """(a, b, order) of the terminating balanced 3-on-2 series factor, summed at argument and base q."""
+    a = (j - l1, l1 + j + 1, -l + m)
+    b = (l2 - l + j + 1, -l - l2 + j)
+    return a, b, int(l1 - j)  # (q^{j-l1}; q)_s vanishes past s = l1 - j
 
 
 # -- reparametrized pairs ------------------------------------------------------------

@@ -550,3 +550,25 @@ def test_module_entry_point():
 def test_parser_help_smoke():
     parser = build_parser()
     assert parser.prog == "taukit"
+
+
+def test_suite_prints_a_failing_criterion_and_exits_one(capsys, monkeypatch):
+    from taukit import acceptance
+    from taukit.tau import SqrtValue
+
+    # [a] read as a at every q: criterion 14's bracket steps no longer fall
+    monkeypatch.setattr(acceptance, "CRITERIA", [acceptance.criterion_12_aw, acceptance.criterion_14_cg])
+    monkeypatch.setattr(acceptance, "q_bracket", lambda a, q: SqrtValue.of(a))
+    assert main(["suite", "--seed", "1729"]) == 1
+    assert capsys.readouterr().out == (
+        "PASS criterion-12-aw\n"
+        "FAIL criterion-14-cg  (('bracket [2] not monotone at step 1', '', ''))\n"
+        '{"criterion-12-aw":"pass","criterion-14-cg":"FAIL"}\n'
+    )
+
+
+def test_eval_aw_pole_names_the_first_point_of_ab(capsys):
+    # ab = 2 vanishes at i = 1 and ac = 1 at i = 0; ab is scanned first
+    code, out, err = run(capsys, "eval", "aw", "--n", "2", "--params", "1/5,10,5,1/11", "--q", "1/2")
+    assert code == 2 and out == ""
+    assert err == "error: pole at integer point 1: a denominator given by --params vanishes there"

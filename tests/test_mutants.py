@@ -11,6 +11,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from taukit import acceptance
+from taukit.acceptance import run_criterion
 from taukit.poly import bvar
 from taukit.rspec import LinFactor, RSpec
 from taukit.verify import check_hirota
@@ -19,11 +21,24 @@ RATIO = RSpec(num=(LinFactor(F(1, 2)),), den=(LinFactor(F(1, 3)),))
 
 CHECKS = {
     "hirota": lambda: check_hirota(RATIO, 0, 5),
+    # each criterion reads its callees through the acceptance module, where the rows patch them
+    **{
+        f"criterion-{c.__name__.split('_')[1]}": lambda c=c: run_criterion(c, 1729)
+        for c in acceptance.CRITERIA
+    },
 }
 
 
 def _b2_for_b1(alpha):
     return [(bvar(2) if v == bvar(1) else v, e) for v, e in alpha]
+
+
+def _last_doubled(coeffs):
+    return coeffs[:-1] + [2 * coeffs[-1]]
+
+
+def _last_zeroed(coeffs):
+    return coeffs[:-1] + [0]
 
 
 MUTANTS = [
@@ -44,6 +59,62 @@ MUTANTS = [
         "taukit.verify.r_eval",
         lambda r_eval: lambda r, n: r_eval(r, n + 1),
         ("hirota",),
+    ),
+    (
+        "classical_reference with its last coefficient doubled",
+        "taukit.acceptance.classical_reference",
+        lambda ref: lambda *args, **kwargs: _last_doubled(ref(*args, **kwargs)),
+        ("criterion-05",),
+    ),
+    (
+        "content_product at charge M + 1",
+        "taukit.acceptance.content_product",
+        lambda content_product: lambda r, lam, m: content_product(r, lam, m + 1),
+        ("criterion-10",),
+    ),
+    (
+        "schur_principal_value doubled off the empty partition",
+        "taukit.acceptance.schur_principal_value",
+        lambda value: lambda lam, a, q=None: value(lam, a, q) * (2 if lam else 1),
+        ("criterion-10",),
+    ),
+    (
+        "tau_general at charge M + 1",
+        "taukit.acceptance.tau_general",
+        lambda tau_general: lambda chain, m, d: tau_general(chain, m + 1, d),
+        ("criterion-11",),
+    ),
+    (
+        "askey_wilson plus its b",
+        "taukit.acceptance.askey_wilson",
+        lambda aw: lambda n, a, b, c, dd, q, cos_eta, with_prefactor=False: (
+            aw(n, a, b, c, dd, q, cos_eta, with_prefactor) + b
+        ),
+        ("criterion-12",),
+    ),
+    (
+        "poch_partition plus 1",
+        "taukit.acceptance.poch_partition",
+        lambda poch: lambda a, lam, q=None: poch(a, lam, q) + 1,
+        ("criterion-12",),
+    ),
+    (
+        "tau_two_sided at charge M + 1",
+        "taukit.acceptance.tau_two_sided",
+        lambda two_sided: lambda rt, r, m, d, t, beta: two_sided(rt, r, m + 1, d, t, beta),
+        ("criterion-13",),
+    ),
+    (
+        "qphi_one_var_coeffs with its last coefficient zeroed",
+        "taukit.acceptance.qphi_one_var_coeffs",
+        lambda coeffs: lambda *args: _last_zeroed(coeffs(*args)),
+        ("criterion-14",),
+    ),
+    (
+        "q_bracket at a fixed q",
+        "taukit.acceptance.q_bracket",
+        lambda q_bracket: lambda a, q: q_bracket(a, F(1, 2)),
+        ("criterion-14",),
     ),
 ]
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -276,6 +277,20 @@ def test_principal_refusal_depends_on_the_partition_not_the_grade():
         schur_poly((2,), times, 4)
     assert schur_poly((), PrincipalTimes(F(2), F(-1)), 4) == 1
     assert schur_poly((1,), PrincipalTimes(F(2), F(-1)), 4) == 0
+
+
+def test_skew_refusal_depends_on_the_indices_its_determinant_reads():
+    # s_(3)/(2) = t_1 reads p_1 alone, so q^2 = 1 refuses nothing; s_(2,2)/(1,1) reads p_2
+    times = PrincipalTimes(F(2), F(-1))
+    assert skew_schur_poly((3,), (2,), times, 3) == 0
+    with pytest.raises(ValueError, match=r"q\^2 = 1"):
+        skew_schur_poly((2, 2), (1, 1), times, 4)
+
+
+@pytest.mark.parametrize("family", ["x", "T", "tb", ""])
+def test_generic_times_refuse_a_family_other_than_t_or_b(family):
+    with pytest.raises(ValueError, match=re.escape(repr(family))):
+        GenericTimes(family)
 
 
 # -- evaluated times resolve their values and power sums once per object ------------------

@@ -533,6 +533,13 @@ def test_aw_pole_detection():
         askey_wilson(2, F(1, 2), F(6), F(1, 7), F(1, 11), **AW_POINT)
 
 
+def test_aw_pole_scans_ab_before_ac():
+    # 1 - ab q^i vanishes at i = 1 and 1 - ac q^i at i = 0; ab is scanned first
+    with pytest.raises(PoleError) as err:
+        askey_wilson(2, F(1, 5), F(10), F(5), F(1, 11), F(1, 2), F(1, 2))
+    assert err.value.point == 1
+
+
 # -- exact square-root values --------------------------------------------------------------
 
 
