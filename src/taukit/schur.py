@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import factorial, lcm, prod
 from operator import mul
 from types import MappingProxyType
@@ -211,11 +211,25 @@ def power_sums_basis(d: int, family: str = FAMILY_T) -> list[GradedPoly]:
     return [_schur_generic((m,) if m else (), (), family, d) for m in range(d + 1)]
 
 
+@cache
+def _grade_layout(n: int) -> tuple:
+    """Grade n's partitions, character columns (chi^lam(rho) for lam) per rho, packed t- and b-keys and prod m(rho)!,
+    as read-only tuples: one entry per grade asked for, and a grade is at most 255, the slot bound."""
+    rhos = tuple(partitions_of(n))
+    cols = tuple(tuple(characters(lam)[rho] for lam in rhos) for rho in rhos)
+    monos, facts = zip(*(_rho_monomial(rho, FAMILY_T) for rho in rhos))
+    tkeys = tuple(_key(m) for m in monos)
+    bkeys = tuple(_key((Var(FAMILY_B, v.index), e) for v, e in m) for m in monos)
+    return rhos, cols, tkeys, bkeys, facts
+
+
 def schur_pair_sum(coeffs: dict, d: int) -> GradedPoly:
     """sum over |lam| <= d of coeffs[lam] s_lam(t) s_lam(b), t and b two generic time sets.
 
     Grade n is the symmetric block chi^T diag(coeffs) chi, scaled by
-    1 / (prod m(rho)! prod m(sigma)!).  It is summed in integers and goes
+    1 / (prod m(rho)! prod m(sigma)!).  Its partitions, characters, packed keys
+    and prod m(rho)! come from the per-grade table ``_grade_layout``, so a call
+    does only the coefficient work.  A block is summed in integers and goes
     straight into the packed (n, n) bucket over one denominator,
     lcm(denominators of coeffs) * (d!)^2, since every prod m(rho)! divides d!.
     """
@@ -223,21 +237,15 @@ def schur_pair_sum(coeffs: dict, d: int) -> GradedPoly:
     den = lcm(*(Fraction(c).denominator for c in coeffs.values()))
     sums = {}
     for n in range(d + 1):
-        rhos = list(partitions_of(n))
-        lams = [lam for lam in rhos if coeffs.get(lam)]
-        if not lams:
+        lams, cols, tkeys, bkeys, facts = _grade_layout(n)
+        ints = [int(coeffs.get(lam, 0) * den) for lam in lams]
+        if not any(ints):
             continue
-        ints = [int(coeffs[lam] * den) for lam in lams]
-        tables = [characters(lam) for lam in lams]
-        cols = [[chi[rho] for chi in tables] for rho in rhos]
-        monos, facts = zip(*(_rho_monomial(rho, FAMILY_T) for rho in rhos))
-        tkeys = [_key(m) for m in monos]
-        bkeys = [_key((Var(FAMILY_B, v.index), e) for v, e in m) for m in monos]
         facts = [scale // f for f in facts]
         acc = sums[n, n] = {}
         for i, col in enumerate(cols):
             weighted = list(map(mul, ints, col))
-            for j in range(i, len(rhos)):
+            for j in range(i, len(cols)):
                 total = sum(map(mul, weighted, cols[j]))
                 if total:
                     acc[tkeys[i] + bkeys[j]] = acc[tkeys[j] + bkeys[i]] = total * facts[i] * facts[j]
@@ -284,10 +292,11 @@ def det_fraction_matrix(rows: list[list[Fraction]]) -> Fraction:
 
 
 def _jacobi_trudi_rows(lam: Partition, mu: Partition = ()) -> list[list[int]]:
-    """Indices p_{lam_r - mu_c - r + c} of the skew Jacobi-Trudi matrix."""
-    n = len(lam)
-    padded = tuple(mu) + (0,) * (n - len(mu))
-    return [[lam[r] - padded[c] - (r + 1) + (c + 1) for c in range(n)] for r in range(n)]
+    """Indices p_{lam_r - mu_c - r + c} of the skew Jacobi-Trudi matrix, less each row with lam_r = mu_r and its
+    column: that row's pivot is p_0 = 1, with p_k, k < 0, left of it and below it, so the determinant is unchanged."""
+    padded = tuple(mu) + (0,) * (len(lam) - len(mu))
+    keep = [r for r, part in enumerate(lam) if part != padded[r]]
+    return [[lam[r] - padded[c] - r + c for c in keep] for r in keep]
 
 
 def _twist(values: list[Fraction]) -> list[Fraction]:

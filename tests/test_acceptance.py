@@ -55,6 +55,19 @@ def test_criterion_stops_at_its_first_failing_report(monkeypatch):
     assert len(calls) == 2
 
 
+def test_toda_criterion_runs_both_gauges_for_every_spec_and_charge(monkeypatch):
+    calls = []
+
+    def toda(spec, m, d, gauge):
+        calls.append((spec, m, gauge))
+        return CheckReport(name="toda", passed=True, max_checked_grade=d - 1)
+
+    monkeypatch.setattr(acceptance, "check_toda", toda)
+    assert acceptance.criterion_03_toda(SEED).passed
+    gauges = ("generalized", "standard")
+    assert calls == [(spec, m, gauge) for spec in battery_specs(SEED) for m in (-1, 0, 1) for gauge in gauges]
+
+
 def test_prop4_criterion_fails_where_the_prop4_check_fails(monkeypatch):
     from fractions import Fraction as F
 

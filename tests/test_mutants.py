@@ -3,7 +3,8 @@
 A row is (name, monkeypatch target, defective replacement, checks expected
 to kill it).  The replacement is built from the original callable.  Each
 listed check must pass on the unmutated code and fail on the mutant; a
-mutant that a listed check lets through fails the test.
+mutant that a listed check lets through fails the test, and so does one
+that makes a check raise: a crash is not a kill.
 """
 
 import importlib
@@ -12,20 +13,21 @@ from fractions import Fraction as F
 import pytest
 
 from taukit import acceptance
-from taukit.acceptance import run_criterion
 from taukit.poly import bvar
 from taukit.rspec import LinFactor, RSpec
-from taukit.verify import check_hirota
+from taukit.verify import check_hirota, check_kp_bilinear, check_toda, det_oracle_tau
 
 RATIO = RSpec(num=(LinFactor(F(1, 2)),), den=(LinFactor(F(1, 3)),))
 
 CHECKS = {
     "hirota": lambda: check_hirota(RATIO, 0, 5),
-    # each criterion reads its callees through the acceptance module, where the rows patch them
-    **{
-        f"criterion-{c.__name__.split('_')[1]}": lambda c=c: run_criterion(c, 1729)
-        for c in acceptance.CRITERIA
-    },
+    "toda": lambda: check_toda(RATIO, 0, 5),
+    "toda-standard": lambda: check_toda(RATIO, 0, 5, "standard"),
+    "kp": lambda: check_kp_bilinear(RATIO, 0, 5),
+    "oracle": lambda: det_oracle_tau(RATIO, 0, 5)[1],
+    # each criterion reads its callees through the acceptance module, where the rows patch them;
+    # called directly, not through run_criterion, which would turn a crash into a failing report
+    **{f"criterion-{c.__name__.split('_')[1]}": lambda c=c: c(1729) for c in acceptance.CRITERIA},
 }
 
 
@@ -39,6 +41,14 @@ def _last_doubled(coeffs):
 
 def _last_zeroed(coeffs):
     return coeffs[:-1] + [0]
+
+
+def _grade_3_facts_doubled(layout):
+    def mutant(n):
+        lams, cols, tkeys, bkeys, facts = layout(n)
+        return lams, cols, tkeys, bkeys, tuple(2 * f for f in facts) if n == 3 else facts
+
+    return mutant
 
 
 MUTANTS = [
@@ -59,6 +69,12 @@ MUTANTS = [
         "taukit.verify.r_eval",
         lambda r_eval: lambda r, n: r_eval(r, n + 1),
         ("hirota",),
+    ),
+    (
+        "_grade_layout with grade 3's prod m(rho)! doubled: that block scaled by 1/4",
+        "taukit.schur._grade_layout",
+        _grade_3_facts_doubled,
+        ("hirota", "toda", "toda-standard", "kp", "oracle"),
     ),
     (
         "classical_reference with its last coefficient doubled",

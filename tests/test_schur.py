@@ -6,18 +6,20 @@ from hypothesis import example, given, settings, strategies as st
 
 from taukit import schur
 from taukit.partitions import conjugate, contains, enumerate_up_to, hook_data, n_statistic
-from taukit.poly import GradedPoly, mono, mono_weights, tvar
-from taukit.rspec import LinFactor, RSpec
+from taukit.poly import GradedPoly, mono, mono_weights, tvar, weighted_sum
+from taukit.rspec import LinFactor, QLinFactor, RSpec, content_products
 from taukit.schur import (
     GenericTimes,
     MiwaTimes,
     NumericTimes,
     PrincipalInfinityTimes,
     PrincipalTimes,
+    _grade_layout,
     _schur_numeric,
     characters,
     det_fraction_matrix,
     power_sums_basis,
+    schur_pair_sum,
     schur_poly,
     schur_principal_value,
     skew_schur_poly,
@@ -280,9 +282,11 @@ def test_principal_refusal_depends_on_the_partition_not_the_grade():
 
 
 def test_skew_refusal_depends_on_the_indices_its_determinant_reads():
-    # s_(3)/(2) = t_1 reads p_1 alone, so q^2 = 1 refuses nothing; s_(2,2)/(1,1) reads p_2
+    # s_(3)/(2) = t_1 reads p_1 alone, so q^2 = 1 refuses nothing; s_(2,2)/(1,1) reads p_2.
+    # (3,1)/(2,1) leaves row 2 empty: its unit pivot goes with its column, so p_3 is never read
     times = PrincipalTimes(F(2), F(-1))
     assert skew_schur_poly((3,), (2,), times, 3) == 0
+    assert skew_schur_poly((3, 1), (2, 1), times, 4) == 0
     with pytest.raises(ValueError, match=r"q\^2 = 1"):
         skew_schur_poly((2, 2), (1, 1), times, 4)
 
@@ -382,3 +386,25 @@ def test_schur_sum_squares_cauchy(n):
         c = schur_poly(lam, T, n).coeff(mono([(tvar(1), n)]) if n else ())
         total += (c * factorial(n)) ** 2
     assert total == factorial(n)
+
+
+# -- the paired sum against one Schur product per partition ------------------------------
+
+PAIR_TABLES = {
+    # r = (D + 3)/(D + 1/3) at M = 0 vanishes on every partition with a cell of content -3
+    "integer-zero": RSpec(num=(LinFactor(F(3)),), den=(LinFactor(F(1, 3)),)),
+    "q-symbol": RSpec(F(2), (QLinFactor(F(2, 3), F(0)),), (QLinFactor(F(3, 5), F(1)),), q=F(1, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PAIR_TABLES))
+def test_schur_pair_sum_matches_schur_products_cold_and_warm(kind):
+    d, b = 7, GenericTimes("b")
+    coeffs = dict(content_products(PAIR_TABLES[kind], enumerate_up_to(d), 0))
+    if kind == "integer-zero":
+        assert 0 in coeffs.values() and any(coeffs.values())
+    want = weighted_sum(((c, schur_poly(lam, T, d) * schur_poly(lam, b, d)) for lam, c in coeffs.items()), d, d)
+    _grade_layout.cache_clear()
+    assert schur_pair_sum(coeffs, d) == want
+    assert _grade_layout.cache_info().currsize == d + 1
+    assert schur_pair_sum(coeffs, d) == want
