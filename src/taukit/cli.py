@@ -15,10 +15,10 @@ import os
 import sys
 from fractions import Fraction
 
-from .partitions import enumerate_up_to
 from .poly import format_rational, parse_rational
-from .rspec import PoleError, RSpec, _named, content_products, rspec_from_json, zero_pole_scan
+from .rspec import PoleError, RSpec, _named, rspec_from_json, zero_pole_scan
 from .tau import (
+    TauExpansion,
     askey_wilson,
     clebsch_gordan_q,
     pfq_one_var_coeffs,
@@ -53,17 +53,11 @@ def _load_rspec(arg: str) -> RSpec:
     return rspec_from_json(arg)
 
 
-def _needs(args, flag: str, what: str) -> str:
-    """The value of --flag, refusing an empty one with a message that names it."""
-    value = getattr(args, flag)
-    if not value:
-        raise ValueError(f"{what} needs --{flag}")
-    return value
-
-
 def _flag(args, flag: str, parse=_rat_list, needed_by: str = ""):
-    """parse(value of --flag), a malformed value refused naming the flag; with needed_by, an empty one as by _needs."""
-    text = _needs(args, flag, needed_by) if needed_by else getattr(args, flag)
+    """parse(value of --flag), a malformed value refused naming the flag; with needed_by, an empty one refused naming both."""
+    text = getattr(args, flag)
+    if needed_by and not text:
+        raise ValueError(f"{needed_by} needs --{flag}")
     return _named(f"--{flag}", parse, text)
 
 
@@ -90,9 +84,9 @@ def emit(payload, fmt: str = "json") -> str:
 
 
 def cmd_expand(args) -> int:
-    r = _load_rspec(args.rspec)
-    parts = enumerate_up_to(_non_negative(args.degree, "-d/--degree"))
-    table = {json.dumps(list(lam), separators=(",", ":")): format_rational(c) for lam, c in content_products(r, parts, args.charge)}
+    r = _flag(args, "rspec", _load_rspec)
+    coeffs = TauExpansion.build(r, args.charge, _non_negative(args.degree, "-d/--degree")).coeffs
+    table = {json.dumps(list(lam), separators=(",", ":")): format_rational(c) for lam, c in coeffs.items()}
     if args.format == "csv":
         print(emit((("partition", "coefficient"), list(table.items())), "csv"))
     else:
@@ -110,8 +104,8 @@ def _one_var(coeffs: list[Fraction], x: Fraction | None) -> dict:
 
 def cmd_eval(args) -> int:
     fmt = args.format
-    if args.family in ("pfq", "qphi") and args.order < 0:
-        raise ValueError(f"--order must be >= 0 for eval {args.family}, got {args.order}")
+    if args.family in ("pfq", "qphi"):
+        _non_negative(args.order, "--order")
     if args.family == "pfq":
         coeffs = pfq_one_var_coeffs(_flag(args, "a"), _flag(args, "b"), args.charge, args.order)
         out = _one_var(coeffs, _flag(args, "x", parse_rational) if args.x else None)
@@ -162,7 +156,7 @@ def cmd_verify(args) -> int:
     if name not in ("ode", "qdiff"):
         _non_negative(args.degree, "-d/--degree")
     if name in ("hirota", "toda", "kp", "oracle"):
-        r = _load_rspec(_needs(args, "rspec", name))
+        r = _flag(args, "rspec", _load_rspec, name)
         if name == "hirota":
             report = check_hirota(r, args.charge, args.degree)
         elif name == "toda":
@@ -184,7 +178,7 @@ def cmd_verify(args) -> int:
             params["q"] = _flag(args, "q", parse_rational, f"remark1 --mode {args.mode}")
         report = check_remark1(args.mode, params, args.degree)
     else:
-        r = _load_rspec(_needs(args, "rspec", name))
+        r = _flag(args, "rspec", _load_rspec, name)
         bs = _flag(args, "b")
         if len(bs) != 1:
             raise ValueError("prop4 needs --b with exactly one rational")

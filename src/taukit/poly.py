@@ -220,9 +220,6 @@ class GradedPoly:
             other = GradedPoly.constant(other, self.t_max, self.b_max)
         return weighted_sum(((1, self), (-1, other)), *self._meet(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def scale(self, value) -> "GradedPoly":
         return weighted_sum(((value, self),), self.t_max, self.b_max)
 
@@ -388,9 +385,7 @@ def hirota_D(f: GradedPoly, g: GradedPoly, alpha: Iterable[tuple[Var, int]]) -> 
     the b and a - b terms are one product, formed once with (1 + (-1)^{|a|}) times b's weight.
     """
     pairs = [(v, e) for v, e in alpha if e]
-    if not pairs:
-        return f * g
-    vars_, exps = zip(*pairs)
+    vars_, exps = [v for v, _ in pairs], [e for _, e in pairs]
     box = list(_iproduct(*[range(e + 1) for e in exps]))
 
     def partials(p):

@@ -139,11 +139,9 @@ def r_eval(r: RSpec, n: int) -> Fraction:
 
 def content_product(r: RSpec, lam, m: int) -> Fraction:
     """r_lam(M) = prod over cells (i,j) of r(j - i + M); empty product is 1."""
-    lam = check_partition(lam)
     out = Fraction(1)
-    for i, part in enumerate(lam, start=1):
-        for j in range(1, part + 1):
-            out *= r_eval(r, j - i + m)
+    for c in contents(check_partition(lam)):
+        out *= r_eval(r, c + m)
     return out
 
 

@@ -205,10 +205,11 @@ def _schur_generic(outer: Partition, inner: Partition, family: str, d: int) -> G
 
 
 def power_sums_basis(d: int, family: str = FAMILY_T) -> list[GradedPoly]:
-    """Polynomials p_0..p_d with sum p_m z^m = exp(sum t_i z^i), i.e. p_m = s_(m)."""
+    """Polynomials p_0..p_d with sum p_m z^m = exp(sum t_i z^i), i.e. p_m = s_(m), by ``numeric_power_sums`` at t_1..t_d."""
     if d < 0:
         raise ValueError("d must be >= 0")
-    return [_schur_generic((m,) if m else (), (), family, d) for m in range(d + 1)]
+    ts = [GradedPoly.variable(Var(family, k), d, d) for k in range(1, d + 1)]
+    return [GradedPoly.constant(1, d, d)] + numeric_power_sums(ts, d)[1:]
 
 
 @cache
@@ -255,14 +256,14 @@ def schur_pair_sum(coeffs: dict, d: int) -> GradedPoly:
 # -- evaluated kinds: Jacobi-Trudi ------------------------------------------------
 
 
-def numeric_power_sums(values: list[Fraction], d: int) -> list[Fraction]:
-    """p_0..p_d at numeric times, by m p_m = sum_{k=1..m} k t_k p_{m-k}."""
+def numeric_power_sums(values: list, d: int) -> list:
+    """p_0..p_d at the times t_1..t_d, by m p_m = sum_{k=1..m} k t_k p_{m-k}; the times are rationals or GradedPolys."""
     ps = [Fraction(1)]
     for m in range(1, d + 1):
         acc = Fraction(0)
         for k in range(1, m + 1):
             acc += k * values[k - 1] * ps[m - k]
-        ps.append(acc / m)
+        ps.append(acc * Fraction(1, m))
     return ps
 
 

@@ -186,10 +186,10 @@ def qphi_multivar(a, b, m: int, q, x, d: int) -> Fraction:
     that only they reach is never evaluated.
     """
     q = _basic_q(q)
-    xs = tuple(Fraction(v) for v in x)
+    times = MiwaTimes(x)
     r = _family_symbol(a, b, q)
-    coeffs = dict(content_products(r, [lam for lam in enumerate_up_to(d) if len(lam) <= len(xs)], m))
-    return _render_pairs(coeffs, MiwaTimes(xs), PrincipalInfinityTimes(q), d)
+    coeffs = dict(content_products(r, [lam for lam in enumerate_up_to(d) if len(lam) <= len(times.x)], m))
+    return _render_pairs(coeffs, times, PrincipalInfinityTimes(q), d)
 
 
 def _row_coeffs(r: RSpec, m: int, order: int) -> list[Fraction]:

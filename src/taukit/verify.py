@@ -127,13 +127,17 @@ def check_toda(r: RSpec, m: int, d: int, gauge: str = "generalized") -> CheckRep
     The field comes from the tau-ratio: exp(-phi_n) = tau(n+1)/tau(n).  The
     standard gauge normalises by h(n) = h(n-1)/r(n), whose couplings are r's
     own values: its report is the generalized one with both sides negated, and
-    it refuses integer zeros of r on M-1..M+1, where h is undefined.
+    it refuses integer zeros of r on M-1..M+1, where h is undefined, before any tau is built.
     Only phi_M is differentiated, so only log tau(M) and log tau(M+1) are
     formed in the taus' box (d, d); the rest is formed in the compare window.
     """
     if gauge not in ("generalized", "standard"):
         raise ValueError(f"unknown gauge {gauge!r}")
     window = _bilinear_window("toda", d)
+    if gauge == "standard":
+        zeros = [n for n, kind in zero_pole_scan(r, m - 1, m + 1) if kind == "zero"]
+        if zeros:
+            raise ValueError(f"standard gauge needs r without integer zeros; found at {zeros}")
     w = (window, window)
     t1, b1 = tvar(1), bvar(1)
     taus = {n: _generic_tau(r, n, d) for n in range(m - 1, m + 3)}
@@ -144,9 +148,6 @@ def check_toda(r: RSpec, m: int, d: int, gauge: str = "generalized") -> CheckRep
     hop_up = exp_series(phi[m] - phi[m + 1])
     rhs = hop_down.scale(r_eval(r, m)) - hop_up.scale(r_eval(r, m + 1))
     if gauge == "standard":
-        zeros = [n for n, kind in zero_pole_scan(r, m - 1, m + 1) if kind == "zero"]
-        if zeros:
-            raise ValueError(f"standard gauge needs r without integer zeros; found at {zeros}")
         lhs, rhs = -lhs, -rhs
     failure = compare_windowed(lhs, rhs, window, window)
     return _report(

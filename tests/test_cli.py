@@ -323,6 +323,16 @@ def test_malformed_rspec_names_the_key(capsys, spec, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("expand", "--rspec", '{"nmu":[]}', "-d", "2"),
+    ("verify", "hirota", "--rspec", '{"num":5}'),
+], ids=["expand", "verify"])
+def test_malformed_rspec_names_the_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --rspec: ") and "Traceback" not in err
+
+
 def test_pole_reports_offending_point(capsys):
     pole_spec = '{"constant":"1","num":[],"den":[{"lin":{"shift":"-1"}}]}'
     code, _, err = run(capsys, "expand", "--rspec", pole_spec, "-M", "0", "-d", "3")
@@ -460,7 +470,10 @@ def test_verify_prop4_failure_names_monomial(capsys, monkeypatch):
     (("verify", "oracle", "--rspec", RATIO_SPEC, "-d", "3", "--window", "-1"), "--window"),
     (("verify", "oracle", "--rspec", RATIO_SPEC, "-d", "3", "--window", "2"), "--window"),
     (("eval", "aw", "--n", "-1", "--params", "1/5,1/7,2/7,1/11", "--q", "1/2"), "--n"),
-], ids=["expand", "oracle", "hirota", "remark1", "prop4", "window-negative", "window-below-d", "aw-n"])
+    (("eval", "pfq", "--a", "1/2", "--b", "3/2", "--order", "-1"), "--order"),
+    (("eval", "qphi", "--a", "2", "--b", "3", "--q", "1/2", "--order", "-1"), "--order"),
+], ids=["expand", "oracle", "hirota", "remark1", "prop4", "window-negative", "window-below-d", "aw-n", "pfq-order",
+        "qphi-order"])
 def test_negative_sizes_name_their_flag(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

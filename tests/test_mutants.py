@@ -15,7 +15,16 @@ import pytest
 from taukit import acceptance
 from taukit.poly import bvar
 from taukit.rspec import LinFactor, RSpec
-from taukit.verify import check_hirota, check_kp_bilinear, check_toda, det_oracle_tau
+from taukit.verify import (
+    check_hirota,
+    check_kp_bilinear,
+    check_ode,
+    check_prop4,
+    check_qdiff,
+    check_remark1,
+    check_toda,
+    det_oracle_tau,
+)
 
 RATIO = RSpec(num=(LinFactor(F(1, 2)),), den=(LinFactor(F(1, 3)),))
 
@@ -25,6 +34,12 @@ CHECKS = {
     "toda-standard": lambda: check_toda(RATIO, 0, 5, "standard"),
     "kp": lambda: check_kp_bilinear(RATIO, 0, 5),
     "oracle": lambda: det_oracle_tau(RATIO, 0, 5)[1],
+    "ode": lambda: check_ode([F(1, 2)], [F(3, 2)], 6),
+    "qdiff": lambda: check_qdiff([F(2)], [F(3)], F(1, 3), 6),
+    "prop4": lambda: check_prop4(RATIO, F(1, 5), 0, 5),
+    "remark1-miwa": lambda: check_remark1("miwa", {"N": 2}, 6),
+    "remark1-q": lambda: check_remark1("q-spec", {"N": 2, "q": F(1, 2)}, 6),
+    "remark1-dual": lambda: check_remark1("dual", {"K": 2, "q": F(1, 2)}, 6),
     # each criterion reads its callees through the acceptance module, where the rows patch them;
     # called directly, not through run_criterion, which would turn a crash into a failing report
     **{f"criterion-{c.__name__.split('_')[1]}": lambda c=c: c(1729) for c in acceptance.CRITERIA},
@@ -68,7 +83,25 @@ MUTANTS = [
         "r_eval returns r(n + 1): r(M+1) on the hirota rhs",
         "taukit.verify.r_eval",
         lambda r_eval: lambda r, n: r_eval(r, n + 1),
-        ("hirota",),
+        ("hirota", "ode", "qdiff"),
+    ),
+    (
+        "prop4_pair with its right side at charge M + 1",
+        "taukit.verify.prop4_pair",
+        lambda pair: lambda r, b, m, d, t: (pair(r, b, m, d, t)[0], pair(r, b, m + 1, d, t)[1]),
+        ("prop4", "criterion-08"),
+    ),
+    (
+        "MiwaTimes with its sign flipped",
+        "taukit.verify.MiwaTimes",
+        lambda miwa: lambda x, sign=1: miwa(x, -sign),
+        ("remark1-miwa", "remark1-dual"),
+    ),
+    (
+        "content_products at charge M + 1",
+        "taukit.verify.content_products",
+        lambda products: lambda r, parts, m, inner=(): products(r, parts, m + 1, inner),
+        ("remark1-q", "remark1-dual"),
     ),
     (
         "_grade_layout with grade 3's prod m(rho)! doubled: that block scaled by 1/4",
@@ -146,3 +179,8 @@ def test_mutant_is_killed(monkeypatch, target, defect, check):
     original = getattr(importlib.import_module(module), attr)
     monkeypatch.setattr(target, defect(original))
     assert not CHECKS[check]().passed
+
+
+@pytest.mark.parametrize("checker", ["hirota", "toda", "kp", "oracle", "ode", "qdiff", "prop4", "remark1"])
+def test_every_checker_kills_a_mutant(checker):
+    assert any(check.startswith(checker) for *_, checks in MUTANTS for check in checks)

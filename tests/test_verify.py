@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from taukit import verify
+from taukit import schur, verify
 from taukit.poly import (
     GradedPoly,
     _family_pairs,
@@ -277,9 +277,13 @@ def test_toda_rejects_empty_window():
             check_toda(RATIO, 0, 0, gauge)
 
 
-def test_toda_standard_rejects_integer_zero():
-    with pytest.raises(ValueError):
+def test_toda_standard_rejects_integer_zero(monkeypatch):
+    # the refusal comes before any tau is built
+    built = []
+    monkeypatch.setattr(verify, "_generic_tau", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=re.escape("standard gauge needs r without integer zeros; found at [0]")):
         check_toda(D, 0, 4, "standard")
+    assert built == []
 
 
 def test_toda_batteries():
@@ -389,6 +393,15 @@ def test_oracle_matches_and_stabilizes():
     assert rep.passed and rep.params["stable"]
     tau = tau_series(RATIO, 0, 4, GenericTimes("t"), GenericTimes("b"))
     assert compare_windowed(det, tau, 4, 4) is None
+
+
+def test_oracle_reads_no_generic_schur_value(monkeypatch):
+    # U+ and U- are built from the Newton recursion for p_m, not from the Schur engine the oracle checks
+    def refuse(*args):
+        raise AssertionError("det_oracle_tau read _schur_generic")
+
+    monkeypatch.setattr(schur, "_schur_generic", refuse)
+    assert det_oracle_tau(RATIO, 0, 4)[1].passed
 
 
 def test_oracle_window_stabilization_three_steps():
