@@ -227,10 +227,10 @@ def factor_to_obj(f) -> dict:
 
 
 def _named(where: str, parse, value):
-    """parse(value), its ValueError prefixed with ``where``, the key or field that held value."""
+    """parse(value), its ValueError or OSError (an unreadable file) prefixed with ``where``, the field that held value."""
     try:
         return parse(value)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 

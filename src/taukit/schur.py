@@ -22,7 +22,8 @@ Each evaluated kind (numeric, Miwa, principal) gives its values
 Generic = characters: the coefficient of prod t_k^{m_k} in s_lam(t) is
 chi^lam(rho) / prod m_k!, rho having m_k parts equal to k.  Evaluated =
 Jacobi-Trudi over p_m values resolved once per times object and kept in
-its memo for its lifetime (never a bialternant ratio, which would hit 0/0
+its memo for its lifetime, the determinant taken by row-cleared integer
+Bareiss elimination (never a bialternant ratio, which would hit 0/0
 at coincident points); tests use it on plain value lists as the
 independent oracle for the characters and the memo, and the closed form
 ``schur_principal_value`` = (q^a; q)_lam times the principal-infinity value
@@ -268,28 +269,26 @@ def numeric_power_sums(values: list, d: int) -> list:
 
 
 def det_fraction_matrix(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by Gaussian elimination over the rationals."""
-    n = len(rows)
-    a = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col]:
-                pivot = r
-                break
-        if pivot is None:
+    """Exact determinant of a matrix of ints and Fractions by row-cleared integer Bareiss elimination.
+
+    Each row is scaled to integers by the lcm of its denominators.  Each step pivots on the first row with a nonzero
+    leading entry p (a swap flips the sign) and takes every row below to (p x - f y) / prev past its leading entry f,
+    prev the last pivot, a division that is always exact (Bareiss, Math. Comp. 22, 1968).  The last pivot over the
+    product of the row scales is the determinant: 1 for a 0x0 matrix, 0 at a zero column.
+    """
+    dens = [lcm(*(v.denominator for v in row)) for row in rows]
+    a = [[v.numerator * (den // v.denominator) for v in row] for row, den in zip(rows, dens)]
+    sign, prev = 1, 1
+    while a:
+        i = next((i for i, row in enumerate(a) if row[0]), None)
+        if i is None:
             return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                factor = a[r][col] * inv
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return det
+        a[0], a[i] = a[i], a[0]
+        sign = -sign if i else sign
+        (p, *top), *rest = a
+        a = [[(p * x - f * y) // prev for x, y in zip(tail, top)] for f, *tail in rest]
+        prev = p
+    return Fraction(sign * prev, prod(dens))
 
 
 def _jacobi_trudi_rows(lam: Partition, mu: Partition = ()) -> list[list[int]]:
@@ -315,7 +314,7 @@ def _jacobi_trudi(lam: Partition, mu: Partition, power_sums) -> Fraction:
         lam = conjugate(lam)
     rows = _jacobi_trudi_rows(lam, mu)
     ps = power_sums(twisted, 1 + max((k for row in rows for k in row), default=-1))
-    return det_fraction_matrix([[ps[k] if k >= 0 else Fraction(0) for k in row] for row in rows])
+    return det_fraction_matrix([[ps[k] if k >= 0 else 0 for k in row] for row in rows])
 
 
 def _schur_numeric(lam: Partition, mu: Partition, values: list[Fraction], d: int) -> Fraction:

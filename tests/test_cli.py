@@ -333,6 +333,13 @@ def test_malformed_rspec_names_the_flag(capsys, argv):
     assert err.startswith("error: --rspec: ") and "Traceback" not in err
 
 
+def test_missing_rspec_file_names_the_flag(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "verify", "hirota", "--rspec", f"@{missing}", "-d", "3")
+    assert code == 2 and out == ""
+    assert err == f"error: --rspec: [Errno 2] No such file or directory: '{missing}'"
+
+
 def test_pole_reports_offending_point(capsys):
     pole_spec = '{"constant":"1","num":[],"den":[{"lin":{"shift":"-1"}}]}'
     code, _, err = run(capsys, "expand", "--rspec", pole_spec, "-M", "0", "-d", "3")

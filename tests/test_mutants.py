@@ -110,6 +110,12 @@ MUTANTS = [
         ("hirota", "toda", "toda-standard", "kp", "oracle"),
     ),
     (
+        "det_fraction_matrix negated from size 2 on",
+        "taukit.schur.det_fraction_matrix",
+        lambda det: lambda rows: -det(rows) if len(rows) >= 2 else det(rows),
+        ("prop4", "criterion-08", "criterion-10"),
+    ),
+    (
         "classical_reference with its last coefficient doubled",
         "taukit.acceptance.classical_reference",
         lambda ref: lambda *args, **kwargs: _last_doubled(ref(*args, **kwargs)),

@@ -1,5 +1,8 @@
+import random
 import re
 from fractions import Fraction as F
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -129,6 +132,67 @@ def test_quasi_homogeneity():
         p = schur_poly(lam, T, 6)
         for m in p.terms:
             assert sum(mono_weights(m)) == sum(lam)
+
+
+# -- the determinant kernel ---------------------------------------------------------
+
+
+def leibniz(rows):
+    """sum over permutations p of sign(p) prod_i rows[i][p(i)], read straight off the definition."""
+    n = len(rows)
+    total = F(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod((F(rows[i][perm[i]]) for i in range(n)), start=F(1))
+    return total
+
+
+def kernel_matrices():
+    """Seeded int/Fraction matrices of sizes 0-6 with mixed denominators, each with three variants: only its last
+    row leads with a nonzero entry (a swap at the first step), its last row replaced by a combination of the rows
+    above it (singular), and one column zeroed."""
+    rng = random.Random("det_fraction_matrix")
+    pool = [0, 0, 0, 1, -1, 2, -3, 7, F(1, 2), F(-2, 3), F(5, 6), F(3, 4), F(-7, 10), F(9, 14)]
+    for n in range(7):
+        for _ in range(8):
+            rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+            yield rows
+            if not n:
+                continue
+            swap = [row[:] for row in rows]
+            for row in swap:
+                row[0] = 0
+            swap[-1][0] = F(2, 7)
+            yield swap
+            kept = rows[:-1]
+            yield kept + [[sum((c * row[j] for c, row in zip((F(2, 3), -5), kept)), F(0)) for j in range(n)]]
+            col = rng.randrange(n)
+            yield [[0 if c == col else v for c, v in enumerate(row)] for row in rows]
+
+
+def test_det_fraction_matrix_matches_leibniz():
+    nonzero = 0
+    for rows in kernel_matrices():
+        det = det_fraction_matrix(rows)
+        assert det == leibniz(rows), rows
+        nonzero += det != 0
+    assert nonzero > 50
+
+
+@pytest.mark.parametrize(
+    "rows, det",
+    [
+        ([], 1),
+        ([[0, 1], [1, 0]], -1),
+        ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 1),
+        ([[1, 2, 3], [2, 4, 5], [1, 0, 0]], -2),
+        ([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 5)]], F(1, 60)),
+        ([[2, 4], [F(1, 3), F(2, 3)]], 0),
+    ],
+    ids=["empty", "swap", "cycle", "late-swap", "mixed-denominators", "singular"],
+)
+def test_det_fraction_matrix_by_hand(rows, det):
+    assert det_fraction_matrix(rows) == det
 
 
 # -- bialternant oracle ----------------------------------------------------------------
