@@ -102,45 +102,95 @@ def _one_var(coeffs: list[Fraction], x: Fraction | None) -> dict:
     return out
 
 
+def _pfq(args) -> dict:
+    order = _non_negative(args.order, "--order")
+    coeffs = pfq_one_var_coeffs(_flag(args, "a"), _flag(args, "b"), args.charge, order)
+    return _one_var(coeffs, _flag(args, "x", parse_rational) if args.x else None)
+
+
+def _qphi(args) -> dict:
+    order = _non_negative(args.order, "--order")
+    a, b = _flag(args, "a"), _flag(args, "b")
+    q = _flag(args, "q", parse_rational, args.family)
+    xs = _flag(args, "x")
+    if len(xs) > 1:
+        return {"value": format_rational(qphi_multivar(a, b, args.charge, q, xs, order))}
+    return _one_var(qphi_one_var_coeffs(a, b, args.charge, q, order), xs[0] if xs else None)
+
+
+def _params(args, names: str) -> list[Fraction]:
+    """--params, refused unless it holds one rational for each of the comma-separated names."""
+    params = _flag(args, "params")
+    if len(params) != len(names.split(",")):
+        raise ValueError(f"{args.family} needs --params {names}")
+    return params
+
+
+def _aw(args) -> dict:
+    a, b, c, dd = _params(args, "a,b,c,d")
+    q, cv = _flag(args, "q", parse_rational, args.family), _flag(args, "cos", parse_rational)
+    return {
+        "sum": format_rational(askey_wilson(_non_negative(args.n, "--n"), a, b, c, dd, q, cv)),
+        "p_n": format_rational(askey_wilson(args.n, a, b, c, dd, q, cv, with_prefactor=True)),
+    }
+
+
+def _cg(args) -> dict:
+    v = clebsch_gordan_q(*_params(args, "l1,l2,l,j,k"), _flag(args, "q", parse_rational, args.family))
+    return {"rational": format_rational(v.rational), "radicand": format_rational(v.radicand)}
+
+
 def cmd_eval(args) -> int:
-    fmt = args.format
-    if args.family in ("pfq", "qphi"):
-        _non_negative(args.order, "--order")
-    if args.family == "pfq":
-        coeffs = pfq_one_var_coeffs(_flag(args, "a"), _flag(args, "b"), args.charge, args.order)
-        out = _one_var(coeffs, _flag(args, "x", parse_rational) if args.x else None)
-    elif args.family == "qphi":
-        a, b = _flag(args, "a"), _flag(args, "b")
-        q = _flag(args, "q", parse_rational, "qphi")
-        xs = _flag(args, "x")
-        if len(xs) > 1:
-            out = {"value": format_rational(qphi_multivar(a, b, args.charge, q, xs, args.order))}
-        else:
-            out = _one_var(qphi_one_var_coeffs(a, b, args.charge, q, args.order), xs[0] if xs else None)
-    elif args.family == "aw":
-        params = _flag(args, "params")
-        if len(params) != 4:
-            raise ValueError("aw needs --params a,b,c,d")
-        a, b, c, dd = params
-        q, cv = _flag(args, "q", parse_rational, "aw"), _flag(args, "cos", parse_rational)
-        out = {
-            "sum": format_rational(askey_wilson(_non_negative(args.n, "--n"), a, b, c, dd, q, cv)),
-            "p_n": format_rational(askey_wilson(args.n, a, b, c, dd, q, cv, with_prefactor=True)),
-        }
-    else:
-        params = _flag(args, "params")
-        if len(params) != 5:
-            raise ValueError("cg needs --params l1,l2,l,j,k")
-        v = clebsch_gordan_q(*params, _flag(args, "q", parse_rational, "cg"))
-        out = {"rational": format_rational(v.rational), "radicand": format_rational(v.radicand)}
-    if fmt == "csv" and "coefficients" in out:
+    out = args.run(args)
+    if args.format == "csv" and "coefficients" in out:
         rows = list(enumerate(out["coefficients"]))
         if "value" in out:
             rows.append(("value", out["value"]))
         print(emit((("order", "coefficient"), rows), "csv"))
     else:
-        print(emit(out, fmt))
+        print(emit(out, args.format))
     return OK
+
+
+def _rspec(args) -> RSpec:
+    """A check's --rspec, read once its -d/--degree is found non-negative."""
+    _non_negative(args.degree, "-d/--degree")
+    return _flag(args, "rspec", _load_rspec, args.check)
+
+
+def _qdiff(args) -> CheckReport:
+    a, b = _flag(args, "a"), _flag(args, "b")
+    return check_qdiff(a, b, _flag(args, "q", parse_rational, args.check), args.order)
+
+
+def _oracle(args) -> CheckReport:
+    r = _rspec(args)
+    if args.window is not None and args.window < args.degree:
+        raise ValueError(f"--window must be >= -d/--degree ({args.degree}), got {args.window}")
+    return det_oracle_tau(r, args.charge, args.degree, args.window)[1]
+
+
+def _remark1(args) -> CheckReport:
+    _non_negative(args.degree, "-d/--degree")
+    params = {"N": args.nvars, "K": args.nvars}
+    if args.mode != "miwa":
+        params["q"] = _flag(args, "q", parse_rational, f"{args.check} --mode {args.mode}")
+    elif args.q:
+        raise ValueError(f"{args.check} --mode miwa reads no --q")
+    return check_remark1(args.mode, params, args.degree)
+
+
+def _prop4(args) -> CheckReport:
+    args.r = _rspec(args)
+    bs = _flag(args, "b")
+    if len(bs) != 1:
+        raise ValueError(f"{args.check} needs --b with exactly one rational")
+    return check_prop4(args.r, bs[0], args.charge, args.degree)
+
+
+def _prop4_pole(args, point: int) -> str:
+    """Proposition 4 expands its r side before its (b + D) side, so a pole of the parsed r is named first."""
+    return "--rspec" if (point, "pole") in zero_pole_scan(args.r, point, point) else "--b"
 
 
 def _print_report(report: CheckReport, fmt: str) -> int:
@@ -152,38 +202,7 @@ def _print_report(report: CheckReport, fmt: str) -> int:
 
 
 def cmd_verify(args) -> int:
-    name = args.check
-    if name not in ("ode", "qdiff"):
-        _non_negative(args.degree, "-d/--degree")
-    if name in ("hirota", "toda", "kp", "oracle"):
-        r = _flag(args, "rspec", _load_rspec, name)
-        if name == "hirota":
-            report = check_hirota(r, args.charge, args.degree)
-        elif name == "toda":
-            report = check_toda(r, args.charge, args.degree, args.gauge)
-        elif name == "kp":
-            report = check_kp_bilinear(r, args.charge, args.degree)
-        else:
-            if args.window is not None and args.window < args.degree:
-                raise ValueError(f"--window must be >= -d/--degree ({args.degree}), got {args.window}")
-            _, report = det_oracle_tau(r, args.charge, args.degree, args.window)
-    elif name == "ode":
-        report = check_ode(_flag(args, "a"), _flag(args, "b"), args.order)
-    elif name == "qdiff":
-        a, b = _flag(args, "a"), _flag(args, "b")
-        report = check_qdiff(a, b, _flag(args, "q", parse_rational, "qdiff"), args.order)
-    elif name == "remark1":
-        params = {"N": args.nvars, "K": args.nvars}
-        if args.q or args.mode != "miwa":
-            params["q"] = _flag(args, "q", parse_rational, f"remark1 --mode {args.mode}")
-        report = check_remark1(args.mode, params, args.degree)
-    else:
-        r = _flag(args, "rspec", _load_rspec, name)
-        bs = _flag(args, "b")
-        if len(bs) != 1:
-            raise ValueError("prop4 needs --b with exactly one rational")
-        report = check_prop4(r, bs[0], args.charge, args.degree)
-    return _print_report(report, args.format)
+    return _print_report(args.run(args), args.format)
 
 
 def cmd_suite(args) -> int:
@@ -200,67 +219,74 @@ def cmd_suite(args) -> int:
     return OK if all(r.passed for r in reports) else CHECK_FAILED
 
 
+# flag -> (option strings, argparse keywords); a subparser declares only the flags its entry reads
+FLAGS = {
+    "rspec": (("--rspec",), {"default": "", "help": "inline JSON or @file"}),
+    "charge": (("-M", "--charge"), {"type": int, "default": 0}),
+    "degree": (("-d", "--degree"), {"type": int, "default": 5}),
+    "order": (("--order",), {"type": int, "default": 10}),
+    "window": (("--window",), {"type": int}),
+    "gauge": (("--gauge",), {"choices": ("generalized", "standard"), "default": "generalized"}),
+    "mode": (("--mode",), {"choices": ("q-spec", "miwa", "dual"), "default": "miwa"}),
+    "nvars": (("--nvars",), {"type": int, "default": 2, "help": "N (or K for dual mode)"}),
+    "a": (("--a",), {"default": "", "help": "comma-separated rationals"}),
+    "b": (("--b",), {"default": "", "help": "comma-separated rationals"}),
+    "q": (("--q",), {"default": "", "help": "rational q"}),
+    "x": (("--x",), {"default": "", "help": "comma-separated evaluation points"}),
+    "n": (("--n",), {"type": int, "default": 0, "help": "polynomial degree"}),
+    "params": (("--params",), {"default": "", "help": "comma-separated family parameters"}),
+    "cos": (("--cos",), {"default": "1/2", "help": "rational cos(eta)"}),
+    "format": (("--format",), {"choices": ("json", "csv"), "default": "json"}),
+}
+RSPEC_FLAGS = ("rspec", "charge", "degree")
+
+# verb -> (help, dest of the name, command, FLAGS keywords overridden in this verb,
+#          {name: (flags it reads, runner, the flag a pole names or a rule (args, point) -> flag)})
+COMMANDS = {
+    "eval": ("evaluate a special-function family", "family", cmd_eval, {"order": {"default": 8}}, {
+        "pfq": (("a", "b", "x", "order", "charge"), _pfq, "--b"),
+        "qphi": (("a", "b", "q", "x", "order", "charge"), _qphi, "--b"),
+        "aw": (("n", "params", "q", "cos"), _aw, "--params"),
+        "cg": (("params", "q"), _cg, "--params"),
+    }),
+    "verify": ("run one identity check", "check", cmd_verify, {}, {
+        "hirota": (RSPEC_FLAGS, lambda ns: check_hirota(_rspec(ns), ns.charge, ns.degree), "--rspec"),
+        "toda": (RSPEC_FLAGS + ("gauge",), lambda ns: check_toda(_rspec(ns), ns.charge, ns.degree, ns.gauge), "--rspec"),
+        "kp": (RSPEC_FLAGS, lambda ns: check_kp_bilinear(_rspec(ns), ns.charge, ns.degree), "--rspec"),
+        "ode": (("a", "b", "order"), lambda ns: check_ode(_flag(ns, "a"), _flag(ns, "b"), ns.order), "--b"),
+        "qdiff": (("a", "b", "q", "order"), _qdiff, "--b"),
+        "oracle": (RSPEC_FLAGS + ("window",), _oracle, "--rspec"),
+        "remark1": (("mode", "nvars", "q", "degree"), _remark1, "--q"),  # its symbol has no denominator
+        "prop4": (RSPEC_FLAGS + ("b",), _prop4, _prop4_pole),
+    }),
+}
+
+
+def _declare(parser, flags, overrides, **defaults) -> None:
+    """Add each of flags and --format to parser from its FLAGS spec with overrides[flag] laid over it; set defaults."""
+    for flag in (*flags, "format"):
+        names, spec = FLAGS[flag]
+        parser.add_argument(*names, **{**spec, **overrides.get(flag, {})})
+    parser.set_defaults(**defaults)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="taukit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
     p = sub.add_parser("expand", help="partition -> coefficient table of an operator symbol")
-    p.add_argument("--rspec", required=True, help="inline JSON or @file")
-    p.add_argument("-M", "--charge", type=int, default=0)
-    p.add_argument("-d", "--degree", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_expand)
+    required = {"rspec": {"required": True}, "degree": {"required": True}}
+    _declare(p, RSPEC_FLAGS, required, func=cmd_expand, pole="--rspec")
 
-    p = sub.add_parser("eval", help="evaluate a special-function family")
-    p.add_argument("family", choices=("pfq", "qphi", "aw", "cg"))
-    p.add_argument("--a", default="", help="comma-separated rationals")
-    p.add_argument("--b", default="", help="comma-separated rationals")
-    p.add_argument("--q", default="", help="rational q")
-    p.add_argument("--x", default="", help="comma-separated evaluation points")
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--n", type=int, default=0, help="polynomial degree (aw)")
-    p.add_argument("--params", default="", help="family parameters (aw: a,b,c,d; cg: l1,l2,l,j,k)")
-    p.add_argument("--cos", default="1/2", help="rational cos(eta) (aw)")
-    p.add_argument("-M", "--charge", type=int, default=0)
-    common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("verify", help="run one identity check")
-    p.add_argument("check", choices=("hirota", "toda", "kp", "ode", "qdiff", "oracle", "remark1", "prop4"))
-    p.add_argument("--rspec", default="", help="inline JSON or @file")
-    p.add_argument("-M", "--charge", type=int, default=0)
-    p.add_argument("-d", "--degree", type=int, default=5)
-    p.add_argument("--order", type=int, default=10)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--gauge", choices=("generalized", "standard"), default="generalized")
-    p.add_argument("--mode", choices=("q-spec", "miwa", "dual"), default="miwa")
-    p.add_argument("--nvars", type=int, default=2, help="N (or K for dual mode)")
-    p.add_argument("--a", default="")
-    p.add_argument("--b", default="")
-    p.add_argument("--q", default="")
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    for verb, (help_, dest, func, overrides, entries) in COMMANDS.items():
+        names = sub.add_parser(verb, help=help_).add_subparsers(dest=dest, required=True)
+        for name, (flags, run, pole) in entries.items():
+            _declare(names.add_parser(name), flags, overrides, func=func, run=run, pole=pole)
 
     p = sub.add_parser("suite", help="run the full acceptance battery")
     p.add_argument("--seed", type=int, default=None, help="overrides TAUKIT_SEED")
-    common(p)
-    p.set_defaults(func=cmd_suite)
+    _declare(p, (), {}, func=cmd_suite)
     return parser
-
-
-def _pole_flag(args, point: int) -> str:
-    """The flag whose denominator vanishes at a pole; prop4 expands its --rspec side before its (b + D) side."""
-    if args.command == "eval":
-        return "--b" if args.family in ("pfq", "qphi") else "--params"
-    check = getattr(args, "check", None)
-    if check in ("ode", "qdiff") or (
-        check == "prop4" and (point, "pole") not in zero_pole_scan(_load_rspec(args.rspec), point, point)
-    ):
-        return "--b"
-    return "--rspec"
 
 
 def main(argv=None) -> int:
@@ -272,7 +298,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except PoleError as exc:
-        flag = _pole_flag(args, exc.point)
+        flag = args.pole if isinstance(args.pole, str) else args.pole(args, exc.point)
         print(f"error: pole at integer point {exc.point}: a denominator given by {flag} vanishes there", file=sys.stderr)
         return USAGE_ERROR
     except (ValueError, KeyError, OSError, ZeroDivisionError) as exc:

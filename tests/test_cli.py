@@ -1,14 +1,18 @@
+import contextlib
+import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import taukit
-from taukit.cli import build_parser, emit, main
+from taukit.cli import COMMANDS, FLAGS, build_parser, emit, main
 from taukit.tau import classical_reference
 
 D_SPEC = '{"constant":"1","num":[{"lin":{"shift":"0"}}],"den":[]}'
@@ -592,3 +596,84 @@ def test_eval_aw_pole_names_the_first_point_of_ab(capsys):
     code, out, err = run(capsys, "eval", "aw", "--n", "2", "--params", "1/5,10,5,1/11", "--q", "1/2")
     assert code == 2 and out == ""
     assert err == "error: pole at integer point 1: a denominator given by --params vanishes there"
+
+
+def test_remark1_miwa_refuses_q(capsys):
+    code, out, err = run(capsys, "verify", "remark1", "--mode", "miwa", "--q", "1/2", "-d", "2")
+    assert code == 2 and out == ""
+    assert err == "error: remark1 --mode miwa reads no --q"
+
+
+# -- the command table: every entry declares exactly the flags it reads --------------------
+
+# (verb, name, flags it reads) for every entry of every verb
+ENTRIES = [(verb, name, spec[0]) for verb, (*_, entries) in COMMANDS.items() for name, spec in entries.items()]
+
+
+def options(flags):
+    """The option strings of flags, as argparse accepts them."""
+    return [opt for flag in flags for opt in FLAGS[flag][0]]
+
+
+def foreign(verb, flags):
+    """The flags that another entry of verb reads and this one does not."""
+    return sorted({f for read, *_ in COMMANDS[verb][-1].values() for f in read} - set(flags), key=list(FLAGS).index)
+
+
+# no foreign option is a prefix of an option its entry declares, so argparse accepts none as an abbreviation
+FOREIGN = [(verb, name, opt) for verb, name, flags in ENTRIES for opt in options(foreign(verb, flags))]
+
+
+@pytest.mark.parametrize("verb, name, opt", FOREIGN, ids=["-".join(case) for case in FOREIGN])
+def test_foreign_flag_exits_two_naming_it(capsys, verb, name, opt):
+    code, out, err = run(capsys, verb, name, opt, "1")
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: unrecognized arguments: {opt} 1") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb, name, flags", ENTRIES, ids=[f"{verb}-{name}" for verb, name, _ in ENTRIES])
+def test_entry_help_lists_exactly_its_flags(capsys, verb, name, flags):
+    assert main([verb, name, "--help"]) == 0
+    listed = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", capsys.readouterr().out))
+    assert listed == {"-h", "--help", *options((*flags, "format"))}
+
+
+def test_flags_before_the_name_exit_two(capsys):
+    code, out, err = run(capsys, "verify", "--rspec", RATIO_SPEC, "hirota")
+    assert code == 2 and out == "" and "invalid choice" in err
+
+
+# inputs a user would type, so that most draws reach past parsing into the checks
+RATIONALS = ("1/2", "2,3", "0,-1", "1/2,1/3", "1/5,1/7,2/7,1/11", "1/2,1/2,1,1/2,1/2", "1", "-2")
+RSPECS = (RATIO_SPEC, D_SPEC, POLE_SPEC, "{}", '{"q":"1/2","num":[{"qlin":{"coeff":"1/2","shift":"2"}}]}')
+
+
+@st.composite
+def command_lines(draw):
+    """A table entry, some of its flags with random text or small integers, and maybe one foreign flag."""
+    verb, name, flags = draw(st.sampled_from(ENTRIES))
+    argv = [verb, name]
+    for flag in draw(st.lists(st.sampled_from((*flags, "format")), unique=True)):
+        spec = FLAGS[flag][1]
+        if spec.get("type") is int:  # -d, --order and --nvars at most 4, and no text that reads as a larger int
+            typed = st.integers(-2, 4).map(str)
+            junk = st.text(st.characters(blacklist_categories=("Nd",)), max_size=8)
+        else:
+            typed = st.sampled_from(spec.get("choices") or (RSPECS if flag == "rspec" else RATIONALS))
+            junk = st.text(max_size=8)
+        argv += [draw(st.sampled_from(FLAGS[flag][0])), draw(junk if draw(st.integers(0, 5)) == 3 else typed)]
+    stray = draw(st.integers(0, 3)) == 0
+    if stray:
+        argv += [draw(st.sampled_from(options(foreign(verb, flags)))), draw(st.text(max_size=4))]
+    return argv, stray
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(command_lines())
+def test_fuzzed_command_lines_exit_zero_one_or_two(case):
+    argv, stray = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    assert code == 2 or not stray
