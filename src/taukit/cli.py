@@ -292,6 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
+        # argparse would skip a flag before the name and read its value as the name
+        verb, first = [*(sys.argv[1:] if argv is None else argv), "", ""][:2]
+        if verb in COMMANDS and first.startswith("-") and first not in ("-h", "--help"):
+            parser.error(f"{first.split('=')[0]} is given before the {COMMANDS[verb][1]} name: flags go after it")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else OK

@@ -28,6 +28,9 @@ at coincident points); tests use it on plain value lists as the
 independent oracle for the characters and the memo, and the closed form
 ``schur_principal_value`` = (q^a; q)_lam times the principal-infinity value
 likewise.
+
+At N Miwa variables, s_lam/mu is 0 without a determinant where a column (sign +1) or a row (sign -1) of lam/mu
+has over N cells (Macdonald I.5); ``check_remark1`` tests that, so it reads its points as ``NumericTimes``.
 """
 
 from __future__ import annotations
@@ -317,6 +320,14 @@ def _jacobi_trudi(lam: Partition, mu: Partition, power_sums) -> Fraction:
     return det_fraction_matrix([[ps[k] if k >= 0 else 0 for k in row] for row in rows])
 
 
+def _miwa_zero(outer: Partition, inner: Partition, times: MiwaTimes) -> bool:
+    """Whether s_{outer/inner} is 0 at N Miwa variables by shape: a column (sign +1) or row (sign -1) over N long."""
+    # a column over N long is a row i + N of outer that passes row i of inner; a row is row i passing it by over N
+    n, padded = len(times.x), inner + (0,) * len(outer)
+    skip, slack = (n, 0) if times.sign > 0 else (0, n)
+    return any(o > i + slack for o, i in zip(outer[skip:], padded))
+
+
 def _schur_numeric(lam: Partition, mu: Partition, values: list[Fraction], d: int) -> Fraction:
     """s_{lam/mu} at the plain list [t_1, t_2, ...], zero past its end: the oracle for the memo."""
     return _jacobi_trudi(lam, mu, lambda twisted, top: numeric_power_sums(
@@ -331,14 +342,16 @@ def schur_poly(lam, times, d: int):
 
     Generic times go through the characters, evaluated times through the
     Jacobi-Trudi determinant of the p_m values (p_k = 0 for k < 0,
-    s_empty = 1).  The infinity marker resolves to q^{n(lam)}/H_lam(q),
-    1/H_lam at q = None.
+    s_empty = 1), save Miwa shapes that ``_miwa_zero`` finds 0.  The
+    infinity marker resolves to q^{n(lam)}/H_lam(q), 1/H_lam at q = None.
     """
     lam = check_partition(lam)
     if isinstance(times, GenericTimes):
         return _schur_generic(lam, (), times.family, d)
     if isinstance(times, PrincipalInfinityTimes):
         return Fraction(times.q or 1) ** n_statistic(lam) / hook_data(lam, times.q)
+    if isinstance(times, MiwaTimes) and _miwa_zero(lam, (), times):
+        return Fraction(0)
     return _jacobi_trudi(lam, (), lambda twisted, top: times._power_sums(d, twisted, top))
 
 
@@ -356,6 +369,8 @@ def skew_schur_poly(outer, inner, times, d: int):
         return schur_poly(outer, times, d)
     if isinstance(times, PrincipalInfinityTimes):
         raise TypeError("principal-infinity times are defined for straight shapes only")
+    if isinstance(times, MiwaTimes) and _miwa_zero(outer, inner, times):
+        return Fraction(0)
     return _jacobi_trudi(outer, inner, lambda twisted, top: times._power_sums(d, twisted, top))
 
 

@@ -35,6 +35,7 @@ from .schur import (
     MiwaTimes,
     PrincipalInfinityTimes,
     PrincipalTimes,
+    _miwa_zero,
     schur_pair_sum,
     schur_poly,
     skew_schur_poly,
@@ -188,7 +189,7 @@ def qphi_multivar(a, b, m: int, q, x, d: int) -> Fraction:
     q = _basic_q(q)
     times = MiwaTimes(x)
     r = _family_symbol(a, b, q)
-    coeffs = dict(content_products(r, [lam for lam in enumerate_up_to(d) if len(lam) <= len(times.x)], m))
+    coeffs = dict(content_products(r, [lam for lam in enumerate_up_to(d) if not _miwa_zero(lam, (), times)], m))
     return _render_pairs(coeffs, times, PrincipalInfinityTimes(q), d)
 
 

@@ -46,7 +46,7 @@ from .rspec import (
     rspec_to_json,
     zero_pole_scan,
 )
-from .schur import GenericTimes, MiwaTimes, power_sums_basis, schur_poly
+from .schur import GenericTimes, MiwaTimes, NumericTimes, power_sums_basis, schur_poly
 from .tau import _basic_q, _family_symbol, _row_coeffs, prop4_pair, tau_series
 
 # -- reports ---------------------------------------------------------------------
@@ -353,7 +353,8 @@ def check_remark1(mode: str, params: dict, d: int) -> CheckReport:
         x = params.get("x", [Fraction(1, i + 2) for i in range(cut)])
         if len(x) != cut or 0 in x:
             raise ValueError(f"remark1 {mode} needs x of {key} = {cut} nonzero values, got [{', '.join(map(str, x))}]")
-        times = MiwaTimes(x, sign)
+        # the same t_m as plain times: the determinant, not schur's Miwa shape rule, decides each vanishing
+        times = NumericTimes(MiwaTimes(x, sign).values(d))
         routes.append(lambda lam: schur_poly(lam, times, d))
     echo = {"mode": mode, key: cut, **({} if q is None else {"q": format_rational(q)}), "d": d}
     failure = _vanishing_failure(parts, vanishes, *routes)

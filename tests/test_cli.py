@@ -639,8 +639,15 @@ def test_entry_help_lists_exactly_its_flags(capsys, verb, name, flags):
 
 
 def test_flags_before_the_name_exit_two(capsys):
-    code, out, err = run(capsys, "verify", "--rspec", RATIO_SPEC, "hirota")
-    assert code == 2 and out == "" and "invalid choice" in err
+    # argparse alone would read the flag's value as the name and name only that value
+    for argv, flag, name in [
+        (("verify", "--rspec", RATIO_SPEC, "hirota", "-d", "3"), "--rspec", "check"),
+        (("verify", "--rspec={}", "hirota"), "--rspec", "check"),
+        (("eval", "--a", "1/2", "pfq", "--b", "3/2"), "--a", "family"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.endswith(f"taukit: error: {flag} is given before the {name} name: flags go after it")
 
 
 # inputs a user would type, so that most draws reach past parsing into the checks

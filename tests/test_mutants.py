@@ -15,6 +15,7 @@ import pytest
 from taukit import acceptance
 from taukit.poly import bvar
 from taukit.rspec import LinFactor, RSpec
+from taukit.schur import MiwaTimes
 from taukit.verify import (
     check_hirota,
     check_kp_bilinear,
@@ -56,6 +57,14 @@ def _last_doubled(coeffs):
 
 def _last_zeroed(coeffs):
     return coeffs[:-1] + [0]
+
+
+def _one_variable_fewer(rule):
+    return lambda outer, inner, times: rule(outer, inner, MiwaTimes(times.x[1:], times.sign))
+
+
+def _signs_swapped(rule):
+    return lambda outer, inner, times: rule(outer, inner, MiwaTimes(times.x, -times.sign))
 
 
 def _grade_3_facts_doubled(layout):
@@ -108,6 +117,18 @@ MUTANTS = [
         "taukit.schur._grade_layout",
         _grade_3_facts_doubled,
         ("hirota", "toda", "toda-standard", "kp", "oracle"),
+    ),
+    (
+        "the Miwa shape rule at >= N: one variable fewer",
+        "taukit.schur._miwa_zero",
+        _one_variable_fewer,
+        ("criterion-11",),
+    ),
+    (
+        "the Miwa shape rule reading rows at sign +1 and columns at sign -1",
+        "taukit.schur._miwa_zero",
+        _signs_swapped,
+        ("criterion-11",),
     ),
     (
         "det_fraction_matrix negated from size 2 on",

@@ -28,6 +28,7 @@ from taukit.schur import (
     skew_schur_poly,
 )
 from taukit.tau import tau_series
+from taukit.verify import check_remark1
 
 T = GenericTimes("t")
 
@@ -282,6 +283,40 @@ def test_miwa_minus_conjugates_with_parity_sign():
         lhs = schur_poly(lam, MiwaTimes(xs, sign=-1), 5)
         rhs = schur_poly(conjugate(lam), MiwaTimes(xs), 5)
         assert lhs == (-1) ** sum(lam) * rhs
+
+
+# N = 1, 2, 2, 3 Miwa variables, among them a 0 (in effect one variable fewer) and a repeated value (where a
+# bialternant would read 0/0)
+MIWA_XS = [(F(2, 3),), (F(0), F(-1, 2)), (F(-1, 2), F(-1, 2)), (F(2, 3), F(0), F(2, 3))]
+SKEW_PAIRS = [(o, i) for o in enumerate_up_to(7) for i in enumerate_up_to(sum(o)) if contains(o, i)]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("x", MIWA_XS, ids=lambda x: ",".join(map(str, x)))
+def test_miwa_shape_zeros_agree_with_the_determinant(x, sign):
+    # every pair mu in lam, |lam| <= 7: the shape rule answers 0 only where Jacobi-Trudi on the same t_m is 0,
+    # and each returned value, by the rule or not, is the determinant's
+    times = MiwaTimes(x, sign)
+    values = times.values(8)
+    ruled = 0
+    for outer, inner in SKEW_PAIRS:
+        want = _schur_numeric(outer, inner, values, 7)
+        if schur._miwa_zero(outer, inner, times):
+            ruled += 1
+            assert want == 0, (outer, inner)
+        assert skew_schur_poly(outer, inner, times, 7) == want, (outer, inner)
+    assert ruled
+
+
+@pytest.mark.parametrize("mode", ["miwa", "dual"])
+def test_remark1_reads_no_shape_rule(monkeypatch, mode):
+    # remark1 checks that s_lam vanishes at N Miwa variables; read through the shape rule it would check the rule
+    def refuse(*args):
+        raise AssertionError("check_remark1 read _miwa_zero")
+
+    monkeypatch.setattr(schur, "_miwa_zero", refuse)
+    params = {"N": 2} if mode == "miwa" else {"K": 2, "q": F(1, 2)}
+    assert check_remark1(mode, params, 7).passed
 
 
 # -- principal specializations ------------------------------------------------------------
