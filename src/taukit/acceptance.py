@@ -36,6 +36,7 @@ from .schur import (
 from .tau import (
     ChainSpec,
     _cg_series,
+    _family_symbol,
     askey_wilson,
     classical_reference,
     pfs_multivar,
@@ -255,7 +256,7 @@ def criterion_10_poch_bridge(seed: int) -> CheckReport:
 
     for q in (F(1, 2), F(2, 3)):
         for a in (F(1), F(2), F(3), F(-1)):
-            spec = RSpec(num=(QLinFactor(F(1), a),), q=q)
+            spec = _family_symbol((a,), (), q)
             for lam in parts:
                 if poch_partition(a, lam, q) != content_product(spec, lam, 0):
                     why = f"poch != content at lam={lam}, a={a}, q={q}"

@@ -23,6 +23,14 @@ def check_partition(parts) -> Partition:
     return lam
 
 
+def _check_skew(outer, inner) -> tuple[Partition, Partition]:
+    """The checked pair (outer, inner) of a skew shape outer/inner; refuses an inner not contained in outer."""
+    outer, inner = check_partition(outer), check_partition(inner)
+    if not contains(outer, inner):
+        raise ValueError(f"inner {inner} not contained in outer {outer}")
+    return outer, inner
+
+
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     """All partitions of n in reverse-lexicographic order (largest part first)."""
     if n == 0:

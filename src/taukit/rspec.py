@@ -21,7 +21,7 @@ from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .partitions import check_partition, contains, contents
+from .partitions import _check_skew, check_partition, contents
 from .poly import format_rational, parse_rational, q_number, rational_pow
 
 
@@ -170,10 +170,7 @@ def content_products(r: RSpec, parts, m: int, inner=()) -> Iterator[tuple[tuple,
 
 def skew_content_product(r: RSpec, outer, inner, m: int) -> Fraction:
     """Product of r over contents + M of the skew cells of outer/inner."""
-    outer = check_partition(outer)
-    inner = check_partition(inner)
-    if not contains(outer, inner):
-        raise ValueError(f"inner {inner} not contained in outer {outer}")
+    outer, inner = _check_skew(outer, inner)
     padded = tuple(inner) + (0,) * (len(outer) - len(inner))
     out = Fraction(1)
     for i, part in enumerate(outer, start=1):

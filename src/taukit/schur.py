@@ -31,6 +31,8 @@ likewise.
 
 At N Miwa variables, s_lam/mu is 0 without a determinant where a column (sign +1) or a row (sign -1) of lam/mu
 has over N cells (Macdonald I.5); ``check_remark1`` tests that, so it reads its points as ``NumericTimes``.
+
+``schur_poly`` and ``skew_schur_poly`` check their partitions and share ``_schur_value``, which the series loops call.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from typing import Mapping
 
 from .partitions import (
     Partition,
+    _check_skew,
     check_partition,
     conjugate,
     contains,
@@ -337,6 +340,21 @@ def _schur_numeric(lam: Partition, mu: Partition, values: list[Fraction], d: int
 # -- Schur values -----------------------------------------------------------------
 
 
+def _schur_value(outer: Partition, inner: Partition, times, d: int):
+    """s_{outer/inner} at the times, for checked partitions with inner inside outer."""
+    if isinstance(times, GenericTimes):
+        return _schur_generic(outer, inner, times.family, d)
+    if outer == inner:
+        return Fraction(1)
+    if isinstance(times, PrincipalInfinityTimes):
+        if inner:
+            raise TypeError("principal-infinity times are defined for straight shapes only")
+        return Fraction(times.q or 1) ** n_statistic(outer) / hook_data(outer, times.q)
+    if isinstance(times, MiwaTimes) and _miwa_zero(outer, inner, times):
+        return Fraction(0)
+    return _jacobi_trudi(outer, inner, lambda twisted, top: times._power_sums(d, twisted, top))
+
+
 def schur_poly(lam, times, d: int):
     """Schur value s_lam for the given times; GradedPoly or exact rational.
 
@@ -345,33 +363,12 @@ def schur_poly(lam, times, d: int):
     s_empty = 1), save Miwa shapes that ``_miwa_zero`` finds 0.  The
     infinity marker resolves to q^{n(lam)}/H_lam(q), 1/H_lam at q = None.
     """
-    lam = check_partition(lam)
-    if isinstance(times, GenericTimes):
-        return _schur_generic(lam, (), times.family, d)
-    if isinstance(times, PrincipalInfinityTimes):
-        return Fraction(times.q or 1) ** n_statistic(lam) / hook_data(lam, times.q)
-    if isinstance(times, MiwaTimes) and _miwa_zero(lam, (), times):
-        return Fraction(0)
-    return _jacobi_trudi(lam, (), lambda twisted, top: times._power_sums(d, twisted, top))
+    return _schur_value(check_partition(lam), (), times, d)
 
 
 def skew_schur_poly(outer, inner, times, d: int):
     """Skew Schur value s_{outer/inner}; equals schur_poly at inner = ()."""
-    outer = check_partition(outer)
-    inner = check_partition(inner)
-    if not contains(outer, inner):
-        raise ValueError(f"inner {inner} not contained in outer {outer}")
-    if isinstance(times, GenericTimes):
-        return _schur_generic(outer, inner, times.family, d)
-    if outer == inner:
-        return Fraction(1)
-    if not inner:
-        return schur_poly(outer, times, d)
-    if isinstance(times, PrincipalInfinityTimes):
-        raise TypeError("principal-infinity times are defined for straight shapes only")
-    if isinstance(times, MiwaTimes) and _miwa_zero(outer, inner, times):
-        return Fraction(0)
-    return _jacobi_trudi(outer, inner, lambda twisted, top: times._power_sums(d, twisted, top))
+    return _schur_value(*_check_skew(outer, inner), times, d)
 
 
 def schur_principal_value(lam, a, q: Fraction | None = None) -> Fraction:

@@ -36,9 +36,8 @@ from .schur import (
     PrincipalInfinityTimes,
     PrincipalTimes,
     _miwa_zero,
+    _schur_value,
     schur_pair_sum,
-    schur_poly,
-    skew_schur_poly,
 )
 
 # -- expansions -----------------------------------------------------------------
@@ -60,6 +59,7 @@ class TauExpansion:
         return TauExpansion(rspec=r, charge=m, grade=d, coeffs=dict(content_products(r, enumerate_up_to(d), m)))
 
     def render(self, t, beta):
+        """sum_lam r_lam(M) s_lam(t) s_lam(beta) over the partitions ``build`` enumerated, none checked again."""
         return _render_pairs(self.coeffs, t, beta, self.grade)
 
 
@@ -70,8 +70,8 @@ def _render_pairs(coeffs: dict, t, beta, d: int):
             raise ValueError("generic time sets on the two slots must use distinct families")
         return schur_pair_sum(coeffs, d)
     gen, other = (t, beta) if isinstance(t, GenericTimes) else (beta, t)
-    weights = {lam: c * schur_poly(lam, other, d) for lam, c in coeffs.items() if c}
-    pieces = ((w, schur_poly(lam, gen, d)) for lam, w in weights.items() if w)
+    weights = {lam: c * _schur_value(lam, (), other, d) for lam, c in coeffs.items() if c}
+    pieces = ((w, _schur_value(lam, (), gen, d)) for lam, w in weights.items() if w)
     if isinstance(gen, GenericTimes):
         return weighted_sum(pieces, d, d)
     return sum((w * s for w, s in pieces), Fraction(0))
@@ -132,7 +132,7 @@ def _chain_vector(side, m: int, d: int) -> dict:
         for mu, value in vec.items():
             for lam, weight in content_products(rsp, [lam for lam in parts if contains(lam, mu)], m, mu):
                 if weight:
-                    piece = value * (weight * skew_schur_poly(lam, mu, times, d))
+                    piece = value * (weight * _schur_value(lam, mu, times, d))
                     new[lam] = new[lam] + piece if lam in new else piece
         vec = {lam: v for lam, v in new.items() if v != 0}
     return vec
@@ -197,7 +197,7 @@ def _row_coeffs(r: RSpec, m: int, order: int) -> list[Fraction]:
     """r_(n)(M) s_(n)(beta) at principal-infinity beta, n = 0..order: the one-variable series."""
     beta = PrincipalInfinityTimes(r.q)
     rows = [(n,) if n else () for n in range(order + 1)]
-    return [c * schur_poly(row, beta, order) for row, c in content_products(r, rows, m)]
+    return [c * _schur_value(row, (), beta, order) for row, c in content_products(r, rows, m)]
 
 
 def qphi_one_var_coeffs(a, b, m: int, q, order: int) -> list[Fraction]:

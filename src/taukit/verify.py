@@ -39,14 +39,13 @@ from .poly import (
     weighted_sum,
 )
 from .rspec import (
-    QLinFactor,
     RSpec,
     content_products,
     r_eval,
     rspec_to_json,
     zero_pole_scan,
 )
-from .schur import GenericTimes, MiwaTimes, NumericTimes, power_sums_basis, schur_poly
+from .schur import GenericTimes, MiwaTimes, NumericTimes, _schur_value, power_sums_basis
 from .tau import _basic_q, _family_symbol, _row_coeffs, prop4_pair, tau_series
 
 # -- reports ---------------------------------------------------------------------
@@ -347,15 +346,14 @@ def check_remark1(mode: str, params: dict, d: int) -> CheckReport:
     parts = enumerate_up_to(d)
     routes = []
     if mode != "miwa":
-        spec = RSpec(num=(QLinFactor(Fraction(1), Fraction(sign * cut)),), q=q)
-        routes.append(dict(content_products(spec, parts, 0)).__getitem__)
+        routes.append(dict(content_products(_family_symbol((sign * cut,), (), q), parts, 0)).__getitem__)
     if mode != "q-spec":
         x = params.get("x", [Fraction(1, i + 2) for i in range(cut)])
         if len(x) != cut or 0 in x:
             raise ValueError(f"remark1 {mode} needs x of {key} = {cut} nonzero values, got [{', '.join(map(str, x))}]")
         # the same t_m as plain times: the determinant, not schur's Miwa shape rule, decides each vanishing
         times = NumericTimes(MiwaTimes(x, sign).values(d))
-        routes.append(lambda lam: schur_poly(lam, times, d))
+        routes.append(lambda lam: _schur_value(lam, (), times, d))
     echo = {"mode": mode, key: cut, **({} if q is None else {"q": format_rational(q)}), "d": d}
     failure = _vanishing_failure(parts, vanishes, *routes)
     return _report("remark1", failure, d, echo)

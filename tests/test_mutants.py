@@ -13,9 +13,10 @@ from fractions import Fraction as F
 import pytest
 
 from taukit import acceptance
+from taukit.partitions import hook_data
 from taukit.poly import bvar
 from taukit.rspec import LinFactor, RSpec
-from taukit.schur import MiwaTimes
+from taukit.schur import GenericTimes, MiwaTimes, PrincipalInfinityTimes
 from taukit.verify import (
     check_hirota,
     check_kp_bilinear,
@@ -65,6 +66,19 @@ def _one_variable_fewer(rule):
 
 def _signs_swapped(rule):
     return lambda outer, inner, times: rule(outer, inner, MiwaTimes(times.x, -times.sign))
+
+
+def _inner_dropped_when_evaluated(value):
+    return lambda outer, inner, times, d: value(outer, inner if isinstance(times, GenericTimes) else (), times, d)
+
+
+def _principal_infinity_without_q_power(value):
+    def mutant(outer, inner, times, d):
+        if isinstance(times, PrincipalInfinityTimes):
+            return 1 / hook_data(outer, times.q)
+        return value(outer, inner, times, d)
+
+    return mutant
 
 
 def _grade_3_facts_doubled(layout):
@@ -129,6 +143,18 @@ MUTANTS = [
         "taukit.schur._miwa_zero",
         _signs_swapped,
         ("criterion-11",),
+    ),
+    (
+        "the series loops' Schur values with inner dropped at evaluated times",
+        "taukit.tau._schur_value",
+        _inner_dropped_when_evaluated,
+        ("criterion-11",),
+    ),
+    (
+        "the series loops' principal-infinity values without q^(n(lam))",
+        "taukit.tau._schur_value",
+        _principal_infinity_without_q_power,
+        ("criterion-08",),
     ),
     (
         "det_fraction_matrix negated from size 2 on",

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from taukit import schur
 from taukit.partitions import conjugate, contains, enumerate_up_to, hook_data, n_statistic
 from taukit.poly import GradedPoly, mono, mono_weights, tvar, weighted_sum
-from taukit.rspec import LinFactor, QLinFactor, RSpec, content_products
+from taukit.rspec import LinFactor, QLinFactor, RSpec, content_products, skew_content_product
 from taukit.schur import (
     GenericTimes,
     MiwaTimes,
@@ -232,8 +232,13 @@ def test_vanishing_when_length_exceeds_variables():
 
 
 def test_skew_reduces_to_straight():
-    for lam in enumerate_up_to(5):
-        assert skew_schur_poly(lam, (), T, 5) == schur_poly(lam, T, 5)
+    kinds = [T, GenericTimes("b"), PrincipalInfinityTimes(), PrincipalInfinityTimes(F(1, 2))]
+    for times in kinds + [make() for make in EVALUATED.values()]:
+        one = GradedPoly.constant(1, 5, 5) if isinstance(times, GenericTimes) else F(1)
+        for lam in enumerate_up_to(5):
+            assert skew_schur_poly(lam, (), times, 5) == schur_poly(lam, times, 5), (times, lam)
+            got = skew_schur_poly(lam, lam, times, 5)
+            assert got == one and type(got) is type(one), (times, lam)
 
 
 def test_skew_examples():
@@ -244,8 +249,11 @@ def test_skew_examples():
 
 
 def test_skew_rejects_non_contained():
-    with pytest.raises(ValueError):
+    message = re.escape("inner (2,) not contained in outer (1,)")
+    with pytest.raises(ValueError, match=message):
         skew_schur_poly((1,), (2,), T, 4)
+    with pytest.raises(ValueError, match=message):
+        skew_content_product(RSpec(), (1,), (2,), 0)
 
 
 def test_skew_numeric_matches_generic_substitution():

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from taukit import partitions, schur
 from taukit.partitions import enumerate_up_to, hook_data, n_statistic
 from taukit.poly import GradedPoly, bvar, mono, mono_weights, tvar
 from taukit.rspec import (
@@ -42,6 +43,7 @@ from taukit.tau import (
     tau_series,
     tau_two_sided,
 )
+from taukit.verify import check_remark1
 
 T, B = GenericTimes("t"), GenericTimes("b")
 D = RSpec(num=(LinFactor(F(0)),))
@@ -253,6 +255,21 @@ def test_chain_layers_obey_schur_branching():
         assert tau_general(ChainSpec(left=((RSpec(), T),), right=layers), m, 6) == want
         want_left = tau_series(r, m, 6, MiwaTimes((x, y)), B)
         assert tau_general(ChainSpec(left=layers, right=((RSpec(), B),)), m, 6) == want_left
+
+
+def test_series_loops_check_no_partition(monkeypatch):
+    # the loops evaluate partitions they enumerated themselves, so no Schur value checks one again
+    calls = []
+    for module in (schur, partitions):
+        check = module.check_partition
+        monkeypatch.setattr(module, "check_partition", lambda parts, check=check: calls.append(parts) or check(parts))
+    r = RSpec(num=(LinFactor(F(1, 2)),), den=(LinFactor(F(1, 3)),))
+    x = (F(1, 3), F(2, 5))
+    tau_series(r, 0, 6, MiwaTimes(x), PrincipalTimes(F(5, 3)))
+    tau_general(ChainSpec(left=((r, MiwaTimes(x[:1])), (r, MiwaTimes(x[1:]))), right=((RSpec(), MiwaTimes(x)),)), 0, 6)
+    qphi_one_var_coeffs([2], [3], 0, F(1, 2), 12)
+    assert check_remark1("miwa", {"N": 2}, 6).passed
+    assert calls == []
 
 
 def test_chain_double_series_closed_form():
