@@ -210,7 +210,7 @@ def cmd_suite(args) -> int:
 
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("TAUKIT_SEED", "1729"))
+        seed = _named("TAUKIT_SEED", int, os.environ.get("TAUKIT_SEED", "1729"))
     reports = run_suite(seed=seed)
     for r in reports:
         print(f"PASS {r.name}" if r.passed else f"FAIL {r.name}  ({r.first_failure})")

@@ -8,8 +8,8 @@ pairs, row ``i`` and column ``j``, and the content of a cell is ``j - i``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import prod
-from typing import Iterator
 
 Partition = tuple
 
@@ -31,25 +31,19 @@ def _check_skew(outer, inner) -> tuple[Partition, Partition]:
     return outer, inner
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n in reverse-lexicographic order (largest part first)."""
+@cache
+def partitions_of(n: int) -> tuple[Partition, ...]:
+    """All partitions of n, reverse-lex (largest part first): one read-only tuple per grade, built once from lower ones."""
     if n == 0:
-        yield ()
-        return
-    top = n if max_part is None else min(n, max_part)
-    for first in range(top, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+        return ((),)
+    return tuple((k,) + rest for k in range(n, 0, -1) for rest in partitions_of(n - k) if not rest or rest[0] <= k)
 
 
 def enumerate_up_to(d: int) -> list[Partition]:
-    """All partitions of weight 0..d, grade ascending then reverse-lex."""
+    """All partitions of weight 0..d, grade ascending then reverse-lex, in a new list over the cached grades."""
     if d < 0:
         raise ValueError("d must be >= 0")
-    out: list[Partition] = []
-    for n in range(d + 1):
-        out.extend(partitions_of(n))
-    return out
+    return [lam for n in range(d + 1) for lam in partitions_of(n)]
 
 
 def conjugate(lam: Partition) -> Partition:

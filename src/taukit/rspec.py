@@ -10,8 +10,8 @@ factor being one of
   (1 - amp e^{i eta} q^D)(1 - amp e^{-i eta} q^D) with cosv = cos(eta).
 
 q is an exact rational parameter, required exactly when a q-factor is
-present.  Fractional shifts in q-factors are admitted only when q has the
-matching exact rational root, keeping every evaluation in the rationals.
+present.  A fractional q-factor shift needs q's matching exact rational
+root, checked as the RSpec is built, so every value stays rational.
 """
 
 from __future__ import annotations
@@ -82,6 +82,9 @@ class RSpec:
                 raise ValueError("q-factors present but q not given")
             if self.q == 0:
                 raise ValueError("q must be nonzero")
+            # q^(shift + n) is rational exactly when q^(shift mod 1) is: a root, never a large power
+            for shift in (f.shift for f in self.num + self.den if isinstance(f, QLinFactor)):
+                rational_pow(self.q, shift % 1)
 
     def is_one(self) -> bool:
         return self.constant == 1 and not self.num and not self.den

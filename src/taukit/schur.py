@@ -223,7 +223,7 @@ def power_sums_basis(d: int, family: str = FAMILY_T) -> list[GradedPoly]:
 def _grade_layout(n: int) -> tuple:
     """Grade n's partitions, character columns (chi^lam(rho) for lam) per rho, packed t- and b-keys and prod m(rho)!,
     as read-only tuples: one entry per grade asked for, and a grade is at most 255, the slot bound."""
-    rhos = tuple(partitions_of(n))
+    rhos = partitions_of(n)
     cols = tuple(tuple(characters(lam)[rho] for lam in rhos) for rho in rhos)
     monos, facts = zip(*(_rho_monomial(rho, FAMILY_T) for rho in rhos))
     tkeys = tuple(_key(m) for m in monos)

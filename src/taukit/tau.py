@@ -45,36 +45,32 @@ from .schur import (
 
 @dataclass(frozen=True)
 class TauExpansion:
-    """Partition-indexed coefficients r_lam(M), independent of any time values."""
+    """Coefficients {lam: c_lam} for partitions of weight <= grade, free of time values: the table every tau renders."""
 
-    rspec: RSpec
-    charge: int
     grade: int
     coeffs: dict
 
     @staticmethod
     def build(r: RSpec, m: int, d: int) -> "TauExpansion":
+        """The table r_lam(M) over every partition of weight 0..d."""
         if d < 0:
             raise ValueError("truncation grade must be >= 0")
-        return TauExpansion(rspec=r, charge=m, grade=d, coeffs=dict(content_products(r, enumerate_up_to(d), m)))
+        return TauExpansion(d, dict(content_products(r, enumerate_up_to(d), m)))
 
     def render(self, t, beta):
-        """sum_lam r_lam(M) s_lam(t) s_lam(beta) over the partitions ``build`` enumerated, none checked again."""
-        return _render_pairs(self.coeffs, t, beta, self.grade)
-
-
-def _render_pairs(coeffs: dict, t, beta, d: int):
-    """sum_lam c * s_lam(t) * s_lam(beta), c = coeffs[lam]; s_lam(gen) only where c * s_lam(other) != 0."""
-    if isinstance(t, GenericTimes) and isinstance(beta, GenericTimes):
-        if t.family == beta.family:
-            raise ValueError("generic time sets on the two slots must use distinct families")
-        return schur_pair_sum(coeffs, d)
-    gen, other = (t, beta) if isinstance(t, GenericTimes) else (beta, t)
-    weights = {lam: c * _schur_value(lam, (), other, d) for lam, c in coeffs.items() if c}
-    pieces = ((w, _schur_value(lam, (), gen, d)) for lam, w in weights.items() if w)
-    if isinstance(gen, GenericTimes):
-        return weighted_sum(pieces, d, d)
-    return sum((w * s for w, s in pieces), Fraction(0))
+        """sum_lam c * s_lam(t) * s_lam(beta), c = coeffs[lam], over the partitions the table holds, none checked again;
+        s_lam(gen) only where c * s_lam(other) != 0."""
+        d = self.grade
+        if isinstance(t, GenericTimes) and isinstance(beta, GenericTimes):
+            if t.family == beta.family:
+                raise ValueError("generic time sets on the two slots must use distinct families")
+            return schur_pair_sum(self.coeffs, d)
+        gen, other = (t, beta) if isinstance(t, GenericTimes) else (beta, t)
+        weights = {lam: c * _schur_value(lam, (), other, d) for lam, c in self.coeffs.items() if c}
+        pieces = ((w, _schur_value(lam, (), gen, d)) for lam, w in weights.items() if w)
+        if isinstance(gen, GenericTimes):
+            return weighted_sum(pieces, d, d)
+        return sum((w * s for w, s in pieces), Fraction(0))
 
 
 def tau_series(r: RSpec, m: int, d: int, t, beta):
@@ -90,7 +86,7 @@ def tau_two_sided(r_tilde: RSpec, r: RSpec, m: int, d: int, t_tilde, beta):
     """
     parts = enumerate_up_to(d)
     pairs = zip(content_products(r_tilde, parts, m), content_products(r, parts, m))
-    return _render_pairs({lam: a * b for (lam, a), (_, b) in pairs}, t_tilde, beta, d)
+    return TauExpansion(d, {lam: a * b for (lam, a), (_, b) in pairs}).render(t_tilde, beta)
 
 
 # -- chained (skew) expansions ----------------------------------------------------
@@ -190,7 +186,7 @@ def qphi_multivar(a, b, m: int, q, x, d: int) -> Fraction:
     times = MiwaTimes(x)
     r = _family_symbol(a, b, q)
     coeffs = dict(content_products(r, [lam for lam in enumerate_up_to(d) if not _miwa_zero(lam, (), times)], m))
-    return _render_pairs(coeffs, times, PrincipalInfinityTimes(q), d)
+    return TauExpansion(d, coeffs).render(times, PrincipalInfinityTimes(q))
 
 
 def _row_coeffs(r: RSpec, m: int, order: int) -> list[Fraction]:

@@ -46,7 +46,7 @@ from .rspec import (
     zero_pole_scan,
 )
 from .schur import GenericTimes, MiwaTimes, NumericTimes, _schur_value, power_sums_basis
-from .tau import _basic_q, _family_symbol, _row_coeffs, prop4_pair, tau_series
+from .tau import TauExpansion, _basic_q, _family_symbol, _row_coeffs, prop4_pair, tau_series
 
 # -- reports ---------------------------------------------------------------------
 
@@ -346,7 +346,8 @@ def check_remark1(mode: str, params: dict, d: int) -> CheckReport:
     parts = enumerate_up_to(d)
     routes = []
     if mode != "miwa":
-        routes.append(dict(content_products(_family_symbol((sign * cut,), (), q), parts, 0)).__getitem__)
+        symbol = _family_symbol((sign * cut,), (), q)
+        routes.append(TauExpansion(d, dict(content_products(symbol, parts, 0))).coeffs.__getitem__)
     if mode != "q-spec":
         x = params.get("x", [Fraction(1, i + 2) for i in range(cut)])
         if len(x) != cut or 0 in x:

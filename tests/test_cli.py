@@ -344,6 +344,21 @@ def test_missing_rspec_file_names_the_flag(tmp_path, capsys):
     assert err == f"error: --rspec: [Errno 2] No such file or directory: '{missing}'"
 
 
+# q^(1/3) at q = 1/2 is irrational: refused when the symbol is read, at any grade, naming the flag
+IRRATIONAL_SHIFT_SPEC = '{"q":"1/2","num":[{"qlin":{"coeff":"1","shift":"1/3"}}]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--rspec", IRRATIONAL_SHIFT_SPEC, "-d", "2"),
+    ("expand", "--rspec", IRRATIONAL_SHIFT_SPEC, "-d", "0"),
+    ("verify", "hirota", "--rspec", IRRATIONAL_SHIFT_SPEC, "-d", "2"),
+], ids=["expand", "expand-d0", "hirota"])
+def test_irrational_q_power_names_the_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: --rspec: 1/2**1/3 is not rational; pick a base admitting an exact 3-th root"
+
+
 def test_pole_reports_offending_point(capsys):
     pole_spec = '{"constant":"1","num":[],"den":[{"lin":{"shift":"-1"}}]}'
     code, _, err = run(capsys, "expand", "--rspec", pole_spec, "-M", "0", "-d", "3")
@@ -574,6 +589,13 @@ def test_module_entry_point():
 def test_parser_help_smoke():
     parser = build_parser()
     assert parser.prog == "taukit"
+
+
+def test_malformed_seed_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("TAUKIT_SEED", "x")
+    code, out, err = run(capsys, "suite")
+    assert code == 2 and out == ""
+    assert err == "error: TAUKIT_SEED: invalid literal for int() with base 10: 'x'"
 
 
 def test_suite_prints_a_failing_criterion_and_exits_one(capsys, monkeypatch):

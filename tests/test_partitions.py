@@ -15,20 +15,23 @@ from taukit.partitions import (
     partitions_of,
 )
 from taukit.rspec import RSpec, skew_content_product
-from taukit.schur import GenericTimes, skew_schur_poly
+from taukit.schur import GenericTimes, _grade_layout, characters, skew_schur_poly
+
+
+def generated_partitions(n, max_part=None):
+    """Independent enumeration, the recursive generator partitions_of used to be: weakly decreasing
+    tuples summing to n, in reverse-lex order."""
+    if n == 0:
+        yield ()
+        return
+    top = n if max_part is None else min(n, max_part)
+    for first in range(top, 0, -1):
+        for rest in generated_partitions(n - first, first):
+            yield (first,) + rest
 
 
 def naive_partitions(n):
-    """Independent enumeration: weakly decreasing tuples summing to n."""
-    def rec(remaining, bound):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, bound), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    return set(rec(n, n))
+    return set(generated_partitions(n))
 
 
 partition_strategy = st.integers(0, 8).flatmap(
@@ -63,6 +66,33 @@ def test_enumeration_order_reverse_lex_within_grade():
 @given(st.integers(0, 9))
 def test_enumeration_matches_naive(n):
     assert set(partitions_of(n)) == naive_partitions(n)
+
+
+def test_partitions_of_matches_the_generator_in_order():
+    for n in range(21):
+        assert partitions_of(n) == tuple(generated_partitions(n))
+
+
+def test_partitions_of_is_one_tuple_per_grade():
+    first = partitions_of(9)
+    assert isinstance(first, tuple)
+    assert partitions_of(9) is first
+
+
+def test_enumerate_up_to_returns_a_list_the_caller_may_change():
+    got = enumerate_up_to(4)
+    got.append((5,))
+    got[0] = (9,)
+    assert enumerate_up_to(4) == [lam for n in range(5) for lam in generated_partitions(n)]
+
+
+def test_cold_grade_layout_builds_each_grade_once():
+    partitions_of.cache_clear()
+    characters.cache_clear()
+    _grade_layout.cache_clear()
+    for n in range(15):
+        _grade_layout(n)
+    assert partitions_of.cache_info().misses == 15
 
 
 # -- conjugation ----------------------------------------------------------------

@@ -89,6 +89,19 @@ def test_rspec_requires_q_for_q_factors():
         RSpec(constant=F(0))
 
 
+def test_rspec_refuses_an_irrational_q_power_when_built():
+    # q^(shift + n) is rational exactly when q^shift is, so the symbol is refused before any evaluation
+    message = r"^1/2\*\*1/3 is not rational; pick a base admitting an exact 3-th root$"
+    for shift in (F(1, 3), F(7, 3)):
+        with pytest.raises(ValueError, match=message):
+            RSpec(num=(QLinFactor(F(1), shift),), q=F(1, 2))
+        with pytest.raises(ValueError, match=message):
+            RSpec(den=(QLinFactor(F(2, 3), shift),), q=F(1, 2))
+    # an exact root is admitted, and every q-power of it stays rational
+    r = RSpec(num=(QLinFactor(F(1), F(-1, 2)),), q=F(1, 4))
+    assert [r_eval(r, n) for n in (0, 1, 2)] == [-1, F(1, 2), F(7, 8)]
+
+
 # -- content products -------------------------------------------------------------
 
 

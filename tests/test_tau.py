@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 from math import factorial
@@ -5,6 +6,7 @@ from math import factorial
 import pytest
 
 from taukit import partitions, schur
+from taukit import tau as tau_module
 from taukit.partitions import enumerate_up_to, hook_data, n_statistic
 from taukit.poly import GradedPoly, bvar, mono, mono_weights, tvar
 from taukit.rspec import (
@@ -117,6 +119,27 @@ def test_tau_expansion_caches_coefficients():
     assert exp.coeffs[(2,)] == 2
     assert exp.coeffs[(1, 1)] == 0
     assert exp.render(T, B) == tau_series(D, 1, 4, T, B)
+
+
+def test_tau_expansion_is_the_one_table_and_renderer():
+    assert [f.name for f in dataclasses.fields(TauExpansion)] == ["grade", "coeffs"]
+    assert not hasattr(tau_module, "_render_pairs")
+
+
+def test_every_series_renders_through_tau_expansion(monkeypatch):
+    calls = []
+    render = TauExpansion.render
+    monkeypatch.setattr(TauExpansion, "render", lambda self, t, beta: calls.append(self) or render(self, t, beta))
+    r = lin(F(1, 2), den=(F(1, 3),))
+    runs = {
+        "tau_series": lambda: tau_series(r, 0, 4, T, B),
+        "tau_two_sided": lambda: tau_two_sided(lin(F(2)), r, 0, 4, MiwaTimes((F(1, 3),)), B),
+        "qphi_multivar": lambda: qphi_multivar([F(2)], [F(3)], 0, F(1, 2), (F(1, 3), F(1, 5)), 4),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert len(calls) == 1 and calls[0].grade == 4, name
 
 
 def schur_product_tau(r, m, d):
