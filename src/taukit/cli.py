@@ -19,6 +19,8 @@ from .poly import format_rational, parse_rational
 from .rspec import PoleError, RSpec, _named, rspec_from_json, zero_pole_scan
 from .tau import (
     TauExpansion,
+    _basic_q,
+    _family_symbol,
     askey_wilson,
     clebsch_gordan_q,
     pfq_one_var_coeffs,
@@ -59,6 +61,13 @@ def _flag(args, flag: str, parse=_rat_list, needed_by: str = ""):
     if needed_by and not text:
         raise ValueError(f"{needed_by} needs --{flag}")
     return _named(f"--{flag}", parse, text)
+
+
+def _q_powers(q, **params) -> None:
+    """Refuse q as its basic series would, then, naming the flag, a value of any of params whose power of q is irrational."""
+    q = _basic_q(q)
+    for flag, values in params.items():
+        _named(f"--{flag}", lambda vs: _family_symbol(vs, (), q), values)
 
 
 def _non_negative(value: int, flag: str) -> int:
@@ -113,6 +122,7 @@ def _qphi(args) -> dict:
     a, b = _flag(args, "a"), _flag(args, "b")
     q = _flag(args, "q", parse_rational, args.family)
     xs = _flag(args, "x")
+    _q_powers(q, a=a, b=b)
     if len(xs) > 1:
         return {"value": format_rational(qphi_multivar(a, b, args.charge, q, xs, order))}
     return _one_var(qphi_one_var_coeffs(a, b, args.charge, q, order), xs[0] if xs else None)
@@ -159,8 +169,10 @@ def _rspec(args) -> RSpec:
 
 
 def _qdiff(args) -> CheckReport:
-    a, b = _flag(args, "a"), _flag(args, "b")
-    return check_qdiff(a, b, _flag(args, "q", parse_rational, args.check), args.order)
+    a, b, q = _flag(args, "a"), _flag(args, "b"), _flag(args, "q", parse_rational, args.check)
+    if args.order >= 1:  # check_qdiff refuses a smaller order first
+        _q_powers(q, a=a, b=b)
+    return check_qdiff(a, b, q, args.order)
 
 
 def _oracle(args) -> CheckReport:
@@ -185,6 +197,8 @@ def _prop4(args) -> CheckReport:
     bs = _flag(args, "b")
     if len(bs) != 1:
         raise ValueError(f"{args.check} needs --b with exactly one rational")
+    if args.r.q is not None:
+        _q_powers(args.r.q, b=bs)
     return check_prop4(args.r, bs[0], args.charge, args.degree)
 
 

@@ -29,8 +29,9 @@ independent oracle for the characters and the memo, and the closed form
 ``schur_principal_value`` = (q^a; q)_lam times the principal-infinity value
 likewise.
 
-At N Miwa variables, s_lam/mu is 0 without a determinant where a column (sign +1) or a row (sign -1) of lam/mu
-has over N cells (Macdonald I.5); ``check_remark1`` tests that, so it reads its points as ``NumericTimes``.
+At N Miwa variables, s_lam/mu is 0 by shape where a column (sign +1) or a row (sign -1) of lam/mu has over N cells
+(Macdonald I.5).  The series lists drop those shapes through ``_live`` before forming any content product; the
+evaluator takes their determinants, so ``check_remark1`` tests the rule against it at plain ``MiwaTimes``.
 
 ``schur_poly`` and ``skew_schur_poly`` check their partitions and share ``_schur_value``, which the series loops call.
 """
@@ -331,6 +332,12 @@ def _miwa_zero(outer: Partition, inner: Partition, times: MiwaTimes) -> bool:
     return any(o > i + slack for o, i in zip(outer[skip:], padded))
 
 
+def _live(parts, inner: Partition, *times):
+    """parts less each lam whose s_{lam/inner} is 0 by shape at one of the times that are Miwa; parts itself at none."""
+    miwa = [tm for tm in times if isinstance(tm, MiwaTimes)]
+    return [lam for lam in parts if not any(_miwa_zero(lam, inner, tm) for tm in miwa)] if miwa else parts
+
+
 def _schur_numeric(lam: Partition, mu: Partition, values: list[Fraction], d: int) -> Fraction:
     """s_{lam/mu} at the plain list [t_1, t_2, ...], zero past its end: the oracle for the memo."""
     return _jacobi_trudi(lam, mu, lambda twisted, top: numeric_power_sums(
@@ -350,8 +357,6 @@ def _schur_value(outer: Partition, inner: Partition, times, d: int):
         if inner:
             raise TypeError("principal-infinity times are defined for straight shapes only")
         return Fraction(times.q or 1) ** n_statistic(outer) / hook_data(outer, times.q)
-    if isinstance(times, MiwaTimes) and _miwa_zero(outer, inner, times):
-        return Fraction(0)
     return _jacobi_trudi(outer, inner, lambda twisted, top: times._power_sums(d, twisted, top))
 
 
@@ -360,8 +365,8 @@ def schur_poly(lam, times, d: int):
 
     Generic times go through the characters, evaluated times through the
     Jacobi-Trudi determinant of the p_m values (p_k = 0 for k < 0,
-    s_empty = 1), save Miwa shapes that ``_miwa_zero`` finds 0.  The
-    infinity marker resolves to q^{n(lam)}/H_lam(q), 1/H_lam at q = None.
+    s_empty = 1).  The infinity marker resolves to q^{n(lam)}/H_lam(q),
+    1/H_lam at q = None.
     """
     return _schur_value(check_partition(lam), (), times, d)
 

@@ -35,7 +35,7 @@ from .schur import (
     MiwaTimes,
     PrincipalInfinityTimes,
     PrincipalTimes,
-    _miwa_zero,
+    _live,
     _schur_value,
     schur_pair_sum,
 )
@@ -51,11 +51,12 @@ class TauExpansion:
     coeffs: dict
 
     @staticmethod
-    def build(r: RSpec, m: int, d: int) -> "TauExpansion":
-        """The table r_lam(M) over every partition of weight 0..d."""
+    def build(r: RSpec, m: int, d: int, *times) -> "TauExpansion":
+        """The table r_lam(M) over the partitions of weight 0..d that ``_live`` keeps at the times, meeting no pole of r
+        that only the cut ones reach."""
         if d < 0:
             raise ValueError("truncation grade must be >= 0")
-        return TauExpansion(d, dict(content_products(r, enumerate_up_to(d), m)))
+        return TauExpansion(d, dict(content_products(r, _live(enumerate_up_to(d), (), *times), m)))
 
     def render(self, t, beta):
         """sum_lam c * s_lam(t) * s_lam(beta), c = coeffs[lam], over the partitions the table holds, none checked again;
@@ -74,8 +75,8 @@ class TauExpansion:
 
 
 def tau_series(r: RSpec, m: int, d: int, t, beta):
-    """The truncated tau-series sum_{|lam|<=d} r_lam(M) s_lam(t) s_lam(beta)."""
-    return TauExpansion.build(r, m, d).render(t, beta)
+    """The truncated tau-series sum_{|lam|<=d} r_lam(M) s_lam(t) s_lam(beta), over the partitions ``build`` keeps."""
+    return TauExpansion.build(r, m, d, t, beta).render(t, beta)
 
 
 def tau_two_sided(r_tilde: RSpec, r: RSpec, m: int, d: int, t_tilde, beta):
@@ -84,7 +85,7 @@ def tau_two_sided(r_tilde: RSpec, r: RSpec, m: int, d: int, t_tilde, beta):
     The coefficient is computed as the product of the two content products,
     which must agree with tau_series of the merged symbol.
     """
-    parts = enumerate_up_to(d)
+    parts = _live(enumerate_up_to(d), (), t_tilde, beta)
     pairs = zip(content_products(r_tilde, parts, m), content_products(r, parts, m))
     return TauExpansion(d, {lam: a * b for (lam, a), (_, b) in pairs}).render(t_tilde, beta)
 
@@ -119,14 +120,15 @@ def _chain_vector(side, m: int, d: int) -> dict:
     """The side's layers applied to the vacuum vector {(): 1}, as {lam: nonzero value}.
 
     A layer (r, times) maps the held entries (mu, value) to
-    new[lam] = sum over held mu inside lam of value * r_{lam/mu}(M) * s_{lam/mu}(times).
+    new[lam] = sum over held mu inside lam of value * r_{lam/mu}(M) * s_{lam/mu}(times), lam kept by ``_live``.
     """
     parts = enumerate_up_to(d)
     vec = {(): Fraction(1)}
     for rsp, times in side:
         new = {}
         for mu, value in vec.items():
-            for lam, weight in content_products(rsp, [lam for lam in parts if contains(lam, mu)], m, mu):
+            inside = (lam for lam in parts if contains(lam, mu))
+            for lam, weight in content_products(rsp, _live(inside, mu, times), m, mu):
                 if weight:
                     piece = value * (weight * _schur_value(lam, mu, times, d))
                     new[lam] = new[lam] + piece if lam in new else piece
@@ -178,15 +180,10 @@ def qphi_multivar(a, b, m: int, q, x, d: int) -> Fraction:
     prod (q^{a_k+M}; q)_lam / prod (q^{b_k+M}; q)_lam
         * q^{n(lam)} / H_lam(q) * s_lam(x),
 
-    the q-family tau-series at beta = principal-infinity times.  Longer
-    partitions have s_lam(x) = 0 and are skipped, so a denominator zero
-    that only they reach is never evaluated.
+    the tau-series of the q-family symbol at the Miwa times of x and beta = principal-infinity times.
     """
-    q = _basic_q(q)
-    times = MiwaTimes(x)
-    r = _family_symbol(a, b, q)
-    coeffs = dict(content_products(r, [lam for lam in enumerate_up_to(d) if not _miwa_zero(lam, (), times)], m))
-    return TauExpansion(d, coeffs).render(times, PrincipalInfinityTimes(q))
+    q, x = _basic_q(q), MiwaTimes(x)
+    return tau_series(_family_symbol(a, b, q), m, d, x, PrincipalInfinityTimes(q))
 
 
 def _row_coeffs(r: RSpec, m: int, order: int) -> list[Fraction]:

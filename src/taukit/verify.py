@@ -45,8 +45,8 @@ from .rspec import (
     rspec_to_json,
     zero_pole_scan,
 )
-from .schur import GenericTimes, MiwaTimes, NumericTimes, _schur_value, power_sums_basis
-from .tau import TauExpansion, _basic_q, _family_symbol, _row_coeffs, prop4_pair, tau_series
+from .schur import GenericTimes, MiwaTimes, _schur_value, power_sums_basis
+from .tau import _basic_q, _family_symbol, _row_coeffs, prop4_pair, tau_series
 
 # -- reports ---------------------------------------------------------------------
 
@@ -347,13 +347,12 @@ def check_remark1(mode: str, params: dict, d: int) -> CheckReport:
     routes = []
     if mode != "miwa":
         symbol = _family_symbol((sign * cut,), (), q)
-        routes.append(TauExpansion(d, dict(content_products(symbol, parts, 0))).coeffs.__getitem__)
+        routes.append(dict(content_products(symbol, parts, 0)).__getitem__)
     if mode != "q-spec":
         x = params.get("x", [Fraction(1, i + 2) for i in range(cut)])
         if len(x) != cut or 0 in x:
             raise ValueError(f"remark1 {mode} needs x of {key} = {cut} nonzero values, got [{', '.join(map(str, x))}]")
-        # the same t_m as plain times: the determinant, not schur's Miwa shape rule, decides each vanishing
-        times = NumericTimes(MiwaTimes(x, sign).values(d))
+        times = MiwaTimes(x, sign)
         routes.append(lambda lam: _schur_value(lam, (), times, d))
     echo = {"mode": mode, key: cut, **({} if q is None else {"q": format_rational(q)}), "d": d}
     failure = _vanishing_failure(parts, vanishes, *routes)

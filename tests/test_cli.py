@@ -348,15 +348,37 @@ def test_missing_rspec_file_names_the_flag(tmp_path, capsys):
 IRRATIONAL_SHIFT_SPEC = '{"q":"1/2","num":[{"qlin":{"coeff":"1","shift":"1/3"}}]}'
 
 
-@pytest.mark.parametrize("argv", [
-    ("expand", "--rspec", IRRATIONAL_SHIFT_SPEC, "-d", "2"),
-    ("expand", "--rspec", IRRATIONAL_SHIFT_SPEC, "-d", "0"),
-    ("verify", "hirota", "--rspec", IRRATIONAL_SHIFT_SPEC, "-d", "2"),
-], ids=["expand", "expand-d0", "hirota"])
-def test_irrational_q_power_names_the_flag(capsys, argv):
+# a family parameter's power of q is refused naming the flag that holds it, once q itself is found a basic base
+@pytest.mark.parametrize("argv, message", [
+    (("expand", "--rspec", IRRATIONAL_SHIFT_SPEC, "-d", "2"), "--rspec: 1/2**1/3 is not rational; pick a base admitting an exact 3-th root"),
+    (("expand", "--rspec", IRRATIONAL_SHIFT_SPEC, "-d", "0"), "--rspec: 1/2**1/3 is not rational; pick a base admitting an exact 3-th root"),
+    (("verify", "hirota", "--rspec", IRRATIONAL_SHIFT_SPEC, "-d", "2"),
+     "--rspec: 1/2**1/3 is not rational; pick a base admitting an exact 3-th root"),
+    (("eval", "qphi", "--a", "1/2", "--b", "3", "--q", "1/2", "--order", "3"),
+     "--a: 1/2**1/2 is not rational; pick a base admitting an exact 2-th root"),
+    (("verify", "qdiff", "--a", "2", "--b", "1/3", "--q", "1/2", "--order", "3"),
+     "--b: 1/2**1/3 is not rational; pick a base admitting an exact 3-th root"),
+    (("verify", "prop4", "--rspec", '{"q":"1/2","num":[{"qlin":{"coeff":"2/3","shift":"0"}}],"den":[]}', "--b", "1/5",
+      "-d", "3"), "--b: 1/2**1/5 is not rational; pick a base admitting an exact 5-th root"),
+], ids=["expand", "expand-d0", "hirota", "qphi", "qdiff", "prop4"])
+def test_irrational_q_power_names_the_flag(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == "error: --rspec: 1/2**1/3 is not rational; pick a base admitting an exact 3-th root"
+    assert err == f"error: {message}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("eval", "qphi", "--a", "1/2", "--b", "3", "--q", "-1", "--order", "3"),
+     "q must be nonzero and not a root of unity; q=-1"),
+    (("verify", "qdiff", "--a", "1/2", "--b", "3", "--q", "1/2", "--order", "0"),
+     "qdiff compares x^0..x^(order-1): order = 0 compares nothing, use --order >= 1"),
+    (("eval", "qphi", "--a", "1/2", "--b", "x", "--order", "3"), "--b: not a rational: 'x'"),
+    (("eval", "qphi", "--a", "1/2", "--b", "3", "--order", "3"), "qphi needs --q"),
+], ids=["root-of-unity", "qdiff-order", "malformed-b", "missing-q"])
+def test_irrational_q_power_is_refused_after_the_other_faults(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}"
 
 
 def test_pole_reports_offending_point(capsys):

@@ -4,9 +4,11 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taukit import partitions, schur
 from taukit import tau as tau_module
+from taukit.acceptance import draw_lin_rspec
 from taukit.partitions import enumerate_up_to, hook_data, n_statistic
 from taukit.poly import GradedPoly, bvar, mono, mono_weights, tvar
 from taukit.rspec import (
@@ -432,13 +434,46 @@ def test_qphi_full_ratio_matches_tau_series_route():
 
 
 def test_qphi_multivar_skips_partitions_longer_than_x():
-    # (q^{2+D}; q) vanishes at content -2, which only l(lam) >= 3 reaches
+    # (q^{2+D}; q) vanishes at content -2, which only l(lam) >= 3 reaches: every series cuts those at 2 Miwa
+    # variables and answers, and meets the pole at generic t, where nothing is cut
     q, xs = F(1, 2), (F(1, 3), F(1, 5))
     assert qphi_multivar([F(3)], [F(2)], 0, q, xs, 4) == F(6745346, 1771875)
     spec = RSpec(num=(QLinFactor(F(1), F(3)),), den=(QLinFactor(F(1), F(2)),), q=q)
-    with pytest.raises(PoleError) as err:
-        tau_series(spec, 0, 4, MiwaTimes(xs), PrincipalInfinityTimes(q))
-    assert err.value.point == -2
+    beta = PrincipalInfinityTimes(q)
+    series = {
+        "tau_series": lambda t: tau_series(spec, 0, 4, t, beta),
+        "tau_two_sided": lambda t: tau_two_sided(RSpec(), spec, 0, 4, t, beta),
+        "tau_general": lambda t: tau_general(ChainSpec(left=((spec, t),), right=((RSpec(), beta),)), 0, 4),
+    }
+    for name, run in series.items():
+        assert run(MiwaTimes(xs)) == F(6745346, 1771875), name
+        with pytest.raises(PoleError) as err:
+            run(GenericTimes("t"))
+        assert err.value.point == -2, name
+
+
+miwa_points = st.builds(
+    MiwaTimes,
+    st.lists(st.sampled_from((F(1, 2), F(-1, 3), F(2, 5), F(1, 7), F(-3, 4))), min_size=1, max_size=3),
+    st.sampled_from((1, -1)),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(st.randoms(use_true_random=False), st.integers(-1, 1), st.integers(0, 7),
+       miwa_points, miwa_points, st.sampled_from((F(1, 2), F(4, 3), F(-2, 5))))
+def test_miwa_cut_drops_only_zero_terms(rng, m, d, x, y, a):
+    # the same t_m as NumericTimes are never cut, so there the determinant decides every term the cut drops
+    def uncut(times):
+        return NumericTimes(times.values(d))
+
+    def chain(first, second):
+        return tau_general(ChainSpec(left=((r, first), (r2, second)), right=((r3, beta),)), m, d)
+
+    r, r2, r3 = draw_lin_rspec(rng), draw_lin_rspec(rng), draw_lin_rspec(rng)
+    beta = PrincipalTimes(a)
+    assert tau_series(r, m, d, x, beta) == tau_series(r, m, d, uncut(x), beta)
+    assert chain(x, y) == chain(uncut(x), uncut(y))
 
 
 def test_two_variable_set_series_from_components():
