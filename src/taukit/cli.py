@@ -19,8 +19,6 @@ from .poly import format_rational, parse_rational
 from .rspec import PoleError, RSpec, _named, rspec_from_json, zero_pole_scan
 from .tau import (
     TauExpansion,
-    _basic_q,
-    _family_symbol,
     askey_wilson,
     clebsch_gordan_q,
     pfq_one_var_coeffs,
@@ -61,13 +59,6 @@ def _flag(args, flag: str, parse=_rat_list, needed_by: str = ""):
     if needed_by and not text:
         raise ValueError(f"{needed_by} needs --{flag}")
     return _named(f"--{flag}", parse, text)
-
-
-def _q_powers(q, **params) -> None:
-    """Refuse q as its basic series would, then, naming the flag, a value of any of params whose power of q is irrational."""
-    q = _basic_q(q)
-    for flag, values in params.items():
-        _named(f"--{flag}", lambda vs: _family_symbol(vs, (), q), values)
 
 
 def _non_negative(value: int, flag: str) -> int:
@@ -122,7 +113,6 @@ def _qphi(args) -> dict:
     a, b = _flag(args, "a"), _flag(args, "b")
     q = _flag(args, "q", parse_rational, args.family)
     xs = _flag(args, "x")
-    _q_powers(q, a=a, b=b)
     if len(xs) > 1:
         return {"value": format_rational(qphi_multivar(a, b, args.charge, q, xs, order))}
     return _one_var(qphi_one_var_coeffs(a, b, args.charge, q, order), xs[0] if xs else None)
@@ -168,20 +158,6 @@ def _rspec(args) -> RSpec:
     return _flag(args, "rspec", _load_rspec, args.check)
 
 
-def _qdiff(args) -> CheckReport:
-    a, b, q = _flag(args, "a"), _flag(args, "b"), _flag(args, "q", parse_rational, args.check)
-    if args.order >= 1:  # check_qdiff refuses a smaller order first
-        _q_powers(q, a=a, b=b)
-    return check_qdiff(a, b, q, args.order)
-
-
-def _oracle(args) -> CheckReport:
-    r = _rspec(args)
-    if args.window is not None and args.window < args.degree:
-        raise ValueError(f"--window must be >= -d/--degree ({args.degree}), got {args.window}")
-    return det_oracle_tau(r, args.charge, args.degree, args.window)[1]
-
-
 def _remark1(args) -> CheckReport:
     _non_negative(args.degree, "-d/--degree")
     params = {"N": args.nvars, "K": args.nvars}
@@ -197,8 +173,6 @@ def _prop4(args) -> CheckReport:
     bs = _flag(args, "b")
     if len(bs) != 1:
         raise ValueError(f"{args.check} needs --b with exactly one rational")
-    if args.r.q is not None:
-        _q_powers(args.r.q, b=bs)
     return check_prop4(args.r, bs[0], args.charge, args.degree)
 
 
@@ -268,8 +242,10 @@ COMMANDS = {
         "toda": (RSPEC_FLAGS + ("gauge",), lambda ns: check_toda(_rspec(ns), ns.charge, ns.degree, ns.gauge), "--rspec"),
         "kp": (RSPEC_FLAGS, lambda ns: check_kp_bilinear(_rspec(ns), ns.charge, ns.degree), "--rspec"),
         "ode": (("a", "b", "order"), lambda ns: check_ode(_flag(ns, "a"), _flag(ns, "b"), ns.order), "--b"),
-        "qdiff": (("a", "b", "q", "order"), _qdiff, "--b"),
-        "oracle": (RSPEC_FLAGS + ("window",), _oracle, "--rspec"),
+        "qdiff": (("a", "b", "q", "order"), lambda ns: check_qdiff(
+            _flag(ns, "a"), _flag(ns, "b"), _flag(ns, "q", parse_rational, ns.check), ns.order), "--b"),
+        "oracle": (RSPEC_FLAGS + ("window",), lambda ns: det_oracle_tau(_rspec(ns), ns.charge, ns.degree, ns.window)[1],
+                   "--rspec"),
         "remark1": (("mode", "nvars", "q", "degree"), _remark1, "--q"),  # its symbol has no denominator
         "prop4": (RSPEC_FLAGS + ("b",), _prop4, _prop4_pole),
     }),

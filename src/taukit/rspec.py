@@ -86,9 +86,6 @@ class RSpec:
             for shift in (f.shift for f in self.num + self.den if isinstance(f, QLinFactor)):
                 rational_pow(self.q, shift % 1)
 
-    def is_one(self) -> bool:
-        return self.constant == 1 and not self.num and not self.den
-
 
 def rspec_mul(a: RSpec, b: RSpec) -> RSpec:
     """Product symbol (a*b)(D); q parameters must agree when both are present."""

@@ -27,6 +27,7 @@ from .rspec import (
     QLinFactor,
     QPairFactor,
     RSpec,
+    _named,
     content_products,
     rspec_mul,
 )
@@ -151,9 +152,18 @@ def tau_general(chain: ChainSpec, m: int, d: int):
 
 
 def _family_symbol(a, b, q=None) -> RSpec:
-    """r(D) = prod (a_k + D) / prod (b_k + D), or prod (1 - q^{a_k+D}) / prod (1 - q^{b_k+D})."""
+    """r(D) = prod (a_k + D) / prod (b_k + D), or prod (1 - q^{a_k+D}) / prod (1 - q^{b_k+D}) at a basic q.
+
+    q is refused first; then each list is read as its own symbol, so a power of q that is not rational is refused
+    naming the list's flag, --a or --b.
+    """
+    q = None if q is None else _basic_q(q)
     factor = LinFactor if q is None else (lambda v: QLinFactor(Fraction(1), v))
-    return RSpec(num=tuple(factor(Fraction(v)) for v in a), den=tuple(factor(Fraction(v)) for v in b), q=q)
+
+    def factors(flag, values) -> tuple:
+        return _named(flag, lambda vs: RSpec(num=tuple(factor(Fraction(v)) for v in vs), q=q).num, values)
+
+    return RSpec(num=factors("--a", a), den=factors("--b", b), q=q)
 
 
 def pfs_multivar(a, b, m: int, t, d: int):
@@ -195,7 +205,7 @@ def _row_coeffs(r: RSpec, m: int, order: int) -> list[Fraction]:
 
 def qphi_one_var_coeffs(a, b, m: int, q, order: int) -> list[Fraction]:
     """Coefficients of the one-variable basic series, one row partition per order."""
-    return _row_coeffs(_family_symbol(a, b, _basic_q(q)), m, order)
+    return _row_coeffs(_family_symbol(a, b, q), m, order)
 
 
 def pfq_one_var_coeffs(a, b, m: int, order: int) -> list[Fraction]:
@@ -420,8 +430,6 @@ def prop4_pair(r: RSpec, b, m: int, d: int, t):
     (1 - q^{b+D}) (q case), at the finite principal times of modulus b + M.
     A q-symbol's q must be nonzero and not a root of unity.
     """
-    if r.q is not None:
-        _basic_q(r.q)
-    b = Fraction(b)
     r_b = rspec_mul(r, _family_symbol((), (b,), r.q))
-    return tau_series(r, m, d, PrincipalInfinityTimes(r.q), t), tau_series(r_b, m, d, PrincipalTimes(b + m, r.q), t)
+    left = tau_series(r, m, d, PrincipalInfinityTimes(r.q), t)
+    return left, tau_series(r_b, m, d, PrincipalTimes(Fraction(b) + m, r.q), t)

@@ -184,9 +184,8 @@ def _check_termwise(name: str, a, b, q, order: int) -> CheckReport:
     """[k + 1] c_{k+1} = r(k) c_k for k < order, [x] = q_number(x, q), r the family symbol of (a, b, q)."""
     if order < 1:
         raise ValueError(f"{name} compares x^0..x^(order-1): order = {order} compares nothing, use --order >= 1")
-    if q is not None:
-        q = _basic_q(q)
     r = _family_symbol(a, b, q)
+    q = r.q
     coeffs = _row_coeffs(r, 0, order)
     failure = None
     for k in range(order):
@@ -281,7 +280,7 @@ def det_oracle_tau(r: RSpec, m: int, d: int, window: int | None = None, extra_wi
     if window is None:
         window = d
     if window < d:
-        raise ValueError("window must be >= d")
+        raise ValueError(f"--window must be >= -d/--degree ({d}), got {window}")
     if not extra_windows or min(extra_windows) < 1:
         raise ValueError(f"extra_windows must be non-empty with every entry >= 1, got {extra_windows!r}")
     dets = _corner_dets(_window_block(r, m, d, window + max(extra_windows)))

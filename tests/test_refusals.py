@@ -8,10 +8,25 @@ from taukit.partitions import check_partition, enumerate_up_to
 from taukit.poly import GradedPoly, bvar, inverse, mono, rational_pow, tvar
 from taukit.rspec import QLinFactor, RSpec, factor_from_obj, rspec_from_json, rspec_mul
 from taukit.schur import GenericTimes, MiwaTimes, PrincipalInfinityTimes, power_sums_basis, schur_poly, skew_schur_poly
-from taukit.tau import ChainSpec, TauExpansion, askey_wilson, clebsch_gordan_q, q_bracket
-from taukit.verify import _corner_dets
+from taukit.tau import (
+    ChainSpec,
+    TauExpansion,
+    askey_wilson,
+    clebsch_gordan_q,
+    prop4_pair,
+    q_bracket,
+    qphi_multivar,
+    qphi_one_var_coeffs,
+)
+from taukit.verify import _corner_dets, check_qdiff, det_oracle_tau
 
 AW = (F(1, 2), F(1, 3), F(1, 5), F(1, 7))  # Askey-Wilson a, b, c, d
+Q_SPEC = RSpec(num=(QLinFactor(F(1), F(1)),), q=F(1, 2))  # 1 - q^{1+D} at q = 1/2
+
+
+def _irrational(base: str, root: int) -> str:
+    return f"{base}**1/{root} is not rational; pick a base admitting an exact {root}-th root"
+
 
 # (call, exception type, message); each message was recorded from the call itself
 REFUSALS = {
@@ -62,6 +77,27 @@ REFUSALS = {
     ),
     "corner-dets-non-unit": (
         lambda: _corner_dets([[GradedPoly.zero(1, 1)]]), ArithmeticError, "non-unit pivot in triangular factorization"
+    ),
+    # the library names the CLI flag of a value it refuses
+    "qphi-one-var-irrational-a": (
+        lambda: qphi_one_var_coeffs([F(1, 2)], [3], 0, F(1, 2), 3), ValueError, "--a: " + _irrational("1/2", 2)
+    ),
+    "qphi-multivar-irrational-a": (
+        lambda: qphi_multivar([F(1, 2)], [3], 0, F(1, 2), (F(1, 3), F(1, 5)), 3),
+        ValueError,
+        "--a: " + _irrational("1/2", 2),
+    ),
+    "qdiff-irrational-b": (lambda: check_qdiff([2], [F(1, 3)], F(1, 2), 3), ValueError, "--b: " + _irrational("1/2", 3)),
+    "prop4-pair-irrational-b": (
+        lambda: prop4_pair(Q_SPEC, F(1, 5), 0, 3, GenericTimes()), ValueError, "--b: " + _irrational("1/2", 5)
+    ),
+    "oracle-short-window": (
+        lambda: det_oracle_tau(RSpec(), 0, 4, 3), ValueError, "--window must be >= -d/--degree (4), got 3"
+    ),
+    "qphi-root-of-unity-before-irrational-a": (
+        lambda: qphi_one_var_coeffs([F(1, 2)], [3], 0, -1, 3),
+        ValueError,
+        "q must be nonzero and not a root of unity; q=-1",
     ),
 }
 

@@ -78,7 +78,6 @@ def test_r_eval_pole():
 
 
 def test_empty_spec_is_one():
-    assert RSpec().is_one()
     assert r_eval(RSpec(), 17) == 1
 
 

@@ -768,7 +768,6 @@ def test_cg_rows_are_unit_vectors(q):
     assert len(sums) == 24 and all(s == 1 for s in sums)
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("q", UNITARITY_QS, ids=str)
 def test_cg_rows_are_unit_vectors_to_spin_five_halves(q):
     sums = _cg_row_sums(F(5, 2), F(5, 2), q)

@@ -102,7 +102,6 @@ def test_hirota_pole_propagates():
         check_hirota(bad, 0, 4)
 
 
-@pytest.mark.slow
 def test_hirota_grade_ten():
     assert check_hirota(RATIO, 0, 10).passed
 
