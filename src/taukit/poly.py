@@ -12,8 +12,12 @@ formed.  ``p * q`` keeps the componentwise smaller bounds, and
 ``derivative`` lowers its own family's bound by the weight of its
 variable, where an arbitrary truncated polynomial stays exact.  A caller
 that knows another window (a tau truncated at grade d misses only
-monomials whose two weights both exceed d) passes it to ``mul_in`` or
-``lift``.
+monomials whose two weights both exceed d) passes it to ``lift`` or as
+the box of ``weighted_sum``.
+
+Every sum and product is one call of the kernel ``weighted_sum``, which
+forms its pieces (c, p) and (c, p, q) straight into one set of integer sums;
+exp, log and inverse are total-weight recurrences, one call per layer.
 
 A polynomial is stored in one packed form: every monomial is one int, the
 exponent of t_k in 8-bit slot 2k - 2 and that of b_k in slot 2k - 1, so
@@ -32,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product as _iproduct
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from numbers import Rational
 from typing import Iterable, NamedTuple
 
@@ -221,27 +225,12 @@ class GradedPoly:
         return weighted_sum(((1, self), (-1, other)), *self._meet(other))
 
     def scale(self, value) -> "GradedPoly":
-        return weighted_sum(((value, self),), self.t_max, self.b_max)
+        return weighted_sum(((Fraction(value), self),), self.t_max, self.b_max)
 
     def __mul__(self, other):
         if not isinstance(other, GradedPoly):
             return self.scale(other)
-        t_max, b_max = self._meet(other)
-        den_a, left = self._packed
-        den_b, right = other._packed
-        sums: dict = {}
-        for (t1, b1), bucket1 in left.items():
-            for (t2, b2), bucket2 in right.items():
-                tb = (t1 + t2, b1 + b2)
-                if tb[0] > t_max or tb[1] > b_max:
-                    continue
-                acc = sums.setdefault(tb, {})
-                get = acc.get
-                for k1, n1 in bucket1.items():
-                    for k2, n2 in bucket2.items():
-                        k = k1 + k2
-                        acc[k] = get(k, 0) + n1 * n2
-        return GradedPoly._from_sums(t_max, b_max, den_a * den_b, sums)
+        return weighted_sum(((1, self, other),), *self._meet(other))
 
     __rmul__ = __mul__
 
@@ -281,37 +270,43 @@ def lift(p: GradedPoly, t_max: int, b_max: int) -> GradedPoly:
     Terms of p outside the box are dropped.  The box may also be larger
     than the box of p: the caller then states that p is exact there.
     """
-    den, buckets = p._packed
-    fits = _fits(t_max, b_max)
-    return GradedPoly._from_sums(t_max, b_max, den, {tb: b for tb, b in buckets.items() if fits(tb)})
+    return weighted_sum(((1, p),), t_max, b_max)
 
 
-def mul_in(p: GradedPoly, q: GradedPoly, t_max: int, b_max: int) -> GradedPoly:
-    """p * q formed in the box (t_max, b_max) alone, whatever the boxes of p and q.
-
-    The box is the caller's statement of where the product is exact.
-    """
-    return lift(p, t_max, b_max) * lift(q, t_max, b_max)
+_UNIT = (1, {(0, 0): {0: 1}})  # the packed constant 1: the second factor of a piece (c, p)
 
 
 def weighted_sum(pieces, t_max: int, b_max: int) -> GradedPoly:
-    """sum of c * p over the (scalar c, GradedPoly p) pairs, in the box (t_max, b_max).
+    """sum of c * p and c * p * q over the pieces (c, p) and (c, p, q), c an int or Fraction, in the box (t_max, b_max).
 
-    Summed in integers over one common denominator, one division per term.
+    The one accumulate kernel: each product is formed straight into integer sums, bucketed by
+    (t-weight, b-weight), over one common denominator, visiting only the bucket pairs that fit
+    the box, and the sum is reduced once.  The box may be narrower or wider than the pieces'
+    boxes: the caller states that the sum is exact there.
     """
-    pieces = [(Fraction(c), p) for c, p in pieces if c]
-    fits = _fits(t_max, b_max)
-    packed = [(c, *p._packed) for c, p in pieces]
-    den = lcm(*(c.denominator * d for c, d, _ in packed))
+    packed = []
+    for c, p, *q in pieces:
+        (den_p, left), (den_q, right) = p._packed, q[0]._packed if q else _UNIT
+        if c and left and right:
+            packed.append((c.numerator, c.denominator * den_p * den_q, left, right))
+    den = lcm(*(d for _, d, _, _ in packed))
     sums: dict = {}
-    for c, d, buckets in packed:
-        factor = c.numerator * (den // (c.denominator * d))
-        for tb, bucket in buckets.items():
-            if fits(tb):
+    for c, d, left, right in packed:
+        factor = c * (den // d)
+        for (t1, b1), bucket1 in left.items():
+            for (t2, b2), bucket2 in right.items():
+                tb = (t1 + t2, b1 + b2)
+                if tb[0] > t_max or tb[1] > b_max:
+                    continue
                 acc = sums.setdefault(tb, {})
                 get = acc.get
-                for k, n in bucket.items():
-                    acc[k] = get(k, 0) + factor * n
+                # the smaller bucket outside: the same pairs in fewer loops
+                outer, inner = (bucket1, bucket2) if len(bucket1) <= len(bucket2) else (bucket2, bucket1)
+                for k1, n1 in outer.items():
+                    n1 *= factor
+                    for k2, n2 in inner.items():
+                        k = k1 + k2
+                        acc[k] = get(k, 0) + n1 * n2
     return GradedPoly._from_sums(t_max, b_max, den, sums)
 
 
@@ -344,36 +339,44 @@ def derivative(p: GradedPoly, v: Var) -> GradedPoly:
     return GradedPoly._from_sums(max(p.t_max - drop[0], 0), max(p.b_max - drop[1], 0), den, sums)
 
 
-def _nilpotent_series(p: GradedPoly, coeff) -> GradedPoly:
-    """sum coeff(k) * p**k for a p with zero constant term, whose powers past t_max + b_max vanish."""
-    coeffs = [coeff(k) for k in range(p.t_max + p.b_max + 1)]
-    powers = [GradedPoly.constant(1, p.t_max, p.b_max), p]
-    while len(powers) < len(coeffs) and not powers[-1].is_zero():
-        powers.append(powers[-1] * p)
-    return weighted_sum(zip(coeffs, powers), p.t_max, p.b_max)
+def _by_weight(p: GradedPoly, x0, layer) -> GradedPoly:
+    """x_0 + x_1 + ... in the box of p, x_w its total-weight-w layer, one kernel call per layer.
+
+    ``layer(w, ps, xs)`` gives the pieces of x_w from the layers ps of p and the layers xs = x_0..x_{w-1}
+    found so far.  Each series below is its Euler-operator recurrence: E, which multiplies a monomial by
+    its total weight, is a derivation that keeps the box, so E x = x E p holds in the truncated ring.
+    """
+    den, buckets = p._packed
+    split = [{} for _ in range(p.t_max + p.b_max + 1)]
+    for tb, bucket in buckets.items():
+        split[sum(tb)][tb] = bucket
+    ps = [GradedPoly._from_sums(p.t_max, p.b_max, den, sums) for sums in split]
+    xs = [GradedPoly.constant(x0, p.t_max, p.b_max)]
+    for w in range(1, len(ps)):
+        xs.append(weighted_sum(layer(w, ps, xs), p.t_max, p.b_max))
+    return weighted_sum(((1, x) for x in xs), p.t_max, p.b_max)
 
 
 def exp_series(p: GradedPoly) -> GradedPoly:
-    """Truncated exp; requires constant term 0."""
+    """Truncated exp; requires constant term 0.  x = exp(p): x_w = sum_k (k/w) p_k x_{w-k}."""
     if p.constant_term() != 0:
         raise ValueError("exp requires zero constant term")
-    return _nilpotent_series(p, lambda k: Fraction(1, factorial(k)))
+    return _by_weight(p, 1, lambda w, ps, xs: ((Fraction(k, w), ps[k], xs[w - k]) for k in range(1, w + 1)))
 
 
 def log_series(p: GradedPoly) -> GradedPoly:
-    """Truncated log; requires constant term 1."""
+    """Truncated log; requires constant term 1.  g = log(p): g_w = p_w - sum_{k<w} (k/w) g_k p_{w-k}."""
     if p.constant_term() != 1:
         raise ValueError("log requires constant term 1")
-    return _nilpotent_series(p - 1, lambda k: Fraction((-1) ** (k + 1), k) if k else Fraction(0))
+    return _by_weight(p, 0, lambda w, ps, gs: [(1, ps[w])] + [(Fraction(-k, w), gs[k], ps[w - k]) for k in range(1, w)])
 
 
 def inverse(p: GradedPoly) -> GradedPoly:
-    """Multiplicative inverse; requires a nonzero constant term."""
+    """Multiplicative inverse; requires a nonzero constant term c.  x = 1/p: x_w = -(1/c) sum_k p_k x_{w-k}."""
     c = p.constant_term()
     if c == 0:
         raise ValueError("inverse requires nonzero constant term")
-    x = p.scale(Fraction(1) / c) - 1
-    return _nilpotent_series(x, lambda k: Fraction((-1) ** k)).scale(Fraction(1) / c)
+    return _by_weight(p, 1 / c, lambda w, ps, xs: ((-1 / c, ps[k], xs[w - k]) for k in range(1, w + 1)))
 
 
 def hirota_D(f: GradedPoly, g: GradedPoly, alpha: Iterable[tuple[Var, int]]) -> GradedPoly:
@@ -406,7 +409,7 @@ def hirota_D(f: GradedPoly, g: GradedPoly, alpha: Iterable[tuple[Var, int]]) -> 
         if g is f and rest != beta:
             weight *= (rest > beta) * (1 + (-1) ** sum(exps))
         if weight:
-            pieces.append((weight, of_f[beta] * of_g[rest]))
+            pieces.append((weight, of_f[beta], of_g[rest]))
     return weighted_sum(pieces, *map(min, zip(*windows)))
 
 

@@ -57,7 +57,7 @@ from .partitions import (
     n_statistic,
     partitions_of,
 )
-from .poly import FAMILY_B, FAMILY_T, GradedPoly, Var, _key, q_number
+from .poly import FAMILY_B, FAMILY_T, GradedPoly, Var, _key, q_number, weighted_sum
 from .rspec import poch_partition
 
 # -- times specifications -----------------------------------------------------
@@ -213,11 +213,15 @@ def _schur_generic(outer: Partition, inner: Partition, family: str, d: int) -> G
 
 
 def power_sums_basis(d: int, family: str = FAMILY_T) -> list[GradedPoly]:
-    """Polynomials p_0..p_d with sum p_m z^m = exp(sum t_i z^i), i.e. p_m = s_(m), by ``numeric_power_sums`` at t_1..t_d."""
+    """Polynomials p_0..p_d with sum p_m z^m = exp(sum t_i z^i), i.e. p_m = s_(m), by the Newton recursion
+    of ``numeric_power_sums`` at t_1..t_d, m p_m = sum_k k t_k p_{m-k}, each p_m one kernel call."""
     if d < 0:
         raise ValueError("d must be >= 0")
     ts = [GradedPoly.variable(Var(family, k), d, d) for k in range(1, d + 1)]
-    return [GradedPoly.constant(1, d, d)] + numeric_power_sums(ts, d)[1:]
+    ps = [GradedPoly.constant(1, d, d)]
+    for m in range(1, d + 1):
+        ps.append(weighted_sum(((Fraction(k, m), ts[k - 1], ps[m - k]) for k in range(1, m + 1)), d, d))
+    return ps
 
 
 @cache
@@ -265,7 +269,7 @@ def schur_pair_sum(coeffs: dict, d: int) -> GradedPoly:
 
 
 def numeric_power_sums(values: list, d: int) -> list:
-    """p_0..p_d at the times t_1..t_d, by m p_m = sum_{k=1..m} k t_k p_{m-k}; the times are rationals or GradedPolys."""
+    """p_0..p_d at the rational times t_1..t_d, by m p_m = sum_{k=1..m} k t_k p_{m-k}."""
     ps = [Fraction(1)]
     for m in range(1, d + 1):
         acc = Fraction(0)

@@ -141,11 +141,12 @@ def tau_general(chain: ChainSpec, m: int, d: int):
     """Chained tau-series, a polynomial in the box (d, d) if either side holds generic times, else a number."""
     left = _chain_vector(chain.left, m, d)
     right = _chain_vector(chain.right, m, d)
-    products = [value * right[lam] for lam, value in left.items() if lam in right]
-    if any(isinstance(tm, GenericTimes) for _, tm in chain.left + chain.right):
-        # one pass: a running sum would re-form the whole polynomial at each product
-        return weighted_sum(((1, p) for p in products), d, d)
-    return sum(products, Fraction(0))
+    pairs = [(value, right[lam]) for lam, value in left.items() if lam in right]
+    generic = [any(isinstance(tm, GenericTimes) for _, tm in side) for side in (chain.left, chain.right)]
+    if not any(generic):
+        return sum((a * b for a, b in pairs), Fraction(0))
+    # every value of a side with generic times is a polynomial, and a rational one is the piece's coefficient
+    return weighted_sum(((1, a, b) if all(generic) else (b, a) if generic[0] else (a, b) for a, b in pairs), d, d)
 
 
 # -- hypergeometric families -------------------------------------------------------

@@ -7,7 +7,9 @@ missing only monomials whose t-weight and b-weight both exceed d, so a
 bilinear combination is uncorrupted at diagonal degrees <= d - 1 (each
 side draws on tau coefficients at most one grade higher), and a purely
 t-differentiated bilinear expression is uncorrupted wherever its b-weight
-stays <= d.  Products are formed in the compare window alone (``mul_in``).
+stays <= d.  Only a differentiated tau is built at grade d: hirota's and
+toda's other charges are built at d - 1, the compare window, where their
+products and logs are formed, so a pole only their grade d reaches is never met.
 hirota's left side is 1/2 D_t1 D_b1 tau.tau from ``hirota_D``, as kp's is;
 its products land in the meet of their factors' boxes, the compare window.
 """
@@ -31,9 +33,7 @@ from .poly import (
     format_rational,
     hirota_D,
     inverse,
-    lift,
     log_series,
-    mul_in,
     q_number,
     tvar,
     weighted_sum,
@@ -107,13 +107,12 @@ def _bilinear_window(name: str, d: int) -> int:
 
 
 def check_hirota(r: RSpec, m: int, d: int) -> CheckReport:
-    """1/2 D_t1 D_b1 tau(M).tau(M) = r(M) tau(M-1) tau(M+1)."""
+    """1/2 D_t1 D_b1 tau(M).tau(M) = r(M) tau(M-1) tau(M+1), with tau(M-1) and tau(M+1) built at grade d - 1."""
     window = _bilinear_window("hirota", d)
-    w = (window, window)
     t1, b1 = tvar(1), bvar(1)
-    tau_lo, tau_mid, tau_hi = (_generic_tau(r, n, d) for n in (m - 1, m, m + 1))
+    tau_lo, tau_mid, tau_hi = (_generic_tau(r, n, d if n == m else window) for n in (m - 1, m, m + 1))
     lhs = hirota_D(tau_mid, tau_mid, [(t1, 1), (b1, 1)]).scale(Fraction(1, 2))
-    rhs = mul_in(tau_lo, tau_hi, *w).scale(r_eval(r, m))
+    rhs = weighted_sum(((r_eval(r, m), tau_lo, tau_hi),), window, window)
     failure = compare_windowed(lhs, rhs, window, window)
     return _report(
         "hirota", failure, window, {"rspec": rspec_to_json(r), "M": m, "d": d}
@@ -127,8 +126,8 @@ def check_toda(r: RSpec, m: int, d: int, gauge: str = "generalized") -> CheckRep
     standard gauge normalises by h(n) = h(n-1)/r(n), whose couplings are r's
     own values: its report is the generalized one with both sides negated, and
     it refuses integer zeros of r on M-1..M+1, where h is undefined, before any tau is built.
-    Only phi_M is differentiated, so only log tau(M) and log tau(M+1) are
-    formed in the taus' box (d, d); the rest is formed in the compare window.
+    Only phi_M is differentiated, so only tau(M) and tau(M+1) are built at grade d and their logs formed
+    in the box (d, d); tau(M-1), tau(M+2) and the rest are formed in the compare window.
     """
     if gauge not in ("generalized", "standard"):
         raise ValueError(f"unknown gauge {gauge!r}")
@@ -137,10 +136,8 @@ def check_toda(r: RSpec, m: int, d: int, gauge: str = "generalized") -> CheckRep
         zeros = [n for n, kind in zero_pole_scan(r, m - 1, m + 1) if kind == "zero"]
         if zeros:
             raise ValueError(f"standard gauge needs r without integer zeros; found at {zeros}")
-    w = (window, window)
     t1, b1 = tvar(1), bvar(1)
-    taus = {n: _generic_tau(r, n, d) for n in range(m - 1, m + 3)}
-    logs = {n: log_series(tau if n in (m, m + 1) else lift(tau, *w)) for n, tau in taus.items()}
+    logs = {n: log_series(_generic_tau(r, n, d if n in (m, m + 1) else window)) for n in range(m - 1, m + 3)}
     phi = {n: logs[n] - logs[n + 1] for n in range(m - 1, m + 2)}
     lhs = derivative(derivative(phi[m], t1), b1)
     hop_down = exp_series(phi[m - 1] - phi[m])
@@ -165,11 +162,9 @@ def check_kp_bilinear(r: RSpec, m: int, d: int) -> CheckReport:
     if d < 4:
         raise ValueError(f"kp compares b-weights 4..d: degree d = {d} compares nothing, use -d/--degree >= 4")
     tau = _generic_tau(r, m, d)
-    expr = (
-        hirota_D(tau, tau, [(tvar(1), 4)])
-        + hirota_D(tau, tau, [(tvar(2), 2)]).scale(3)
-        - hirota_D(tau, tau, [(tvar(1), 1), (tvar(3), 1)]).scale(4)
-    )
+    terms = ((1, [(tvar(1), 4)]), (3, [(tvar(2), 2)]), (-4, [(tvar(1), 1), (tvar(3), 1)]))
+    # each Hirota derivative lowers the t-bound by 4 and keeps the b-bound: the box (d - 4, d)
+    expr = weighted_sum(((c, hirota_D(tau, tau, alpha)) for c, alpha in terms), d - 4, d)
     zero = GradedPoly.zero(expr.t_max, expr.b_max)
     failure = compare_windowed(expr, zero, 2 * d, d)
     return _report(
@@ -221,10 +216,9 @@ def _window_block(r: RSpec, m: int, d: int, window: int) -> list:
     shift^{-1} r(diag + M))) has entries p_{j-k}(beta) r(k+M)...r(j-1+M).
     Both exponentials are finite sums because the truncated shifts are
     nilpotent; entry sums stop where the graded truncation kills them.
-    Each product p_a(t) p_b(beta) is formed once and shared by the entries.
+    Each entry hands its products p_a(t) p_b(beta) to the kernel as pieces.
     """
     pt, pb = power_sums_basis(d, FAMILY_T), power_sums_basis(d, FAMILY_B)
-    pair = {(a, b): pt[a] * pb[b] for a in range(d + 1) for b in range(d + 1)}
     rval = {n: r_eval(r, n + m) for n in range(-window, d)}
 
     def entry(j: int, k: int) -> GradedPoly:
@@ -234,7 +228,7 @@ def _window_block(r: RSpec, m: int, d: int, window: int) -> list:
             if l > k:
                 prod_r *= rval[l - 1]
             if l >= j and prod_r:
-                pieces.append((prod_r, pair[l - j, l - k]))
+                pieces.append((prod_r, pt[l - j], pb[l - k]))
         return weighted_sum(pieces, d, d)
 
     idx = range(0, -window - 1, -1)
@@ -247,10 +241,11 @@ def _corner_dets(rows: list) -> list:
     The rows come corner first (``_window_block``), so entry k, the product
     of the first k + 1 pivots, is the determinant of the window -k..0.  The block is the identity plus
     positive-grade terms, so each pivot is a unit; the last one has no rows
-    below it and is never inverted.
+    below it and is never inverted.  Each update a - f b is one kernel call.
     """
     a = list(rows)
     n = len(a)
+    box = rows[0][0].t_max, rows[0][0].b_max  # the block's entries share one box, and so do their updates
     dets: list = []
     for col in range(n):
         piv = a[col][col]
@@ -263,7 +258,7 @@ def _corner_dets(rows: list) -> list:
                 continue
             factor = a[row][col] * inv
             a[row] = [
-                a[row][c] - factor * a[col][c] if c > col else a[row][c]
+                weighted_sum(((1, a[row][c]), (-1, factor, a[col][c])), *box) if c > col else a[row][c]
                 for c in range(n)
             ]
     return dets

@@ -413,6 +413,24 @@ def test_pole_is_one_line_naming_its_flag(capsys, argv, point, flag):
     assert err == f"error: pole at integer point {point}: a denominator given by {flag} vanishes there"
 
 
+@pytest.mark.parametrize("check, shift, code", [
+    ("hirota", "-3", 0),
+    ("toda", "-4", 0),
+    ("hirota", "-2", 2),
+    ("toda", "-3", 2),
+], ids=["hirota-uncompared", "toda-uncompared", "hirota-compared", "toda-compared"])
+def test_pole_only_an_uncompared_grade_reaches_is_never_met(capsys, check, shift, code):
+    # at M = 0, d = 3 a neighbour charge's tau is built at grade 2, the highest compared: the pole of
+    # r = 1/(D + shift) at -shift is met only where a tau that the check builds reaches it
+    spec = f'{{"num":[],"den":[{{"lin":{{"shift":"{shift}"}}}}]}}'
+    got, out, err = run(capsys, "verify", check, "--rspec", spec, "-M", "0", "-d", "3")
+    assert got == code
+    if code:
+        assert err == f"error: pole at integer point {-int(shift)}: a denominator given by --rspec vanishes there"
+    else:
+        assert json.loads(out)["pass"] is True and err == ""
+
+
 def test_rspec_json_integer_is_exact(capsys):
     code, out, _ = run(capsys, "expand", "--rspec", '{"num":[{"lin":{"shift":1}}]}', "-d", "2")
     assert code == 0

@@ -14,7 +14,7 @@ import pytest
 
 from taukit import acceptance
 from taukit.partitions import hook_data
-from taukit.poly import bvar
+from taukit.poly import GradedPoly, bvar, mono_weights
 from taukit.rspec import LinFactor, RSpec
 from taukit.schur import GenericTimes, MiwaTimes, PrincipalInfinityTimes
 from taukit.verify import (
@@ -81,6 +81,17 @@ def _principal_infinity_without_q_power(value):
     return mutant
 
 
+def _top_layers_dropped(series, layers):
+    """series with the terms of its result in its top ``layers`` total weights dropped, as a layer loop that stops short would."""
+
+    def mutant(p):
+        x = series(p)
+        top = x.t_max + x.b_max - layers
+        return GradedPoly(x.t_max, x.b_max, {m: c for m, c in x.terms.items() if sum(mono_weights(m)) <= top})
+
+    return mutant
+
+
 def _grade_3_facts_doubled(layout):
     def mutant(n):
         lams, cols, tkeys, bkeys, facts = layout(n)
@@ -125,6 +136,26 @@ MUTANTS = [
         "taukit.verify.content_products",
         lambda products: lambda r, parts, m, inner=(): products(r, parts, m + 1, inner),
         ("remark1-q", "remark1-dual"),
+    ),
+    (
+        "log_series with its top weight layer dropped",
+        "taukit.verify.log_series",
+        lambda log_series: _top_layers_dropped(log_series, 1),
+        ("toda", "toda-standard"),
+    ),
+    (
+        "exp_series with its top weight layer dropped",
+        "taukit.verify.exp_series",
+        lambda exp_series: _top_layers_dropped(exp_series, 1),
+        ("toda", "toda-standard"),
+    ),
+    (
+        # the oracle reads the inverse of a pivot only times an entry of weight >= 1, in the box (d, d):
+        # its layers 2d - 1 and 2d reach no compared coefficient, so the layer loop one short is at 2d - 2
+        "inverse one layer short of the layers the oracle reads",
+        "taukit.verify.inverse",
+        lambda inverse: _top_layers_dropped(inverse, 3),
+        ("oracle",),
     ),
     (
         "_grade_layout with grade 3's prod m(rho)! doubled: that block scaled by 1/4",

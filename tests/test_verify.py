@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from taukit import schur, verify
+from taukit import poly, schur, verify
 from taukit.poly import (
     GradedPoly,
     _family_pairs,
@@ -17,8 +17,8 @@ from taukit.poly import (
     lift,
     mono,
     mono_weights,
-    mul_in,
     tvar,
+    weighted_sum,
 )
 from taukit.rspec import LinFactor, PoleError, QLinFactor, RSpec
 from taukit.schur import GenericTimes
@@ -133,7 +133,7 @@ def test_explicit_window_keeps_what_derivative_caps_drop():
         ((variable, derivative(tau, t1)), (variable, derivative(exact, t1))),
     ]
     for (p, q), (p_exact, q_exact) in cases:
-        got = mul_in(p, q, *window)
+        got = weighted_sum([(1, p, q)], *window)
         assert (got.t_max, got.b_max) == window
         assert got.terms == in_window(pairwise(p_exact, q_exact))
     dropped = variable * derivative(tau, t1)
@@ -196,18 +196,38 @@ def test_golden_reports(check, tau, monkeypatch):
 
 
 def test_kp_forms_each_mirrored_product_once(monkeypatch):
-    # D^a tau.tau pairs the terms of b and a - b: 3 + 2 + 2 products, not 5 + 3 + 4
+    # D^a tau.tau pairs the terms of b and a - b: 3 + 2 + 2 product pieces (c, p, q) reach the kernel, not 5 + 3 + 4
     products = 0
-    mul = GradedPoly.__mul__
+    kernel = poly.weighted_sum
 
-    def counted(p, q):
+    def counted(pieces, t_max, b_max):
         nonlocal products
-        products += 1
-        return mul(p, q)
+        pieces = list(pieces)
+        products += sum(len(piece) == 3 for piece in pieces)
+        return kernel(pieces, t_max, b_max)
 
-    monkeypatch.setattr(GradedPoly, "__mul__", counted)
+    monkeypatch.setattr(poly, "weighted_sum", counted)
+    monkeypatch.setattr(verify, "weighted_sum", counted)
     assert check_kp_bilinear(RATIO, 0, 8).to_json() == GOLDEN_REPORTS["kp", "true"]
     assert products == 7
+
+
+@pytest.mark.parametrize("check, grades", [
+    (check_hirota, {-1: 5, 0: 6, 1: 5}),
+    (check_toda, {-1: 5, 0: 6, 1: 6, 2: 5}),
+])
+def test_bilinear_checks_build_each_tau_at_the_grade_they_compare(monkeypatch, check, grades):
+    # only the differentiated charges need grade d; the others are read in the compare window (d - 1, d - 1)
+    built = {}
+    render = verify._generic_tau
+
+    def recorded(r, m, d):
+        built[m] = d
+        return render(r, m, d)
+
+    monkeypatch.setattr(verify, "_generic_tau", recorded)
+    assert check(RATIO, 0, 6).passed
+    assert built == grades
 
 
 # -- the pass path decodes no term, and a failure names the sorted scan's monomial ------------------
