@@ -84,8 +84,8 @@ def emit(payload, fmt: str = "json") -> str:
 
 
 def cmd_expand(args) -> int:
-    r = _flag(args, "rspec", _load_rspec)
-    coeffs = TauExpansion.build(r, args.charge, _non_negative(args.degree, "-d/--degree")).coeffs
+    args.r = _flag(args, "rspec", _load_rspec)
+    coeffs = TauExpansion.build(args.r, args.charge, _non_negative(args.degree, "-d/--degree")).coeffs
     table = {json.dumps(list(lam), separators=(",", ":")): format_rational(c) for lam, c in coeffs.items()}
     if args.format == "csv":
         print(emit((("partition", "coefficient"), list(table.items())), "csv"))
@@ -153,9 +153,10 @@ def cmd_eval(args) -> int:
 
 
 def _rspec(args) -> RSpec:
-    """A check's --rspec, read once its -d/--degree is found non-negative."""
+    """A check's --rspec, read once its -d/--degree is found non-negative, and kept as args.r."""
     _non_negative(args.degree, "-d/--degree")
-    return _flag(args, "rspec", _load_rspec, args.check)
+    args.r = _flag(args, "rspec", _load_rspec, args.check)
+    return args.r
 
 
 def _remark1(args) -> CheckReport:
@@ -169,16 +170,18 @@ def _remark1(args) -> CheckReport:
 
 
 def _prop4(args) -> CheckReport:
-    args.r = _rspec(args)
+    r = _rspec(args)
     bs = _flag(args, "b")
     if len(bs) != 1:
         raise ValueError(f"{args.check} needs --b with exactly one rational")
-    return check_prop4(args.r, bs[0], args.charge, args.degree)
+    return check_prop4(r, bs[0], args.charge, args.degree)
 
 
-def _prop4_pole(args, point: int) -> str:
-    """Proposition 4 expands its r side before its (b + D) side, so a pole of the parsed r is named first."""
-    return "--rspec" if (point, "pole") in zero_pole_scan(args.r, point, point) else "--b"
+def _pole_flag(args, point: int) -> str:
+    """The flag a pole at point names: --rspec where the parsed symbol has it, else --b where read, else --params."""
+    if (point, "pole") in zero_pole_scan(getattr(args, "r", RSpec()), point, point):
+        return "--rspec"
+    return "--b" if hasattr(args, "b") else "--params"
 
 
 def _print_report(report: CheckReport, fmt: str) -> int:
@@ -228,26 +231,24 @@ FLAGS = {
 }
 RSPEC_FLAGS = ("rspec", "charge", "degree")
 
-# verb -> (help, dest of the name, command, FLAGS keywords overridden in this verb,
-#          {name: (flags it reads, runner, the flag a pole names or a rule (args, point) -> flag)})
+# verb -> (help, dest of the name, command, FLAGS keywords overridden in this verb, {name: (flags it reads, runner)})
 COMMANDS = {
     "eval": ("evaluate a special-function family", "family", cmd_eval, {"order": {"default": 8}}, {
-        "pfq": (("a", "b", "x", "order", "charge"), _pfq, "--b"),
-        "qphi": (("a", "b", "q", "x", "order", "charge"), _qphi, "--b"),
-        "aw": (("n", "params", "q", "cos"), _aw, "--params"),
-        "cg": (("params", "q"), _cg, "--params"),
+        "pfq": (("a", "b", "x", "order", "charge"), _pfq),
+        "qphi": (("a", "b", "q", "x", "order", "charge"), _qphi),
+        "aw": (("n", "params", "q", "cos"), _aw),
+        "cg": (("params", "q"), _cg),
     }),
     "verify": ("run one identity check", "check", cmd_verify, {}, {
-        "hirota": (RSPEC_FLAGS, lambda ns: check_hirota(_rspec(ns), ns.charge, ns.degree), "--rspec"),
-        "toda": (RSPEC_FLAGS + ("gauge",), lambda ns: check_toda(_rspec(ns), ns.charge, ns.degree, ns.gauge), "--rspec"),
-        "kp": (RSPEC_FLAGS, lambda ns: check_kp_bilinear(_rspec(ns), ns.charge, ns.degree), "--rspec"),
-        "ode": (("a", "b", "order"), lambda ns: check_ode(_flag(ns, "a"), _flag(ns, "b"), ns.order), "--b"),
+        "hirota": (RSPEC_FLAGS, lambda ns: check_hirota(_rspec(ns), ns.charge, ns.degree)),
+        "toda": (RSPEC_FLAGS + ("gauge",), lambda ns: check_toda(_rspec(ns), ns.charge, ns.degree, ns.gauge)),
+        "kp": (RSPEC_FLAGS, lambda ns: check_kp_bilinear(_rspec(ns), ns.charge, ns.degree)),
+        "ode": (("a", "b", "order"), lambda ns: check_ode(_flag(ns, "a"), _flag(ns, "b"), ns.order)),
         "qdiff": (("a", "b", "q", "order"), lambda ns: check_qdiff(
-            _flag(ns, "a"), _flag(ns, "b"), _flag(ns, "q", parse_rational, ns.check), ns.order), "--b"),
-        "oracle": (RSPEC_FLAGS + ("window",), lambda ns: det_oracle_tau(_rspec(ns), ns.charge, ns.degree, ns.window)[1],
-                   "--rspec"),
-        "remark1": (("mode", "nvars", "q", "degree"), _remark1, "--q"),  # its symbol has no denominator
-        "prop4": (RSPEC_FLAGS + ("b",), _prop4, _prop4_pole),
+            _flag(ns, "a"), _flag(ns, "b"), _flag(ns, "q", parse_rational, ns.check), ns.order)),
+        "oracle": (RSPEC_FLAGS + ("window",), lambda ns: det_oracle_tau(_rspec(ns), ns.charge, ns.degree, ns.window)[1]),
+        "remark1": (("mode", "nvars", "q", "degree"), _remark1),
+        "prop4": (RSPEC_FLAGS + ("b",), _prop4),
     }),
 }
 
@@ -266,12 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="partition -> coefficient table of an operator symbol")
     required = {"rspec": {"required": True}, "degree": {"required": True}}
-    _declare(p, RSPEC_FLAGS, required, func=cmd_expand, pole="--rspec")
+    _declare(p, RSPEC_FLAGS, required, func=cmd_expand)
 
     for verb, (help_, dest, func, overrides, entries) in COMMANDS.items():
         names = sub.add_parser(verb, help=help_).add_subparsers(dest=dest, required=True)
-        for name, (flags, run, pole) in entries.items():
-            _declare(names.add_parser(name), flags, overrides, func=func, run=run, pole=pole)
+        for name, (flags, run) in entries.items():
+            _declare(names.add_parser(name), flags, overrides, func=func, run=run)
 
     p = sub.add_parser("suite", help="run the full acceptance battery")
     p.add_argument("--seed", type=int, default=None, help="overrides TAUKIT_SEED")
@@ -292,7 +293,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except PoleError as exc:
-        flag = args.pole if isinstance(args.pole, str) else args.pole(args, exc.point)
+        flag = _pole_flag(args, exc.point)
         print(f"error: pole at integer point {exc.point}: a denominator given by {flag} vanishes there", file=sys.stderr)
         return USAGE_ERROR
     except (ValueError, KeyError, OSError, ZeroDivisionError) as exc:

@@ -12,8 +12,8 @@ formed.  ``p * q`` keeps the componentwise smaller bounds, and
 ``derivative`` lowers its own family's bound by the weight of its
 variable, where an arbitrary truncated polynomial stays exact.  A caller
 that knows another window (a tau truncated at grade d misses only
-monomials whose two weights both exceed d) passes it to ``lift`` or as
-the box of ``weighted_sum``.
+monomials whose two weights both exceed d) passes it as the box of
+``weighted_sum``: ``weighted_sum(((1, p),), t_max, b_max)`` is p re-boxed.
 
 Every sum and product is one call of the kernel ``weighted_sum``, which
 forms its pieces (c, p) and (c, p, q) straight into one set of integer sums;
@@ -262,15 +262,6 @@ class GradedPoly:
 
     def is_zero(self) -> bool:
         return not self._packed[1]
-
-
-def lift(p: GradedPoly, t_max: int, b_max: int) -> GradedPoly:
-    """p as a GradedPoly in the box (t_max, b_max).
-
-    Terms of p outside the box are dropped.  The box may also be larger
-    than the box of p: the caller then states that p is exact there.
-    """
-    return weighted_sum(((1, p),), t_max, b_max)
 
 
 _UNIT = (1, {(0, 0): {0: 1}})  # the packed constant 1: the second factor of a piece (c, p)

@@ -254,9 +254,9 @@ def askey_wilson(n: int, a, b, c, dd, q, cos_eta, with_prefactor: bool = False) 
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    a, b, c, dd, q, cos_eta = (Fraction(v) for v in (a, b, c, dd, q, cos_eta))
-    if q == 0 or abs(q) == 1 or a == 0:
-        raise ValueError("q must be nonzero and not a root of unity, a nonzero")
+    a, b, c, dd, q, cos_eta = (Fraction(v) for v in (a, b, c, dd, _basic_q(q), cos_eta))
+    if a == 0:
+        raise ValueError(f"a must be nonzero; a={a}")
     # 1 - x q^i for x = ab, ac, ad in turn and i < n; the pole reported is the first zero in this order
     lower = [1 - x * q**i for x in (a * b, a * c, a * dd) for i in range(n)]
     if 0 in lower:

@@ -92,6 +92,11 @@ def _report(name, failure, grade, params) -> CheckReport:
     )
 
 
+def _symbol_report(name, failure, grade, r: RSpec, m: int, d: int, **own) -> CheckReport:
+    """A check of the symbol r at charge M and degree d: its params echo rspec, M and d, then the check's own keys."""
+    return _report(name, failure, grade, {"rspec": rspec_to_json(r), "M": m, "d": d, **own})
+
+
 # -- bilinear and lattice checks ----------------------------------------------------
 
 
@@ -114,9 +119,7 @@ def check_hirota(r: RSpec, m: int, d: int) -> CheckReport:
     lhs = hirota_D(tau_mid, tau_mid, [(t1, 1), (b1, 1)]).scale(Fraction(1, 2))
     rhs = weighted_sum(((r_eval(r, m), tau_lo, tau_hi),), window, window)
     failure = compare_windowed(lhs, rhs, window, window)
-    return _report(
-        "hirota", failure, window, {"rspec": rspec_to_json(r), "M": m, "d": d}
-    )
+    return _symbol_report("hirota", failure, window, r, m, d)
 
 
 def check_toda(r: RSpec, m: int, d: int, gauge: str = "generalized") -> CheckReport:
@@ -146,10 +149,7 @@ def check_toda(r: RSpec, m: int, d: int, gauge: str = "generalized") -> CheckRep
     if gauge == "standard":
         lhs, rhs = -lhs, -rhs
     failure = compare_windowed(lhs, rhs, window, window)
-    return _report(
-        "toda", failure, window,
-        {"rspec": rspec_to_json(r), "M": m, "d": d, "gauge": gauge},
-    )
+    return _symbol_report("toda", failure, window, r, m, d, gauge=gauge)
 
 
 def check_kp_bilinear(r: RSpec, m: int, d: int) -> CheckReport:
@@ -167,9 +167,7 @@ def check_kp_bilinear(r: RSpec, m: int, d: int) -> CheckReport:
     expr = weighted_sum(((c, hirota_D(tau, tau, alpha)) for c, alpha in terms), d - 4, d)
     zero = GradedPoly.zero(expr.t_max, expr.b_max)
     failure = compare_windowed(expr, zero, 2 * d, d)
-    return _report(
-        "kp", failure, d, {"rspec": rspec_to_json(r), "M": m, "d": d}
-    )
+    return _symbol_report("kp", failure, d, r, m, d)
 
 
 # -- termwise series equations --------------------------------------------------------
@@ -284,14 +282,7 @@ def det_oracle_tau(r: RSpec, m: int, d: int, window: int | None = None, extra_wi
     for extra in extra_windows:
         stable_failure = stable_failure or compare_windowed(det_w, dets[window + extra], d, d)
     failure = compare_windowed(det_w, _generic_tau(r, m, d), d, d)
-    params = {
-        "rspec": rspec_to_json(r),
-        "M": m,
-        "d": d,
-        "window": window,
-        "stable": stable_failure is None,
-    }
-    report = _report("oracle", failure or stable_failure, d, params)
+    report = _symbol_report("oracle", failure or stable_failure, d, r, m, d, window=window, stable=stable_failure is None)
     return det_w, report
 
 

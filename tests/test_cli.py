@@ -660,6 +660,17 @@ def test_eval_aw_pole_names_the_first_point_of_ab(capsys):
     assert err == "error: pole at integer point 1: a denominator given by --params vanishes there"
 
 
+@pytest.mark.parametrize("params, q, message", [
+    ("0,1/7,2/7,1/11", "1/2", "a must be nonzero; a=0"),
+    ("0,1/7,2/7,1/11", "0", "q must be nonzero and not a root of unity; q=0"),
+    ("1/5,1/7,2/7,1/11", "1", "q must be nonzero and not a root of unity; q=1"),
+], ids=["a-zero", "q-zero-before-a", "q-one"])
+def test_eval_aw_refuses_q_then_a_naming_each(capsys, params, q, message):
+    code, out, err = run(capsys, "eval", "aw", "--n", "2", "--params", params, "--q", q)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}"
+
+
 def test_remark1_miwa_refuses_q(capsys):
     code, out, err = run(capsys, "verify", "remark1", "--mode", "miwa", "--q", "1/2", "-d", "2")
     assert code == 2 and out == ""

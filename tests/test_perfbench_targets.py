@@ -5,15 +5,18 @@ original.  A rename or deletion in ``src/`` that one of them names breaks
 the traced benchmark run, so this test installs the tracer and makes one
 call through it.  A change in ``src/`` whose outputs a workload's own
 checks refuse makes a benchmark run incorrect, so one round of each
-in-process workload runs here too.  These tests only read ``perfbench/``.
+workload runs here too, ``cli``'s seventeen fresh ``taukit`` processes
+among them.  These tests only read ``perfbench/``.
 """
 
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 def test_every_span_target_resolves(monkeypatch):
@@ -27,10 +30,12 @@ def test_every_span_target_resolves(monkeypatch):
     assert tracer.calls["verify.check_hirota"] == 1
 
 
-@pytest.mark.parametrize("workload", ["bilinear", "oracle", "series"])
+@pytest.mark.parametrize("workload", ["bilinear", "oracle", "series", "cli"])
 def test_one_benchmark_round_passes_its_own_checks(monkeypatch, workload):
-    # the checks a benchmark run makes of its outputs, on one round at seed 1
+    # the checks a benchmark run makes of its outputs, on one round at seed 1; cli's fresh
+    # taukit processes import it from this checkout's src/
     monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     import taukit
     import workloads
 

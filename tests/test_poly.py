@@ -12,7 +12,6 @@ from taukit.poly import (
     exp_series,
     hirota_D,
     inverse,
-    lift,
     log_series,
     mono,
     parse_rational,
@@ -56,7 +55,7 @@ def test_add_cancels():
 
 
 def test_result_cap_is_min():
-    p = lift(var(T1, 5), 4, 2) * var(T1, 3, 5)
+    p = weighted_sum(((1, var(T1, 5)),), 4, 2) * var(T1, 3, 5)
     assert (p.t_max, p.b_max) == (3, 2)
 
 
@@ -346,7 +345,7 @@ def test_caps_past_255_are_refused_and_cap_255_stays_exact():
     # and t1^255 and b1^255 fill their slots exactly
     low = var(T1, 5)
     for box in ((256, 5), (5, 256)):
-        for build in (GradedPoly, lambda *w: lift(low, *w), lambda *w: weighted_sum([(1, low)], *w)):
+        for build in (GradedPoly, lambda *w: weighted_sum([(1, low)], *w)):
             with pytest.raises(ValueError, match="255"):
                 build(*box)
     top = poly_of(255, ([(T1, 255)], 1), ([(T1, 1)], 1))
@@ -397,7 +396,7 @@ def test_packed_core_matches_reference(data):
     raw = data.draw(raw_polys())
     p, ref = GradedPoly(*raw), RefPoly(*raw)
     seen = [(p, ref)]
-    ops = ["mul", "lift", "derivative", "sum", "log", "exp", "inverse"]
+    ops = ["mul", "rebox", "derivative", "sum", "log", "exp", "inverse"]
     for op in data.draw(st.lists(st.sampled_from(ops), min_size=1, max_size=4)):
         other = data.draw(raw_polys())
         q, q_ref = GradedPoly(*other), RefPoly(*other)
@@ -406,9 +405,9 @@ def test_packed_core_matches_reference(data):
         top = x_ref.t_max + x_ref.b_max
         if op == "mul":
             p, ref = p * q, pairwise_product(ref, q_ref)
-        elif op == "lift":  # a window narrower or wider than the box of p
+        elif op == "rebox":  # p as the one-piece sum, in a window narrower or wider than the box of p
             window = tuple(max(bound + data.draw(st.integers(-3, 2)), 0) for bound in (p.t_max, p.b_max))
-            p, ref = lift(p, *window), RefPoly(*window, ref.terms)
+            p, ref = weighted_sum(((1, p),), *window), RefPoly(*window, ref.terms)
         elif op == "derivative":
             v = data.draw(st.sampled_from(VARS))
             p, ref = derivative(p, v), ref.derivative(v)

@@ -69,7 +69,10 @@ REFUSALS = {
     ),
     "askey-wilson-negative-n": (lambda: askey_wilson(-1, *AW, F(1, 2), F(1, 3)), ValueError, "n must be >= 0"),
     "askey-wilson-q-one": (
-        lambda: askey_wilson(1, *AW, 1, F(1, 3)), ValueError, "q must be nonzero and not a root of unity, a nonzero"
+        lambda: askey_wilson(1, *AW, 1, F(1, 3)), ValueError, "q must be nonzero and not a root of unity; q=1"
+    ),
+    "askey-wilson-a-zero": (
+        lambda: askey_wilson(1, 0, *AW[1:], F(1, 2), F(1, 3)), ValueError, "a must be nonzero; a=0"
     ),
     "q-bracket-q-one": (lambda: q_bracket(2, 1), ValueError, "q must be positive and != 1"),
     "clebsch-gordan-q-one": (

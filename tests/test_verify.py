@@ -14,7 +14,6 @@ from taukit.poly import (
     format_monomial,
     format_rational,
     hirota_D,
-    lift,
     mono,
     mono_weights,
     tvar,
@@ -156,7 +155,7 @@ def test_windows_are_boxes():
     assert box(derivative(tau, t1)) == (d - 1, d)
     assert box(derivative(tau, b2)) == (d, d - 2)
     assert box(hirota_D(tau, tau, [(t1, 1), (b2, 1)])) == (d - 1, d - 2)
-    g = lift(tau, d - 2, d)
+    g = weighted_sum(((1, tau),), d - 2, d)
     # pieces: tau * d_t1 g in (d - 3, d) and d_t1 tau * g in (d - 2, d)
     assert box(hirota_D(tau, g, [(t1, 1)])) == (d - 3, d)
 
