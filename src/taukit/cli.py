@@ -19,9 +19,8 @@ from .poly import format_rational, parse_rational
 from .rspec import PoleError, RSpec, _named, rspec_from_json, zero_pole_scan
 from .tau import (
     TauExpansion,
-    askey_wilson,
+    _askey_wilson,
     clebsch_gordan_q,
-    pfq_one_var_coeffs,
     qphi_multivar,
     qphi_one_var_coeffs,
 )
@@ -102,16 +101,11 @@ def _one_var(coeffs: list[Fraction], x: Fraction | None) -> dict:
     return out
 
 
-def _pfq(args) -> dict:
-    order = _non_negative(args.order, "--order")
-    coeffs = pfq_one_var_coeffs(_flag(args, "a"), _flag(args, "b"), args.charge, order)
-    return _one_var(coeffs, _flag(args, "x", parse_rational) if args.x else None)
-
-
-def _qphi(args) -> dict:
+def _series(args) -> dict:
+    """Both families, pfq at q = None: the value at two or more --x points, else coefficients, valued at one --x."""
     order = _non_negative(args.order, "--order")
     a, b = _flag(args, "a"), _flag(args, "b")
-    q = _flag(args, "q", parse_rational, args.family)
+    q = _flag(args, "q", parse_rational, args.family) if hasattr(args, "q") else None
     xs = _flag(args, "x")
     if len(xs) > 1:
         return {"value": format_rational(qphi_multivar(a, b, args.charge, q, xs, order))}
@@ -129,10 +123,8 @@ def _params(args, names: str) -> list[Fraction]:
 def _aw(args) -> dict:
     a, b, c, dd = _params(args, "a,b,c,d")
     q, cv = _flag(args, "q", parse_rational, args.family), _flag(args, "cos", parse_rational)
-    return {
-        "sum": format_rational(askey_wilson(_non_negative(args.n, "--n"), a, b, c, dd, q, cv)),
-        "p_n": format_rational(askey_wilson(args.n, a, b, c, dd, q, cv, with_prefactor=True)),
-    }
+    total, prefactor = _askey_wilson(_non_negative(args.n, "--n"), a, b, c, dd, q, cv)
+    return {"sum": format_rational(total), "p_n": format_rational(prefactor * total)}
 
 
 def _cg(args) -> dict:
@@ -234,8 +226,8 @@ RSPEC_FLAGS = ("rspec", "charge", "degree")
 # verb -> (help, dest of the name, command, FLAGS keywords overridden in this verb, {name: (flags it reads, runner)})
 COMMANDS = {
     "eval": ("evaluate a special-function family", "family", cmd_eval, {"order": {"default": 8}}, {
-        "pfq": (("a", "b", "x", "order", "charge"), _pfq),
-        "qphi": (("a", "b", "q", "x", "order", "charge"), _qphi),
+        "pfq": (("a", "b", "x", "order", "charge"), _series),
+        "qphi": (("a", "b", "q", "x", "order", "charge"), _series),
         "aw": (("n", "params", "q", "cos"), _aw),
         "cg": (("params", "q"), _cg),
     }),
@@ -282,9 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse reads a value such as -1/2 or -2,1/2 as a flag, so each is joined to the long flag before it: --a=-1/2
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # from the end, so that a join moves no token still to be read
+        flag, value = argv[i - 1 : i + 1]
+        if flag.startswith("--") and "=" not in flag and value[:1] == "-" and value[1:2].isdigit():
+            argv[i - 1 : i + 1] = [f"{flag}={value}"]
     try:
         # argparse would skip a flag before the name and read its value as the name
-        verb, first = [*(sys.argv[1:] if argv is None else argv), "", ""][:2]
+        verb, first = [*argv, "", ""][:2]
         if verb in COMMANDS and first.startswith("-") and first not in ("-h", "--help"):
             parser.error(f"{first.split('=')[0]} is given before the {COMMANDS[verb][1]} name: flags go after it")
         args = parser.parse_args(argv)

@@ -55,8 +55,6 @@ class TauExpansion:
     def build(r: RSpec, m: int, d: int, *times) -> "TauExpansion":
         """The table r_lam(M) over the partitions of weight 0..d that ``_live`` keeps at the times, meeting no pole of r
         that only the cut ones reach."""
-        if d < 0:
-            raise ValueError("truncation grade must be >= 0")
         return TauExpansion(d, dict(content_products(r, _live(enumerate_up_to(d), (), *times), m)))
 
     def render(self, t, beta):
@@ -191,10 +189,11 @@ def qphi_multivar(a, b, m: int, q, x, d: int) -> Fraction:
     prod (q^{a_k+M}; q)_lam / prod (q^{b_k+M}; q)_lam
         * q^{n(lam)} / H_lam(q) * s_lam(x),
 
-    the tau-series of the q-family symbol at the Miwa times of x and beta = principal-infinity times.
+    the tau-series of the q-family symbol at the Miwa times of x and beta = principal-infinity times;
+    at q = None the classical series, ``pfs_multivar`` at the Miwa times of x.
     """
-    q, x = _basic_q(q), MiwaTimes(x)
-    return tau_series(_family_symbol(a, b, q), m, d, x, PrincipalInfinityTimes(q))
+    r = _family_symbol(a, b, q)
+    return tau_series(r, m, d, MiwaTimes(x), PrincipalInfinityTimes(r.q))
 
 
 def _row_coeffs(r: RSpec, m: int, order: int) -> list[Fraction]:
@@ -205,7 +204,7 @@ def _row_coeffs(r: RSpec, m: int, order: int) -> list[Fraction]:
 
 
 def qphi_one_var_coeffs(a, b, m: int, q, order: int) -> list[Fraction]:
-    """Coefficients of the one-variable basic series, one row partition per order."""
+    """Coefficients of the one-variable basic series, one row partition per order; the classical one at q = None."""
     return _row_coeffs(_family_symbol(a, b, q), m, order)
 
 
@@ -252,6 +251,12 @@ def askey_wilson(n: int, a, b, c, dd, q, cos_eta, with_prefactor: bool = False) 
     a^{-n} (ab;q)_n (ac;q)_n (ad;q)_n the value is the symmetric polynomial
     p_n(cos eta); the bare sum is returned otherwise.
     """
+    total, prefactor = _askey_wilson(n, a, b, c, dd, q, cos_eta)
+    return prefactor * total if with_prefactor else total
+
+
+def _askey_wilson(n: int, a, b, c, dd, q, cos_eta) -> tuple[Fraction, Fraction]:
+    """(bare sum, prefactor) of ``askey_wilson``, the series summed once."""
     if n < 0:
         raise ValueError("n must be >= 0")
     a, b, c, dd, q, cos_eta = (Fraction(v) for v in (a, b, c, dd, _basic_q(q), cos_eta))
@@ -263,20 +268,14 @@ def askey_wilson(n: int, a, b, c, dd, q, cos_eta, with_prefactor: bool = False) 
         i = lower.index(0) % n
         raise PoleError(i, f"denominator parameter hits 1 at q^{i}")
     abcd = a * b * c * dd
-    total = Fraction(0)
-    term = Fraction(1)
-    for mm in range(n + 1):
-        total += term
-        if mm == n:
-            break
+    terms = [Fraction(1)]
+    for mm in range(n):
         qm = q**mm
         num = (1 - q ** (mm - n)) * (1 - abcd * q ** (n - 1 + mm))
         num *= 1 - 2 * a * cos_eta * qm + a**2 * qm**2
-        den = (1 - a * b * qm) * (1 - a * c * qm) * (1 - a * dd * qm) * (1 - q ** (mm + 1))
-        term = term * num / den * q
-    if not with_prefactor:
-        return total
-    return a ** (-n) * prod(lower) * total
+        den = lower[mm] * lower[n + mm] * lower[2 * n + mm] * (1 - q ** (mm + 1))
+        terms.append(terms[-1] * num / den * q)
+    return sum(terms), a ** (-n) * prod(lower)
 
 
 def askey_wilson_rspec(n: int, a, b, c, dd, q, cos_eta) -> RSpec:

@@ -145,7 +145,7 @@ def check_toda(r: RSpec, m: int, d: int, gauge: str = "generalized") -> CheckRep
     lhs = derivative(derivative(phi[m], t1), b1)
     hop_down = exp_series(phi[m - 1] - phi[m])
     hop_up = exp_series(phi[m] - phi[m + 1])
-    rhs = hop_down.scale(r_eval(r, m)) - hop_up.scale(r_eval(r, m + 1))
+    rhs = weighted_sum(((r_eval(r, m), hop_down), (-r_eval(r, m + 1), hop_up)), window, window)
     if gauge == "standard":
         lhs, rhs = -lhs, -rhs
     failure = compare_windowed(lhs, rhs, window, window)

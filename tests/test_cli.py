@@ -13,7 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 import taukit
 from taukit.cli import COMMANDS, FLAGS, build_parser, emit, main
-from taukit.tau import classical_reference
+from taukit.poly import format_rational
+from taukit.rspec import PoleError
+from taukit.schur import MiwaTimes
+from taukit.tau import _askey_wilson, askey_wilson, classical_reference, pfs_multivar
 
 D_SPEC = '{"constant":"1","num":[{"lin":{"shift":"0"}}],"den":[]}'
 RATIO_SPEC = (
@@ -107,14 +110,37 @@ def test_eval_csv_ends_with_the_value(capsys, argv, x):
     assert out.split("\n") == rows[:-1]
 
 
-def test_eval_aw(capsys):
+def test_eval_aw(capsys, monkeypatch):
+    passes = []
+    monkeypatch.setattr("taukit.cli._askey_wilson", lambda *args: passes.append(args) or _askey_wilson(*args))
     code, out, _ = run(
         capsys, "eval", "aw", "--n", "2", "--params", "1/5,1/7,2/7,1/11",
         "--q", "1/3", "--cos", "1/2",
     )
-    assert code == 0
-    payload = json.loads(out)
-    assert set(payload) == {"sum", "p_n"}
+    assert code == 0 and len(passes) == 1
+    aw = (2, F(1, 5), F(1, 7), F(2, 7), F(1, 11), F(1, 3), F(1, 2))
+    assert json.loads(out) == {"sum": str(askey_wilson(*aw)), "p_n": str(askey_wilson(*aw, with_prefactor=True))}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    st.lists(st.sampled_from(("1/2", "-2", "1/3", "3", "-1")), min_size=1, max_size=2),
+    st.sampled_from(("5/2", "-1", "1/3", "2", "-3/2")),
+    st.lists(st.sampled_from(("1", "1/2", "-1/3", "1/5", "2/7")), min_size=2, max_size=4),
+    st.integers(-1, 1),
+    st.integers(0, 4),
+)
+def test_eval_pfq_at_several_points_is_pfs_multivar(a, b, xs, m, order):
+    argv = ["eval", "pfq", "--a", ",".join(a), "--b", b, "--x", ",".join(xs), "-M", str(m), "--order", str(order)]
+    try:
+        value = pfs_multivar([F(v) for v in a], [F(b)], m, MiwaTimes([F(x) for x in xs]), order)
+        want = (0, '{"value":"%s"}\n' % format_rational(value), "")
+    except PoleError as exc:
+        want = (2, "", f"error: pole at integer point {exc.point}: a denominator given by --b vanishes there\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == want
 
 
 def test_eval_cg(capsys):
@@ -477,7 +503,7 @@ def test_verify_prop4_refuses_unit_q(capsys, q):
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (("eval", "pfq", "--a", "1/2", "--b", "3/2", "--x", "1/4,1/3"), "--x"),
+    (("eval", "pfq", "--a", "1/2", "--b", "3/2", "--x", "1/4,x"), "--x"),
     (("eval", "pfq", "--a", "1/2,x", "--b", "3/2"), "--a"),
     (("verify", "qdiff", "--a", "2", "--b", "3", "--q", "abc"), "--q"),
     (("verify", "prop4", "--rspec", RATIO_SPEC, "--b", "zz", "-d", "2"), "--b"),
@@ -488,6 +514,21 @@ def test_malformed_rational_names_its_flag(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flag}: not a rational: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (("verify", "ode", "--b", "1/3", "--order", "3"), "--a", "-1/2"),
+    (("verify", "ode", "--b", "1/3", "--order", "3"), "--a", "-2,1/2"),
+    (("verify", "prop4", "--rspec", RATIO_SPEC, "-d", "3"), "--b", "-1/2"),
+    (("eval", "pfq", "--a", "1/2", "--b", "3/2"), "--x", "-1/4"),
+    (("eval", "qphi", "--a", "2", "--b", "3", "--order", "4"), "--q", "-1/2"),
+    (("eval", "aw", "--n", "2", "--q", "1/3"), "--params", "-1/5,1/7,2/7,1/11"),
+], ids=["a", "a-list", "b", "x", "q", "params"])
+def test_negative_flag_value_reads_as_its_equals_form(capsys, argv, flag, value):
+    # argparse alone takes -1/2 for a flag and exits 2 with "--a: expected one argument"
+    code, out, err = run(capsys, *argv, flag, value)
+    assert code == 0 and out and err == ""
+    assert run(capsys, *argv, f"{flag}={value}") == (code, out, err)
 
 
 def test_decimal_rational_flag_is_exact(capsys):
@@ -724,7 +765,7 @@ def test_flags_before_the_name_exit_two(capsys):
 
 
 # inputs a user would type, so that most draws reach past parsing into the checks
-RATIONALS = ("1/2", "2,3", "0,-1", "1/2,1/3", "1/5,1/7,2/7,1/11", "1/2,1/2,1,1/2,1/2", "1", "-2")
+RATIONALS = ("1/2", "2,3", "0,-1", "1/2,1/3", "1/5,1/7,2/7,1/11", "1/2,1/2,1,1/2,1/2", "1", "-2", "-1/2", "-2,1/2")
 RSPECS = (RATIO_SPEC, D_SPEC, POLE_SPEC, "{}", '{"q":"1/2","num":[{"qlin":{"coeff":"1/2","shift":"2"}}]}')
 
 

@@ -118,7 +118,7 @@ MUTANTS = [
         "r_eval returns r(n + 1): r(M+1) on the hirota rhs",
         "taukit.verify.r_eval",
         lambda r_eval: lambda r, n: r_eval(r, n + 1),
-        ("hirota", "ode", "qdiff"),
+        ("hirota", "toda", "toda-standard", "ode", "qdiff"),
     ),
     (
         "prop4_pair with its right side at charge M + 1",

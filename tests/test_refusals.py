@@ -35,7 +35,7 @@ REFUSALS = {
         lambda: check_partition((1, 2)), ValueError, "partition parts must be weakly decreasing: (1, 2)"
     ),
     "enumerate-negative": (lambda: enumerate_up_to(-1), ValueError, "d must be >= 0"),
-    "build-negative": (lambda: TauExpansion.build(RSpec(), 0, -1), ValueError, "truncation grade must be >= 0"),
+    "build-negative": (lambda: TauExpansion.build(RSpec(), 0, -1), ValueError, "d must be >= 0"),
     "power-sums-negative": (lambda: power_sums_basis(-1), ValueError, "d must be >= 0"),
     "tvar-zero": (lambda: tvar(0), ValueError, "variable index must be >= 1"),
     "bvar-zero": (lambda: bvar(0), ValueError, "variable index must be >= 1"),
