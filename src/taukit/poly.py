@@ -28,7 +28,7 @@ equal polynomials pack equally; the terms sit in buckets keyed by
 (t-weight, b-weight).  A product visits only the bucket pairs that fit the
 box.  Sums, derivatives, windows, comparisons and the constant term read
 the packed form; ``terms``, the {Monomial: Fraction} dict, is a view that a computed
-polynomial decodes on its first read.
+polynomial decodes on its first read.  ``Value`` is the base of every module's value classes.
 """
 
 from __future__ import annotations
@@ -42,6 +42,34 @@ from typing import Iterable, NamedTuple
 
 FAMILY_T = "t"
 FAMILY_B = "b"
+
+
+class Value:
+    """Base of taukit's value classes: equality, hash and repr read the class's ``_fields``, and each attribute is
+    set once, in ``__init__``.  Attributes outside ``_fields`` (a memo) take no part in equality, hash or repr."""
+
+    _fields: tuple = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __setattr__(self, name, value):
+        # hasattr, not self.__dict__: reading __dict__ turns the instance's inline attribute values into a dict,
+        # and every later attribute read of the instance is then slower
+        if hasattr(self, name):
+            raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+        object.__setattr__(self, name, value)
 
 
 class Var(NamedTuple):

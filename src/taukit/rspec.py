@@ -17,12 +17,11 @@ root, checked as the RSpec is built, so every value stays rational.
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
 from .partitions import _check_skew, check_partition, contents
-from .poly import format_rational, parse_rational, q_number, rational_pow
+from .poly import Value, format_rational, parse_rational, q_number, rational_pow
 
 
 class PoleError(ArithmeticError):
@@ -33,48 +32,44 @@ class PoleError(ArithmeticError):
         super().__init__(message or f"pole of r at integer point {point}")
 
 
-@dataclass(frozen=True)
-class LinFactor:
-    shift: Fraction
+class LinFactor(Value):
+    _fields = ("shift",)
+
+    def __init__(self, shift: Fraction):
+        self.shift = shift
 
     def value(self, n: int, q) -> Fraction:
         return n + self.shift
 
 
-@dataclass(frozen=True)
-class QLinFactor:
-    coeff: Fraction
-    shift: Fraction
+class QLinFactor(Value):
+    _fields = ("coeff", "shift")
+
+    def __init__(self, coeff: Fraction, shift: Fraction):
+        self.coeff, self.shift = coeff, shift
 
     def value(self, n: int, q) -> Fraction:
         return 1 - self.coeff * rational_pow(q, self.shift + n)
 
 
-@dataclass(frozen=True)
-class QPairFactor:
-    amp: Fraction
-    cosv: Fraction
+class QPairFactor(Value):
+    _fields = ("amp", "cosv")
+
+    def __init__(self, amp: Fraction, cosv: Fraction):
+        self.amp, self.cosv = amp, cosv
 
     def value(self, n: int, q) -> Fraction:
         qn = rational_pow(q, Fraction(n))
         return 1 - 2 * self.amp * self.cosv * qn + self.amp**2 * qn**2
 
 
-@dataclass(frozen=True)
-class RSpec:
-    constant: Fraction = Fraction(1)
-    num: tuple = ()
-    den: tuple = ()
-    q: Fraction | None = None
-    # n -> r(n), filled by r_eval; poles are never stored
-    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class RSpec(Value):
+    _fields = ("constant", "num", "den", "q")
 
-    def __post_init__(self):
-        object.__setattr__(self, "constant", Fraction(self.constant))
-        object.__setattr__(self, "num", tuple(self.num))
-        object.__setattr__(self, "den", tuple(self.den))
-        if self.q is not None:
-            object.__setattr__(self, "q", Fraction(self.q))
+    def __init__(self, constant: Fraction = Fraction(1), num: tuple = (), den: tuple = (), q: Fraction | None = None):
+        self.constant, self.num, self.den = Fraction(constant), tuple(num), tuple(den)
+        self.q = None if q is None else Fraction(q)
+        self._values = {}  # n -> r(n), filled by r_eval; poles are never stored
         if self.constant == 0:
             raise ValueError("constant must be nonzero")
         if any(isinstance(f, (QLinFactor, QPairFactor)) for f in self.num + self.den):
@@ -208,7 +203,7 @@ def zero_pole_scan(r: RSpec, lo: int, hi: int) -> list[tuple[int, str]]:
 # -- JSON wire format ----------------------------------------------------------
 
 
-# kind -> (class, wire fields in the order of the class's dataclass fields); both directions read it
+# kind -> (class, wire fields in the order of the class's _fields); both directions read it
 _FACTOR_FIELDS = {
     "lin": (LinFactor, ("shift",)),
     "qlin": (QLinFactor, ("coeff", "shift")),
@@ -219,7 +214,7 @@ _FACTOR_FIELDS = {
 def factor_to_obj(f) -> dict:
     for kind, (cls, fields) in _FACTOR_FIELDS.items():
         if isinstance(f, cls):
-            return {kind: {name: format_rational(v) for name, v in zip(fields, astuple(f))}}
+            return {kind: {name: format_rational(v) for name, v in zip(fields, f._astuple())}}
     raise TypeError(f"unknown factor {f!r}")
 
 

@@ -39,7 +39,6 @@ evaluator takes their determinants, so ``check_remark1`` tests the rule against 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial, lcm, prod
@@ -57,26 +56,24 @@ from .partitions import (
     n_statistic,
     partitions_of,
 )
-from .poly import FAMILY_B, FAMILY_T, GradedPoly, Var, _key, q_number, weighted_sum
+from .poly import FAMILY_B, FAMILY_T, GradedPoly, Value, Var, _key, q_number, weighted_sum
 from .rspec import poch_partition
 
 # -- times specifications -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenericTimes:
-    family: str = FAMILY_T
+class GenericTimes(Value):
+    _fields = ("family",)
 
-    def __post_init__(self):
-        if self.family not in (FAMILY_T, FAMILY_B):
-            raise ValueError(f"generic times take family 't' or 'b', not {self.family!r}")
+    def __init__(self, family: str = FAMILY_T):
+        if family not in (FAMILY_T, FAMILY_B):
+            raise ValueError(f"generic times take family 't' or 'b', not {family!r}")
+        self.family = family
 
 
-@dataclass(frozen=True)
-class _EvaluatedTimes:
-    # "t" -> the resolved [t_1, ..., t_n]; False / True -> p_0..p_n of the plain and the
+class _EvaluatedTimes(Value):
+    # _memo: "t" -> the resolved [t_1, ..., t_n]; False / True -> p_0..p_n of the plain and the
     # (-1)^(k-1)-twisted values.  Refusals of values(n) are never stored.
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _power_sums(self, n: int, twisted: bool, top: int) -> list[Fraction]:
         """p_k for k < top, from t_1..t_(top-1) resolved at max(n, top - 1), or at top - 1 alone
@@ -93,26 +90,25 @@ class _EvaluatedTimes:
         return memo.get(twisted, [])
 
 
-@dataclass(frozen=True)
 class NumericTimes(_EvaluatedTimes):
-    t: tuple  # t_1, t_2, ...; entries beyond the tuple are zero
+    _fields = ("t",)  # t_1, t_2, ...; entries beyond the tuple are zero
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", tuple(Fraction(v) for v in self.t))
+    def __init__(self, t: tuple):
+        self.t = tuple(Fraction(v) for v in t)
+        self._memo = {}
 
     def values(self, d: int) -> list[Fraction]:
         """[t_1, ..., t_d], zero past the given values."""
         return list(self.t[:d]) + [Fraction(0)] * (d - len(self.t))
 
 
-@dataclass(frozen=True)
 class MiwaTimes(_EvaluatedTimes):
-    x: tuple
-    sign: int = 1
+    _fields = ("x", "sign")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(Fraction(v) for v in self.x))
-        if self.sign not in (1, -1):
+    def __init__(self, x: tuple, sign: int = 1):
+        self.x, self.sign = tuple(Fraction(v) for v in x), sign
+        self._memo = {}
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
     def values(self, d: int) -> list[Fraction]:
@@ -120,15 +116,12 @@ class MiwaTimes(_EvaluatedTimes):
         return [self.sign * sum((v**m for v in self.x), Fraction(0)) / m for m in range(1, d + 1)]
 
 
-@dataclass(frozen=True)
 class PrincipalTimes(_EvaluatedTimes):
-    a: Fraction
-    q: Fraction | None = None
+    _fields = ("a", "q")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        if self.q is not None:
-            object.__setattr__(self, "q", Fraction(self.q))
+    def __init__(self, a: Fraction, q: Fraction | None = None):
+        self.a, self.q = Fraction(a), None if q is None else Fraction(q)
+        self._memo = {}
 
     def values(self, d: int) -> list[Fraction]:
         """[t_1, ..., t_d] with t_m = [a m] / (m [m]), [x] = q_number(x, q).
@@ -142,13 +135,11 @@ class PrincipalTimes(_EvaluatedTimes):
         return [q_number(self.a * m, self.q) / den for m, den in enumerate(dens, start=1)]
 
 
-@dataclass(frozen=True)
-class PrincipalInfinityTimes:
-    q: Fraction | None = None
+class PrincipalInfinityTimes(Value):
+    _fields = ("q",)
 
-    def __post_init__(self):
-        if self.q is not None:
-            object.__setattr__(self, "q", Fraction(self.q))
+    def __init__(self, q: Fraction | None = None):
+        self.q = None if q is None else Fraction(q)
 
 
 # -- characters: the generic kind ------------------------------------------------

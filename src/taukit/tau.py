@@ -15,12 +15,11 @@ term-ratio recursion they are checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod
 
 from .partitions import contains, enumerate_up_to, hook_data
-from .poly import q_number, rational_pow, weighted_sum
+from .poly import Value, q_number, rational_pow, weighted_sum
 from .rspec import (
     LinFactor,
     PoleError,
@@ -44,12 +43,13 @@ from .schur import (
 # -- expansions -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TauExpansion:
+class TauExpansion(Value):
     """Coefficients {lam: c_lam} for partitions of weight <= grade, free of time values: the table every tau renders."""
 
-    grade: int
-    coeffs: dict
+    _fields = ("grade", "coeffs")
+
+    def __init__(self, grade: int, coeffs: dict):
+        self.grade, self.coeffs = grade, coeffs
 
     @staticmethod
     def build(r: RSpec, m: int, d: int, *times) -> "TauExpansion":
@@ -92,8 +92,7 @@ def tau_two_sided(r_tilde: RSpec, r: RSpec, m: int, d: int, t_tilde, beta):
 # -- chained (skew) expansions ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(Value):
     """Ordered (RSpec, times) pairs for the two sides of a chained expansion.
 
     Each side is read outward from the vacuum: the first pair plays the
@@ -102,13 +101,13 @@ class ChainSpec:
     families, so their product stays in the box (d, d).
     """
 
-    left: tuple
-    right: tuple
+    _fields = ("left", "right")
 
-    def __post_init__(self):
-        if not self.left or not self.right:
+    def __init__(self, left: tuple, right: tuple):
+        self.left, self.right = left, right
+        if not left or not right:
             raise ValueError("each side of the chain needs at least one (rspec, times) pair")
-        left, right = ([tm.family for _, tm in side if isinstance(tm, GenericTimes)] for side in (self.left, self.right))
+        left, right = ([tm.family for _, tm in side if isinstance(tm, GenericTimes)] for side in (left, right))
         if len(left) > 1 or len(right) > 1:
             raise ValueError("at most one generic time set per chain side")
         if left and left == right:
@@ -313,12 +312,13 @@ def _square_part(n: int) -> tuple[int, int]:
     return s, f * n
 
 
-@dataclass(frozen=True)
-class SqrtValue:
+class SqrtValue(Value):
     """Exact value rational * sqrt(radicand) with a non-negative radicand."""
 
-    rational: Fraction
-    radicand: Fraction
+    _fields = ("rational", "radicand")
+
+    def __init__(self, rational: Fraction, radicand: Fraction):
+        self.rational, self.radicand = rational, radicand
 
     @staticmethod
     def of(rational, radicand=1) -> "SqrtValue":

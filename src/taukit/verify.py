@@ -17,7 +17,6 @@ its products land in the meet of their factors' boxes, the compare window.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .partitions import conjugate, enumerate_up_to
@@ -25,6 +24,7 @@ from .poly import (
     FAMILY_B,
     FAMILY_T,
     GradedPoly,
+    Value,
     bvar,
     derivative,
     exp_series,
@@ -51,13 +51,14 @@ from .tau import _basic_q, _family_symbol, _row_coeffs, prop4_pair, tau_series
 # -- reports ---------------------------------------------------------------------
 
 
-@dataclass
-class CheckReport:
-    name: str
-    passed: bool
-    max_checked_grade: int
-    first_failure: tuple | None = None  # (where, lhs, rhs) as strings
-    params: dict = field(default_factory=dict)
+class CheckReport(Value):
+    _fields = ("name", "passed", "max_checked_grade", "first_failure", "params")
+
+    def __init__(self, name: str, passed: bool, max_checked_grade: int, first_failure: tuple | None = None,
+                 params: dict | None = None):
+        self.name, self.passed, self.max_checked_grade = name, passed, max_checked_grade
+        self.first_failure = first_failure  # (where, lhs, rhs) as strings
+        self.params = {} if params is None else params
 
     def to_obj(self) -> dict:
         failure = None

@@ -667,6 +667,17 @@ def test_module_entry_point():
     assert done.stdout == '{"[]":"1","[1]":"1","[2]":"1","[1,1]":"1"}\n'
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every command pays for its imports: the value classes need neither module, which would pull in ast and dis
+    src = os.path.dirname(os.path.dirname(taukit.__file__))
+    code = "import sys; before = set(sys.modules); import taukit.cli; print(*sorted(set(sys.modules) - before))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    added = set(done.stdout.split())
+    assert done.returncode == 0 and "taukit.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 def test_parser_help_smoke():
     parser = build_parser()
     assert parser.prog == "taukit"

@@ -391,15 +391,20 @@ def test_scan_matches_per_factor_scan(r, lo, hi):
 
 
 def test_json_round_trip():
-    r = RSpec(
+    mixed = RSpec(
         constant=F(-3, 2),
         num=(LinFactor(F(1, 2)), QLinFactor(F(2, 3), F(-1))),
         den=(QPairFactor(F(1, 5), F(1, 2)),),
         q=F(1, 3),
     )
-    text = rspec_to_json(r)
-    assert rspec_from_json(text) == r
-    assert rspec_to_json(rspec_from_json(text)) == text
+    lin_only = RSpec(constant=F(2, 3), num=(LinFactor(F(1, 2)),), den=(LinFactor(F(-1, 3)),))
+    qlin_only = RSpec(num=(QLinFactor(F(2, 3), F(1)),), den=(QLinFactor(F(3, 5), F(0)),), q=F(1, 2))
+    qpair_only = RSpec(num=(QPairFactor(F(1, 3), F(1, 2)),), q=F(1, 2))
+    for r in (mixed, lin_only, qlin_only, qpair_only):
+        text = rspec_to_json(r)
+        back = rspec_from_json(text)
+        assert back == r and hash(back) == hash(r)
+        assert rspec_to_json(back) == text
 
 
 def test_json_wire_form_is_pinned():

@@ -72,6 +72,11 @@ def test_power_sums_first_three():
     )
 
 
+def test_power_sums_at_grade_zero_are_one_in_the_box_zero():
+    (p0,) = power_sums_basis(0)
+    assert p0 == 1 and (p0.t_max, p0.b_max) == (0, 0)
+
+
 def test_power_sums_match_exponential_expansion():
     assert power_sums_basis(6) == brute_power_sums(6)
 

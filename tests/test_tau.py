@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction as F
 from math import factorial
@@ -124,7 +123,7 @@ def test_tau_expansion_caches_coefficients():
 
 
 def test_tau_expansion_is_the_one_table_and_renderer():
-    assert [f.name for f in dataclasses.fields(TauExpansion)] == ["grade", "coeffs"]
+    assert TauExpansion._fields == ("grade", "coeffs") == tuple(vars(TauExpansion.build(D, 0, 2)))
     assert not hasattr(tau_module, "_render_pairs")
 
 
@@ -625,6 +624,12 @@ def test_sqrt_value_normalization():
     assert SqrtValue.of(F(5), F(0)) == SqrtValue.of(0)
     with pytest.raises(ValueError):
         SqrtValue.of(F(1), F(-1))
+
+
+def test_sqrt_value_pulls_out_the_square_of_two():
+    # == compares squares, so only the fields show that 8 = 2^2 * 2 was split
+    v = SqrtValue.of(1, 8)
+    assert (v.rational, v.radicand) == (2, 2)
 
 
 # -- q-brackets and coupling coefficients ------------------------------------------------------

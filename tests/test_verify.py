@@ -443,6 +443,15 @@ def test_oracle_pure_t_rows_are_trivial():
     assert pure_t == {(): F(1)}
 
 
+def test_oracle_default_eliminates_one_window_past_d(monkeypatch):
+    # the default extra_windows=(1,) compares window d with d + 1, so one block of width d + 1 is built
+    widths = []
+    block = verify._window_block
+    monkeypatch.setattr(verify, "_window_block", lambda r, m, d, window: widths.append(window) or block(r, m, d, window))
+    assert det_oracle_tau(RATIO, 0, 3)[1].passed
+    assert widths == [4]
+
+
 def test_oracle_rejects_small_window():
     with pytest.raises(ValueError):
         det_oracle_tau(RATIO, 0, 4, window=3)
@@ -520,6 +529,16 @@ def test_remark1_refuses_x_it_does_not_cover(mode, params):
     # read as a broken identity
     with pytest.raises(ValueError, match=r"needs x of [NK] = \d nonzero values"):
         check_remark1(mode, params, 4)
+
+
+@pytest.mark.parametrize("mode, params", [
+    ("miwa", {"N": 0}),
+    ("q-spec", {"N": 0, "q": F(1, 2)}),
+    ("dual", {"K": 0, "q": F(1, 2)}),
+])
+def test_remark1_holds_at_zero_variables(mode, params):
+    # zero variables keep only the empty partition: every other lam vanishes
+    assert check_remark1(mode, params, 4).passed
 
 
 def test_remark1_dual():
