@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from .partitions import conjugate, enumerate_up_to
 from .poly import (
@@ -208,58 +210,61 @@ def check_qdiff(a, b, q, order: int) -> CheckReport:
 
 
 def _window_block(r: RSpec, m: int, d: int, window: int) -> list:
-    """Non-positive-index block of U+(t) U-(M, beta) as rows, corner first.
+    """Non-positive-index block of U+(t) U-(M, beta) as rows of entry pieces, corner first.
 
     Rows and columns run over the indices 0, -1, ..., -window in that order.
     U+ = exp(xi(t, shift)) has entries p_{k-j}(t); U- = exp(xi(beta,
     shift^{-1} r(diag + M))) has entries p_{j-k}(beta) r(k+M)...r(j-1+M).
     Both exponentials are finite sums because the truncated shifts are
     nilpotent; entry sums stop where the graded truncation kills them.
-    Each entry hands its products p_a(t) p_b(beta) to the kernel as pieces.
+    Each entry is handed over unsummed, as its pieces (r(k+M)...r(l-1+M), p_{l-j}(t), p_{l-k}(beta)).
     """
     pt, pb = power_sums_basis(d, FAMILY_T), power_sums_basis(d, FAMILY_B)
     rval = {n: r_eval(r, n + m) for n in range(-window, d)}
 
-    def entry(j: int, k: int) -> GradedPoly:
-        pieces = []
-        prod_r = Fraction(1)
-        for l in range(k, min(j, k) + d + 1):
-            if l > k:
-                prod_r *= rval[l - 1]
-            if l >= j and prod_r:
-                pieces.append((prod_r, pt[l - j], pb[l - k]))
-        return weighted_sum(pieces, d, d)
+    def entry(j: int, k: int) -> list:
+        ls = range(k, min(j, k) + d + 1)
+        prods = accumulate((rval[l] for l in ls[:-1]), mul, initial=Fraction(1))  # r(k+M)...r(l-1+M) for l in ls
+        return [(c, pt[l - j], pb[l - k]) for l, c in zip(ls, prods) if l >= j and c]
 
     idx = range(0, -window - 1, -1)
     return [[entry(j, k) for k in idx] for j in idx]
 
 
-def _corner_dets(rows: list) -> list:
-    """Leading principal minors of the corner-first rows, from one elimination.
+def _factor_boxes(d: int) -> tuple:
+    """(box of every entry of L and U, box of a pivot's inverse).  In the corner-first order entry (row, col) has
+    t-weight minus b-weight row - col, so one off the diagonal holds nothing above (d, d - 1) or (d - 1, d), while
+    (d, d) is exact in any order.  An inverse, of t-weight = b-weight, is read only times an off-diagonal sum: its
+    layer (d, d) reaches nothing, so it is formed in (d - 1, d - 1), at d = 0 in (0, 0)."""
+    return (d, d), (max(d - 1, 0),) * 2
 
-    The rows come corner first (``_window_block``), so entry k, the product
-    of the first k + 1 pivots, is the determinant of the window -k..0.  The block is the identity plus
-    positive-grade terms, so each pivot is a unit; the last one has no rows
-    below it and is never inverted.  Each update a - f b is one kernel call.
+
+def _corner_dets(rows: list, d: int) -> list:
+    """Leading principal minors of the block whose entries sum the pieces in ``rows``, from one factorization.
+
+    Left-looking (Doolittle) A = L U, L unit lower triangular, row k of U then column k of L, in the order given:
+    each entry is one kernel call, in its ``_factor_boxes`` box, over A's pieces and its elimination products.
+    Corner first (``_window_block``), entry k, the product of the first k + 1 pivots, is the determinant of the
+    window -k..0.  The block is the identity plus positive-grade terms, so each pivot is a unit.
     """
-    a = list(rows)
-    n = len(a)
-    box = rows[0][0].t_max, rows[0][0].b_max  # the block's entries share one box, and so do their updates
+    box, inverse_box = _factor_boxes(d)
+    n = len(rows)
+    low, up = ([[None] * n for _ in range(n)] for _ in range(2))
+
+    def reduced(i, c):  # A[i][c] - sum_{j < min(i, c)} L[i][j] U[j][c]
+        return weighted_sum(rows[i][c] + [(-1, low[i][j], up[j][c]) for j in range(min(i, c))], *box)
+
     dets: list = []
-    for col in range(n):
-        piv = a[col][col]
+    for k in range(n):
+        up[k][k:] = [reduced(k, c) for c in range(k, n)]
+        piv = up[k][k]
         if piv.constant_term() == 0:
             raise ArithmeticError("non-unit pivot in triangular factorization")
         dets.append(dets[-1] * piv if dets else piv)
-        inv = inverse(piv) if col + 1 < n else None
-        for row in range(col + 1, n):
-            if a[row][col].is_zero():
-                continue
-            factor = a[row][col] * inv
-            a[row] = [
-                weighted_sum(((1, a[row][c]), (-1, factor, a[col][c])), *box) if c > col else a[row][c]
-                for c in range(n)
-            ]
+        inv = inverse(weighted_sum(((1, piv),), *inverse_box)) if k + 1 < n else None
+        for i in range(k + 1, n):
+            # the kernel, not *: the meet of the two boxes would cut the entry to the inverse's box
+            low[i][k] = weighted_sum(((1, reduced(i, k), inv),), *box)
     return dets
 
 
@@ -269,7 +274,7 @@ def det_oracle_tau(r: RSpec, m: int, d: int, window: int | None = None, extra_wi
     Returns (determinant, CheckReport); the report records the coefficient
     match against the series route and the stabilization of the determinant
     across windows window + w, w in extra_windows (each >= 1), all read from
-    one corner-first elimination of the widest block.
+    one corner-first L U factorization of the widest block (``_corner_dets``).
     """
     if window is None:
         window = d
@@ -277,7 +282,7 @@ def det_oracle_tau(r: RSpec, m: int, d: int, window: int | None = None, extra_wi
         raise ValueError(f"--window must be >= -d/--degree ({d}), got {window}")
     if not extra_windows or min(extra_windows) < 1:
         raise ValueError(f"extra_windows must be non-empty with every entry >= 1, got {extra_windows!r}")
-    dets = _corner_dets(_window_block(r, m, d, window + max(extra_windows)))
+    dets = _corner_dets(_window_block(r, m, d, window + max(extra_windows)), d)
     det_w = dets[window]
     stable_failure = None
     for extra in extra_windows:

@@ -93,6 +93,10 @@ def _top_layers_dropped(series, layers):
     return mutant
 
 
+def _entries_narrowed(box, inverse_box):
+    return (box[0] - 1, box[1] - 1), inverse_box
+
+
 def _grade_3_facts_doubled(layout):
     def mutant(n):
         lams, cols, tkeys, bkeys, facts = layout(n)
@@ -151,11 +155,17 @@ MUTANTS = [
         ("toda", "toda-standard"),
     ),
     (
-        # the oracle reads the inverse of a pivot only times an entry of weight >= 1, in the box (d, d):
-        # its layers 2d - 1 and 2d reach no compared coefficient, so the layer loop one short is at 2d - 2
+        # the oracle forms a pivot's inverse in the box (d - 1, d - 1), where every layer reaches a compared
+        # coefficient: the top one, of total weight 2d - 2, through an entry of L at bidegree (d, d - 1)
         "inverse one layer short of the layers the oracle reads",
         "taukit.verify.inverse",
-        lambda inverse: _top_layers_dropped(inverse, 3),
+        lambda inverse: _top_layers_dropped(inverse, 1),
+        ("oracle",),
+    ),
+    (
+        "the factors' entries formed one weight short of the box they are read in",
+        "taukit.verify._factor_boxes",
+        lambda boxes: lambda d: _entries_narrowed(*boxes(d)),
         ("oracle",),
     ),
     (

@@ -19,7 +19,7 @@ from taukit.poly import (
     tvar,
     weighted_sum,
 )
-from taukit.rspec import LinFactor, PoleError, QLinFactor, RSpec
+from taukit.rspec import LinFactor, PoleError, QLinFactor, RSpec, rspec_to_json
 from taukit.schur import GenericTimes
 from taukit.tau import tau_series
 from taukit.verify import (
@@ -498,11 +498,49 @@ ZERO_INSIDE = RSpec(num=(LinFactor(F(2)),), den=(LinFactor(F(1, 3)),))
 @pytest.mark.parametrize("m", [-1, 1])
 def test_corner_dets_match_cofactor_expansion(spec, m):
     # every width 1..5, including the windows narrower than d that no report compares
-    block = _window_block(spec, m, 3, 4)
-    dets = _corner_dets(block)
+    rows = _window_block(spec, m, 3, 4)
+    dets = _corner_dets(rows, 3)
     assert len(dets) == 5
+    block = [[weighted_sum(pieces, 3, 3) for pieces in row] for row in rows]
     for k, det in enumerate(dets):
         assert det == _cofactor_det(block, list(range(-k, 1)))
+    # the factorization takes the rows in the order given: ascending, its minors are the windows -4..k - 4
+    for k, det in enumerate(_corner_dets([row[::-1] for row in rows[::-1]], 3)):
+        assert det == _cofactor_det(block, list(range(-4, k - 3)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_corner_dets_form_each_factor_entry_in_one_kernel_call(monkeypatch, n):
+    # one call per entry of U (pivots included) and of L; each pivot with rows below adds its re-box into the
+    # inverse's box and one factor product per entry of L: a right-looking update per step would count more
+    calls = []
+    kernel = verify.weighted_sum
+    monkeypatch.setattr(verify, "weighted_sum", lambda pieces, *box: calls.append(1) or kernel(pieces, *box))
+    rows = _window_block(RATIO, 0, 3, n - 1)
+    dets = _corner_dets(rows, 3)
+    assert len(dets) == n
+    upper, lower = n * (n + 1) // 2, n * (n - 1) // 2
+    assert len(calls) == upper + lower + (n - 1) + lower
+
+
+@pytest.mark.parametrize(
+    "d, window, terms",
+    [(0, 0, {"1": "1"}), (0, 2, {"1": "1"}), (1, 1, {"1": "1", "b1*t1": "3/2"}), (1, 3, {"1": "1", "b1*t1": "3/2"})],
+)
+def test_oracle_at_the_lowest_degrees(d, window, terms):
+    # at d = 0 the inverse's box (d - 1, d - 1) is clamped at 0, where every entry is a constant
+    det, rep = det_oracle_tau(RATIO, 0, d, window)
+    assert (det.t_max, det.b_max) == (d, d)
+    assert {format_monomial(mono): format_rational(c) for mono, c in det.terms.items()} == terms
+    params = {"rspec": rspec_to_json(RATIO), "M": 0, "d": d, "window": window, "stable": True}
+    assert rep.to_obj() == {"name": "oracle", "pass": True, "grade": d, "failure": None, "params": params}
+
+
+@pytest.mark.parametrize("spec", [RATIO, ZERO_INSIDE, QSPEC], ids=["ratio", "rational-zero", "q-rational"])
+@pytest.mark.parametrize("m", [-1, 1])
+def test_oracle_matches_the_series_above_the_battery_grades(spec, m):
+    _, rep = det_oracle_tau(spec, m, 7)
+    assert rep.passed and rep.params["stable"]
 
 
 # -- series truncation modes -------------------------------------------------------------------
@@ -653,7 +691,7 @@ def test_window_block_matches_literal_matrix_exponentials():
             for l in range(size):
                 if not u_plus[a][l].is_zero() and not u_minus[l][b].is_zero():
                     entry = entry + u_plus[a][l] * u_minus[l][b]
-            assert entry == block[-j][-k], (j, k)
+            assert entry == weighted_sum(block[-j][-k], d, d), (j, k)
 
 
 def test_window_block_xi_argument_powers():
@@ -673,7 +711,7 @@ def test_window_block_xi_argument_powers():
                 if l - j > 2 or l - k > 2:
                     continue
                 want = want + GradedPoly(2, 2, pt[l - j].terms) * GradedPoly(2, 2, pb[l - k].terms)
-            assert block[-j][-k] == want
+            assert weighted_sum(block[-j][-k], 2, 2) == want
 
 
 # -- randomized battery ------------------------------------------------------------------------
