@@ -270,7 +270,8 @@ class GradedPoly:
         return self._packed == other._packed
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant, 0 included, equals its Fraction and so hashes as it
+        return hash(self.constant_term() if self._packed[1].keys() <= {(0, 0)} else frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:

@@ -41,6 +41,9 @@ class LinFactor(Value):
     def value(self, n: int, q) -> Fraction:
         return n + self.shift
 
+    def shifted(self, m: int, q) -> "LinFactor":
+        return LinFactor(self.shift + m)
+
 
 class QLinFactor(Value):
     _fields = ("coeff", "shift")
@@ -50,6 +53,9 @@ class QLinFactor(Value):
 
     def value(self, n: int, q) -> Fraction:
         return 1 - self.coeff * rational_pow(q, self.shift + n)
+
+    def shifted(self, m: int, q) -> "QLinFactor":
+        return QLinFactor(self.coeff, self.shift + m)
 
 
 class QPairFactor(Value):
@@ -61,6 +67,10 @@ class QPairFactor(Value):
     def value(self, n: int, q) -> Fraction:
         qn = rational_pow(q, Fraction(n))
         return 1 - 2 * self.amp * self.cosv * qn + self.amp**2 * qn**2
+
+    def shifted(self, m: int, q) -> "QPairFactor":
+        # q^(m + D) folds into the amplitude
+        return QPairFactor(self.amp * rational_pow(q, Fraction(m)), self.cosv)
 
 
 class RSpec(Value):
@@ -95,21 +105,11 @@ def rspec_mul(a: RSpec, b: RSpec) -> RSpec:
 
 
 def rspec_shift(r: RSpec, m: int) -> RSpec:
-    """The shifted symbol r(. + m)."""
-    def shift_factor(f):
-        if isinstance(f, LinFactor):
-            return LinFactor(f.shift + m)
-        if isinstance(f, QLinFactor):
-            return QLinFactor(f.coeff, f.shift + m)
-        if isinstance(f, QPairFactor):
-            # q^(m + D) folds into the amplitude
-            return QPairFactor(f.amp * rational_pow(r.q, Fraction(m)), f.cosv)
-        raise TypeError(f"unknown factor {f!r}")
-
+    """The shifted symbol r(. + m), each factor shifted by its own ``shifted(m, q)``."""
     return RSpec(
         constant=r.constant,
-        num=tuple(shift_factor(f) for f in r.num),
-        den=tuple(shift_factor(f) for f in r.den),
+        num=tuple(f.shifted(m, r.q) for f in r.num),
+        den=tuple(f.shifted(m, r.q) for f in r.den),
         q=r.q,
     )
 

@@ -19,9 +19,12 @@ each factor is q_number(x, q), x classically and 1 - q^x otherwise.
 Each evaluated kind (numeric, Miwa, principal) gives its values
 [t_1, ..., t_d] through ``values(d)``.
 
-Generic = characters: the coefficient of prod t_k^{m_k} in s_lam(t) is
-chi^lam(rho) / prod m_k!, rho having m_k parts equal to k.  Evaluated =
-Jacobi-Trudi over p_m values resolved once per times object and kept in
+Generic = characters: the coefficient of prod t_k^{m_k} in s_{lam/mu}(t) is chi^{lam/mu}(rho) / prod m_k!, rho having
+m_k parts equal to k.  Every generic Schur polynomial, single, skew or paired (``schur_pair_sum``), reads grade n's
+packed keys and prod m_k! from one per-grade table, ``_grade_layout``, its characters the one per-shape input;
+``power_sums_basis``, the determinant oracle's Newton recursion, reads no character.
+
+Evaluated = Jacobi-Trudi over p_m values resolved once per times object and kept in
 its memo for its lifetime, the determinant taken by row-cleared integer
 Bareiss elimination (never a bialternant ratio, which would hit 0/0
 at coincident points); tests use it on plain value lists as the
@@ -184,23 +187,30 @@ def characters(outer: Partition, inner: Partition = ()) -> Mapping[Partition, in
     return MappingProxyType(table)
 
 
-def _rho_monomial(rho: Partition, family: str) -> tuple[tuple, int]:
-    """(prod t_k^{m_k}, prod m_k!) for the partition rho with m_k parts equal to k."""
-    mults = sorted(Counter(rho).items())
-    return tuple((Var(family, k), e) for k, e in mults), prod(factorial(e) for _, e in mults)
+@cache
+def _grade_layout(n: int) -> tuple:
+    """Grade n's partitions, character columns (chi^lam(rho) for lam) per rho, packed t- and b-keys and prod m(rho)!,
+    as read-only tuples, the keys and factorials of a rho from its one multiplicity list: one entry per grade asked for,
+    and a grade is at most 255, the slot bound."""
+    rhos = partitions_of(n)
+    cols = tuple(tuple(characters(lam)[rho] for lam in rhos) for rho in rhos)
+    mults = [Counter(rho).items() for rho in rhos]  # (k, m_k) per rho
+    tkeys, bkeys = (tuple(_key((Var(fam, k), e) for k, e in m) for m in mults) for fam in (FAMILY_T, FAMILY_B))
+    facts = tuple(prod(factorial(e) for _, e in m) for m in mults)
+    return rhos, cols, tkeys, bkeys, facts
 
 
 def _schur_generic(outer: Partition, inner: Partition, family: str, d: int) -> GradedPoly:
-    """s_{outer/inner}(t) = sum_rho chi(rho) prod t_k^{m_k} / m_k!, since p_k = k t_k."""
+    """s_{outer/inner}(t) = sum_rho chi(rho) prod t_k^{m_k} / m_k!, since p_k = k t_k: grade n's keys and prod m(rho)!
+    from ``_grade_layout``, the characters over n!, which every prod m(rho)! divides, in the one bucket of weight n."""
     n = sum(outer) - sum(inner)
     if n > d:
         raise ValueError(f"weight {n} of {outer}/{inner} exceeds truncation grade {d}")
-    terms = {}
-    for rho, chi in characters(outer, inner).items():
-        if chi:
-            m, fact = _rho_monomial(rho, family)
-            terms[m] = Fraction(chi, fact)
-    return GradedPoly(d, d, terms)
+    rhos, _, tkeys, bkeys, facts = _grade_layout(n)
+    chars, scale = characters(outer, inner), factorial(n)
+    keys, bucket = (tkeys, (n, 0)) if family == FAMILY_T else (bkeys, (0, n))
+    sums = {bucket: {key: chi * (scale // f) for rho, key, f in zip(rhos, keys, facts) if (chi := chars[rho])}}
+    return GradedPoly._from_sums(d, d, scale, sums)
 
 
 def power_sums_basis(d: int, family: str = FAMILY_T) -> list[GradedPoly]:
@@ -213,18 +223,6 @@ def power_sums_basis(d: int, family: str = FAMILY_T) -> list[GradedPoly]:
     for m in range(1, d + 1):
         ps.append(weighted_sum(((Fraction(k, m), ts[k - 1], ps[m - k]) for k in range(1, m + 1)), d, d))
     return ps
-
-
-@cache
-def _grade_layout(n: int) -> tuple:
-    """Grade n's partitions, character columns (chi^lam(rho) for lam) per rho, packed t- and b-keys and prod m(rho)!,
-    as read-only tuples: one entry per grade asked for, and a grade is at most 255, the slot bound."""
-    rhos = partitions_of(n)
-    cols = tuple(tuple(characters(lam)[rho] for lam in rhos) for rho in rhos)
-    monos, facts = zip(*(_rho_monomial(rho, FAMILY_T) for rho in rhos))
-    tkeys = tuple(_key(m) for m in monos)
-    bkeys = tuple(_key((Var(FAMILY_B, v.index), e) for v, e in m) for m in monos)
-    return rhos, cols, tkeys, bkeys, facts
 
 
 def schur_pair_sum(coeffs: dict, d: int) -> GradedPoly:

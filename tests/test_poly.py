@@ -367,6 +367,12 @@ def test_equality_with_a_non_number_is_not_implemented():
     assert GradedPoly.zero(3, 3) == 0 and GradedPoly.constant(F(1, 2), 3, 3) == F(1, 2)
 
 
+def test_a_constant_hashes_as_the_number_it_equals():
+    assert len({GradedPoly.constant(F(3, 2), 2, 2), F(3, 2)}) == 1
+    assert len({GradedPoly.zero(2, 2), 0}) == 1 and len({GradedPoly.constant(5, 0, 4), 5}) == 1
+    assert len({var(T1), F(1)}) == 2
+
+
 SMALL_BOUNDS = st.integers(0, 6)
 
 
@@ -385,8 +391,11 @@ def agrees(p, ref):
     assert (p.t_max, p.b_max) == (ref.t_max, ref.b_max)
     assert p.constant_term() == ref.terms.get((), 0)
     assert p.is_zero() == (not ref.terms)
-    assert p == GradedPoly(255, 255, ref.terms)  # equality reads the packed terms, not the box
-    assert hash(p) == hash(frozenset(ref.terms.items()))
+    same = GradedPoly(255, 255, ref.terms)  # equality reads the packed terms, not the box
+    assert p == same and hash(p) == hash(same)  # equal objects hash equally
+    if ref.terms.keys() <= {()}:  # a constant, 0 included, equals its Fraction and so hashes as it
+        value = ref.terms.get((), F(0))
+        assert p == value and hash(p) == hash(value)
     assert p.terms == ref.terms
 
 

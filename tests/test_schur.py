@@ -6,6 +6,7 @@ from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from schur_reference import decoded_schur
 
 from taukit import schur
 from taukit.partitions import conjugate, contains, enumerate_up_to, hook_data, n_statistic
@@ -131,6 +132,22 @@ def test_generic_skew_matches_numeric_jacobi_trudi():
             if inner and inner != outer and contains(outer, inner):
                 generic = substitute(skew_schur_poly(outer, inner, T, 7), NUMERIC)
                 assert generic == _schur_numeric(outer, inner, NUMERIC, 7), (outer, inner)
+
+
+@pytest.mark.parametrize("family", ["t", "b"])
+def test_generic_schur_matches_the_term_by_term_reference(family):
+    # every straight shape of weight <= 8 and every skew pair with outer of weight <= 6: terms and box
+    times, small = GenericTimes(family), enumerate_up_to(6)
+    cases = [(schur_poly(lam, times, 8), lam, (), 8) for lam in enumerate_up_to(8)]
+    cases += [
+        (skew_schur_poly(outer, inner, times, 6), outer, inner, 6)
+        for outer in small
+        for inner in small
+        if contains(outer, inner)
+    ]
+    for got, outer, inner, d in cases:
+        want = decoded_schur(outer, inner, family, d)
+        assert (got.terms, got.t_max, got.b_max) == (want.terms, want.t_max, want.b_max), (outer, inner)
 
 
 def test_quasi_homogeneity():
@@ -511,11 +528,12 @@ PAIR_TABLES = {
 
 @pytest.mark.parametrize("kind", sorted(PAIR_TABLES))
 def test_schur_pair_sum_matches_schur_products_cold_and_warm(kind):
-    d, b = 7, GenericTimes("b")
+    d = 7
     coeffs = dict(content_products(PAIR_TABLES[kind], enumerate_up_to(d), 0))
     if kind == "integer-zero":
         assert 0 in coeffs.values() and any(coeffs.values())
-    want = weighted_sum(((c, schur_poly(lam, T, d) * schur_poly(lam, b, d)) for lam, c in coeffs.items()), d, d)
+    products = ((c, decoded_schur(lam, (), "t", d) * decoded_schur(lam, (), "b", d)) for lam, c in coeffs.items())
+    want = weighted_sum(products, d, d)
     _grade_layout.cache_clear()
     assert schur_pair_sum(coeffs, d) == want
     assert _grade_layout.cache_info().currsize == d + 1

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from schur_reference import decoded_schur
 
 from taukit import partitions, schur
 from taukit import tau as tau_module
@@ -144,11 +145,10 @@ def test_every_series_renders_through_tau_expansion(monkeypatch):
 
 
 def schur_product_tau(r, m, d):
-    """sum r_lam s_lam(t) s_lam(b), multiplied out with GradedPoly products."""
+    """sum r_lam s_lam(t) s_lam(b), multiplied out with GradedPoly products of the term-by-term Schur values."""
     total = GradedPoly.zero(d, d)
     for lam in enumerate_up_to(d):
-        st = GradedPoly(d, d, schur_poly(lam, T, d).terms)
-        sb = GradedPoly(d, d, schur_poly(lam, B, d).terms)
+        st, sb = decoded_schur(lam, (), "t", d), decoded_schur(lam, (), "b", d)
         total = total + (st * sb).scale(content_product(r, lam, m))
     return total
 
@@ -172,6 +172,35 @@ def test_tau_pole_propagates():
     r = lin(den=(F(-1),))  # pole at D = 1
     with pytest.raises(PoleError):
         tau_series(r, 0, 3, T, B)
+
+
+# (r, r~) with r~(D) = r(-D): 2(D+1/2)(D-3/4)/(D+1/3), and (1 - 2/3 q^(1+D))/(1 - 3/5 q^D) at q = 1/2, whose
+# r~ is (1 - 2/3 q'^(D-1))/(1 - 3/5 q'^D) at q' = 1/q = 2
+REFLECTED_PAIRS = {
+    "rational": (
+        RSpec(F(2), (LinFactor(F(1, 2)), LinFactor(F(-3, 4))), (LinFactor(F(1, 3)),)),
+        RSpec(F(-2), (LinFactor(F(-1, 2)), LinFactor(F(3, 4))), (LinFactor(F(-1, 3)),)),
+    ),
+    "q": (
+        RSpec(num=(QLinFactor(F(2, 3), F(1)),), den=(QLinFactor(F(3, 5), F(0)),), q=F(1, 2)),
+        RSpec(num=(QLinFactor(F(2, 3), F(-1)),), den=(QLinFactor(F(3, 5), F(0)),), q=F(2)),
+    ),
+}
+REFLECT_X, REFLECT_Y = (F(1, 2), F(-1, 3), F(2, 5)), (F(1, 4), F(3, 7))
+
+
+@pytest.mark.parametrize("kind", sorted(REFLECTED_PAIRS))
+@pytest.mark.parametrize("d", [6, 9])
+def test_negated_miwa_times_reflect_the_symbol_and_the_charge(kind, d):
+    # s_lam(-t) = (-1)^|lam| s_lam'(t), and r_lam(M) = r~_lam'(-M): conjugation carries the one series onto the other,
+    # the Miwa shape rule's rows at sign -1 onto its columns at sign +1
+    r, r_tilde = REFLECTED_PAIRS[kind]
+    x, y = MiwaTimes(REFLECT_X), MiwaTimes(REFLECT_Y)
+    for m in (-1, 0, 2):
+        left = tau_series(r, m, d, MiwaTimes(REFLECT_X, -1), MiwaTimes(REFLECT_Y, -1))
+        assert left == tau_series(r_tilde, -m, d, x, y), m
+        if m:  # the control: the charge kept, not negated
+            assert left != tau_series(r_tilde, m, d, x, y), m
 
 
 # -- two-sided and chained ----------------------------------------------------------
