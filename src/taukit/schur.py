@@ -21,8 +21,8 @@ Each evaluated kind (numeric, Miwa, principal) gives its values
 
 Generic = characters: the coefficient of prod t_k^{m_k} in s_{lam/mu}(t) is chi^{lam/mu}(rho) / prod m_k!, rho having
 m_k parts equal to k.  Every generic Schur polynomial, single, skew or paired (``schur_pair_sum``), reads grade n's
-packed keys and prod m_k! from one per-grade table, ``_grade_layout``, its characters the one per-shape input;
-``power_sums_basis``, the determinant oracle's Newton recursion, reads no character.
+packed keys and prod m_k! from one per-grade table, ``_grade_layout``; ``characters`` is the one store of characters,
+built for the shapes a value reads and no others.  ``power_sums_basis``, the oracle's Newton recursion, reads none.
 
 Evaluated = Jacobi-Trudi over p_m values resolved once per times object and kept in
 its memo for its lifetime, the determinant taken by row-cleared integer
@@ -169,7 +169,7 @@ def _strips(lam: Partition, k: int) -> list[tuple[Partition, int]]:
 
 @lru_cache(maxsize=None)
 def characters(outer: Partition, inner: Partition = ()) -> Mapping[Partition, int]:
-    """rho -> chi^{outer/inner}(rho) for every partition rho of |outer/inner|.
+    """rho -> chi^{outer/inner}(rho) for every partition rho of |outer/inner|, in ``partitions_of`` order.
 
     Murnaghan-Nakayama: remove a rim hook of size rho_1 from outer that
     keeps inner, and recurse on the rest of rho.  The table is read-only.
@@ -189,15 +189,14 @@ def characters(outer: Partition, inner: Partition = ()) -> Mapping[Partition, in
 
 @cache
 def _grade_layout(n: int) -> tuple:
-    """Grade n's partitions, character columns (chi^lam(rho) for lam) per rho, packed t- and b-keys and prod m(rho)!,
-    as read-only tuples, the keys and factorials of a rho from its one multiplicity list: one entry per grade asked for,
-    and a grade is at most 255, the slot bound."""
+    """Grade n's partitions, packed t- and b-keys and prod m(rho)!, as read-only tuples, the keys and factorials of a
+    rho from its one multiplicity list: no character, so a grade costs no shape's table; one entry per grade asked
+    for, and a grade is at most 255, the slot bound."""
     rhos = partitions_of(n)
-    cols = tuple(tuple(characters(lam)[rho] for lam in rhos) for rho in rhos)
     mults = [Counter(rho).items() for rho in rhos]  # (k, m_k) per rho
     tkeys, bkeys = (tuple(_key((Var(fam, k), e) for k, e in m) for m in mults) for fam in (FAMILY_T, FAMILY_B))
     facts = tuple(prod(factorial(e) for _, e in m) for m in mults)
-    return rhos, cols, tkeys, bkeys, facts
+    return rhos, tkeys, bkeys, facts
 
 
 def _schur_generic(outer: Partition, inner: Partition, family: str, d: int) -> GradedPoly:
@@ -206,7 +205,7 @@ def _schur_generic(outer: Partition, inner: Partition, family: str, d: int) -> G
     n = sum(outer) - sum(inner)
     if n > d:
         raise ValueError(f"weight {n} of {outer}/{inner} exceeds truncation grade {d}")
-    rhos, _, tkeys, bkeys, facts = _grade_layout(n)
+    rhos, tkeys, bkeys, facts = _grade_layout(n)
     chars, scale = characters(outer, inner), factorial(n)
     keys, bucket = (tkeys, (n, 0)) if family == FAMILY_T else (bkeys, (0, n))
     sums = {bucket: {key: chi * (scale // f) for rho, key, f in zip(rhos, keys, facts) if (chi := chars[rho])}}
@@ -228,21 +227,21 @@ def power_sums_basis(d: int, family: str = FAMILY_T) -> list[GradedPoly]:
 def schur_pair_sum(coeffs: dict, d: int) -> GradedPoly:
     """sum over |lam| <= d of coeffs[lam] s_lam(t) s_lam(b), t and b two generic time sets.
 
-    Grade n is the symmetric block chi^T diag(coeffs) chi, scaled by
-    1 / (prod m(rho)! prod m(sigma)!).  Its partitions, characters, packed keys
-    and prod m(rho)! come from the per-grade table ``_grade_layout``, so a call
-    does only the coefficient work.  A block is summed in integers and goes
-    straight into the packed (n, n) bucket over one denominator,
+    Grade n is the symmetric block chi^T diag(coeffs) chi, scaled by 1 / (prod m(rho)! prod m(sigma)!).  Keys and
+    prod m(rho)! come from ``_grade_layout``; columns are formed per call from the ``characters`` rows of the lam with
+    nonzero coefficients, the only tables it builds, read by position (a row lists rho in ``partitions_of`` order, as
+    the keys do).  A block is summed in integers into the packed (n, n) bucket over one denominator,
     lcm(denominators of coeffs) * (d!)^2, since every prod m(rho)! divides d!.
     """
     scale = factorial(d)
     den = lcm(*(Fraction(c).denominator for c in coeffs.values()))
     sums = {}
     for n in range(d + 1):
-        lams, cols, tkeys, bkeys, facts = _grade_layout(n)
-        ints = [int(coeffs.get(lam, 0) * den) for lam in lams]
-        if not any(ints):
+        lams, tkeys, bkeys, facts = _grade_layout(n)
+        live = [lam for lam in lams if coeffs.get(lam)]
+        if not live:
             continue
+        ints, cols = [int(coeffs[lam] * den) for lam in live], list(zip(*(characters(lam).values() for lam in live)))
         facts = [scale // f for f in facts]
         acc = sums[n, n] = {}
         for i, col in enumerate(cols):

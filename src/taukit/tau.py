@@ -195,21 +195,17 @@ def qphi_multivar(a, b, m: int, q, x, d: int) -> Fraction:
     return tau_series(r, m, d, MiwaTimes(x), PrincipalInfinityTimes(r.q))
 
 
-def _row_coeffs(r: RSpec, m: int, order: int) -> list[Fraction]:
-    """r_(n)(M) s_(n)(beta) at principal-infinity beta, n = 0..order: the one-variable series."""
+def qphi_one_var_coeffs(a, b, m: int, q, order: int) -> list[Fraction]:
+    """r_(n)(M) s_(n)(beta), n = 0..order, beta principal-infinity: the one-variable series, classical at q = None."""
+    r = _family_symbol(a, b, q)
     beta = PrincipalInfinityTimes(r.q)
     rows = [(n,) if n else () for n in range(order + 1)]
     return [c * _schur_value(row, (), beta, order) for row, c in content_products(r, rows, m)]
 
 
-def qphi_one_var_coeffs(a, b, m: int, q, order: int) -> list[Fraction]:
-    """Coefficients of the one-variable basic series, one row partition per order; the classical one at q = None."""
-    return _row_coeffs(_family_symbol(a, b, q), m, order)
-
-
 def pfq_one_var_coeffs(a, b, m: int, order: int) -> list[Fraction]:
     """Coefficients of the one-variable classical series, one row partition per order."""
-    return _row_coeffs(_family_symbol(a, b), m, order)
+    return qphi_one_var_coeffs(a, b, m, None, order)
 
 
 def classical_reference(a, b, order: int, q=None) -> list[Fraction]:

@@ -48,7 +48,7 @@ from .rspec import (
     zero_pole_scan,
 )
 from .schur import GenericTimes, MiwaTimes, _schur_value, power_sums_basis
-from .tau import _basic_q, _family_symbol, _row_coeffs, prop4_pair, tau_series
+from .tau import _basic_q, _family_symbol, prop4_pair, qphi_one_var_coeffs, tau_series
 
 # -- reports ---------------------------------------------------------------------
 
@@ -182,7 +182,7 @@ def _check_termwise(name: str, a, b, q, order: int) -> CheckReport:
         raise ValueError(f"{name} compares x^0..x^(order-1): order = {order} compares nothing, use --order >= 1")
     r = _family_symbol(a, b, q)
     q = r.q
-    coeffs = _row_coeffs(r, 0, order)
+    coeffs = qphi_one_var_coeffs(a, b, 0, q, order)
     failure = None
     for k in range(order):
         lhs, rhs = q_number(k + 1, q) * coeffs[k + 1], r_eval(r, k) * coeffs[k]

@@ -97,10 +97,15 @@ def _entries_narrowed(box, inverse_box):
     return (box[0] - 1, box[1] - 1), inverse_box
 
 
+def _insertion_order_reversed(characters):
+    # every key keeps its value: only a reader that takes a table's rows by position sees the change
+    return lambda outer, inner=(): dict(reversed(characters(outer, inner).items()))
+
+
 def _grade_3_facts_doubled(layout):
     def mutant(n):
-        lams, cols, tkeys, bkeys, facts = layout(n)
-        return lams, cols, tkeys, bkeys, tuple(2 * f for f in facts) if n == 3 else facts
+        lams, tkeys, bkeys, facts = layout(n)
+        return lams, tkeys, bkeys, tuple(2 * f for f in facts) if n == 3 else facts
 
     return mutant
 
@@ -172,6 +177,12 @@ MUTANTS = [
         "_grade_layout with grade 3's prod m(rho)! doubled: that block scaled by 1/4",
         "taukit.schur._grade_layout",
         _grade_3_facts_doubled,
+        ("hirota", "toda", "toda-standard", "kp", "oracle"),
+    ),
+    (
+        "characters with each table's insertion order reversed",
+        "taukit.schur.characters",
+        _insertion_order_reversed,
         ("hirota", "toda", "toda-standard", "kp", "oracle"),
     ),
     (

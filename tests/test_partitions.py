@@ -15,7 +15,7 @@ from taukit.partitions import (
     partitions_of,
 )
 from taukit.rspec import RSpec, skew_content_product
-from taukit.schur import GenericTimes, _grade_layout, characters, skew_schur_poly
+from taukit.schur import GenericTimes, _grade_layout, skew_schur_poly
 
 
 def generated_partitions(n, max_part=None):
@@ -88,7 +88,6 @@ def test_enumerate_up_to_returns_a_list_the_caller_may_change():
 
 def test_cold_grade_layout_builds_each_grade_once():
     partitions_of.cache_clear()
-    characters.cache_clear()
     _grade_layout.cache_clear()
     for n in range(15):
         _grade_layout(n)

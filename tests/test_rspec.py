@@ -26,7 +26,7 @@ from taukit.rspec import (
     skew_content_product,
     zero_pole_scan,
 )
-from taukit.tau import TauExpansion, _row_coeffs, pfq_one_var_coeffs, qphi_multivar
+from taukit.tau import TauExpansion, pfq_one_var_coeffs, qphi_multivar
 
 D = RSpec(num=(LinFactor(F(0)),))  # r(D) = D
 
@@ -301,7 +301,7 @@ def test_one_evaluation_per_partition(monkeypatch):
     TauExpansion.build(r, 1, 12)
     assert len(calls) == len(enumerate_up_to(12)) - 1
     calls.clear()
-    _row_coeffs(r, 0, 50)
+    pfq_one_var_coeffs([F(1, 2)], [F(1, 3)], 0, 50)
     assert len(calls) == 50
 
 

@@ -1,5 +1,8 @@
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import permutations
 from math import prod
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from schur_reference import decoded_schur
 
+import taukit
 from taukit import schur
 from taukit.partitions import conjugate, contains, enumerate_up_to, hook_data, n_statistic
 from taukit.poly import GradedPoly, mono, mono_weights, tvar, weighted_sum
@@ -535,6 +539,37 @@ def test_schur_pair_sum_matches_schur_products_cold_and_warm(kind):
     products = ((c, decoded_schur(lam, (), "t", d) * decoded_schur(lam, (), "b", d)) for lam, c in coeffs.items())
     want = weighted_sum(products, d, d)
     _grade_layout.cache_clear()
+    characters.cache_clear()
     assert schur_pair_sum(coeffs, d) == want
     assert _grade_layout.cache_info().currsize == d + 1
     assert schur_pair_sum(coeffs, d) == want
+
+
+# -- a generic value builds the character tables of the shapes it reads, and no others --------
+
+
+def test_a_cold_generic_value_fills_one_table_per_shape_it_reads():
+    # s_(16) reads the rows (16), (15), ..., (1) and (); its grade has 231 shapes, whose tables it must not build
+    src = os.path.dirname(os.path.dirname(taukit.__file__))
+    code = ("from taukit.schur import GenericTimes, characters, schur_poly; "
+            "schur_poly((16,), GenericTimes(), 16); print(characters.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0 and done.stdout == "17\n"
+
+
+def test_a_cold_generic_miwa_render_reads_only_the_live_shapes(monkeypatch):
+    # at two Miwa points every shape over two rows is cut, so only shapes of at most two rows have their tables built
+    x, d = (F(1, 3), F(1, 5)), 12
+    r = RSpec(num=(LinFactor(F(1, 2)),), den=(LinFactor(F(1, 3)),))
+    read, table = set(), schur.characters
+    monkeypatch.setattr(schur, "characters", lambda outer, inner=(): read.add(outer) or table(outer, inner))
+    _grade_layout.cache_clear()
+    table.cache_clear()
+    got = tau_series(r, 0, d, T, MiwaTimes(x))
+    monkeypatch.undo()
+    assert (12,) in read and max(map(len, read)) == 2
+    parts = [lam for lam in enumerate_up_to(d) if len(lam) <= 2]
+    terms = ((c * schur_poly(lam, MiwaTimes(x), d), decoded_schur(lam, (), "t", d))
+             for lam, c in content_products(r, parts, 0))
+    assert got == weighted_sum(terms, d, d)

@@ -388,14 +388,14 @@ GOLDEN_TERMWISE = {
 @pytest.mark.parametrize("check, coeffs", list(GOLDEN_TERMWISE), ids=["/".join(k) for k in GOLDEN_TERMWISE])
 def test_termwise_golden_reports(check, coeffs, monkeypatch):
     if coeffs == "mutated":
-        row_coeffs = verify._row_coeffs
+        one_var_coeffs = verify.qphi_one_var_coeffs
 
-        def mutated(r, m, order):
-            out = row_coeffs(r, m, order)
+        def mutated(a, b, m, q, order):
+            out = one_var_coeffs(a, b, m, q, order)
             out[3] += F(1, 7)
             return out
 
-        monkeypatch.setattr(verify, "_row_coeffs", mutated)
+        monkeypatch.setattr(verify, "qphi_one_var_coeffs", mutated)
     if check == "ode":
         report = check_ode([F(1, 2), F(2, 3)], [F(5, 7)], 8)
     else:
