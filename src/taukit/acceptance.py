@@ -47,7 +47,6 @@ from .tau import (
 )
 from .verify import (
     CheckReport,
-    _report,
     check_hirota,
     check_kp_bilinear,
     check_ode,
@@ -102,7 +101,7 @@ def _verdict(params: dict, why: str | None = None) -> CheckReport:
 
     ``run_criterion`` names it, as it names every report a criterion returns.
     """
-    return _report("", None if why is None else (why, "", ""), params.get("d", 0), params)
+    return CheckReport("", params.get("d", 0), None if why is None else (why, "", ""), params)
 
 
 def _first_failure(reports) -> CheckReport | None:
@@ -379,7 +378,7 @@ def run_criterion(criterion, seed: int = 1729) -> CheckReport:
     except Exception as exc:  # a crash is a failure, not an abort
         report = _verdict({}, f"{type(exc).__name__}: {exc}")
     name = criterion.__name__.replace("_", "-")
-    return CheckReport(name, report.passed, report.max_checked_grade, report.first_failure, report.params)
+    return CheckReport(name, report.max_checked_grade, report.first_failure, report.params)
 
 
 def run_suite(seed: int = 1729) -> list[CheckReport]:

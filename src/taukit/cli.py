@@ -294,7 +294,7 @@ def main(argv=None) -> int:
         flag = _pole_flag(args, exc.point)
         print(f"error: pole at integer point {exc.point}: a denominator given by {flag} vanishes there", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, KeyError, OSError, ZeroDivisionError) as exc:
+    except (ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -214,7 +214,8 @@ def _schur_generic(outer: Partition, inner: Partition, family: str, d: int) -> G
 
 def power_sums_basis(d: int, family: str = FAMILY_T) -> list[GradedPoly]:
     """Polynomials p_0..p_d with sum p_m z^m = exp(sum t_i z^i), i.e. p_m = s_(m), by the Newton recursion
-    of ``numeric_power_sums`` at t_1..t_d, m p_m = sum_k k t_k p_{m-k}, each p_m one kernel call."""
+    of ``numeric_power_sums`` at t_1..t_d, m p_m = sum_k k t_k p_{m-k}, each p_m one kernel call.
+    These are the complete homogeneous h_m, KP's elementary Schur polynomials, not power sums (those are m t_m)."""
     if d < 0:
         raise ValueError("d must be >= 0")
     ts = [GradedPoly.variable(Var(family, k), d, d) for k in range(1, d + 1)]
@@ -257,7 +258,8 @@ def schur_pair_sum(coeffs: dict, d: int) -> GradedPoly:
 
 
 def numeric_power_sums(values: list, d: int) -> list:
-    """p_0..p_d at the rational times t_1..t_d, by m p_m = sum_{k=1..m} k t_k p_{m-k}."""
+    """p_0..p_d at the rational times t_1..t_d, by m p_m = sum_{k=1..m} k t_k p_{m-k}.
+    These are the complete homogeneous h_m = s_(m) at those times, not power sums (those are m t_m)."""
     ps = [Fraction(1)]
     for m in range(1, d + 1):
         acc = Fraction(0)

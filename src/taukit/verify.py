@@ -56,11 +56,14 @@ from .tau import _basic_q, _family_symbol, prop4_pair, qphi_one_var_coeffs, tau_
 class CheckReport(Value):
     _fields = ("name", "passed", "max_checked_grade", "first_failure", "params")
 
-    def __init__(self, name: str, passed: bool, max_checked_grade: int, first_failure: tuple | None = None,
-                 params: dict | None = None):
-        self.name, self.passed, self.max_checked_grade = name, passed, max_checked_grade
-        self.first_failure = first_failure  # (where, lhs, rhs) as strings
+    def __init__(self, name: str, max_checked_grade: int, first_failure: tuple | None = None, params: dict | None = None):
+        # first_failure is (where, lhs, rhs) as strings, or None: a report passes exactly when it shows no failure
+        self.name, self.max_checked_grade, self.first_failure = name, max_checked_grade, first_failure
         self.params = {} if params is None else params
+
+    @property
+    def passed(self) -> bool:
+        return self.first_failure is None
 
     def to_obj(self) -> dict:
         failure = None
@@ -85,19 +88,9 @@ def compare_windowed(lhs: GradedPoly, rhs: GradedPoly, t_max: int, b_max: int):
     return diff and (format_monomial(diff[0]), format_rational(diff[1]), format_rational(diff[2]))
 
 
-def _report(name, failure, grade, params) -> CheckReport:
-    return CheckReport(
-        name=name,
-        passed=failure is None,
-        max_checked_grade=grade,
-        first_failure=failure,
-        params=params,
-    )
-
-
 def _symbol_report(name, failure, grade, r: RSpec, m: int, d: int, **own) -> CheckReport:
     """A check of the symbol r at charge M and degree d: its params echo rspec, M and d, then the check's own keys."""
-    return _report(name, failure, grade, {"rspec": rspec_to_json(r), "M": m, "d": d, **own})
+    return CheckReport(name, grade, failure, {"rspec": rspec_to_json(r), "M": m, "d": d, **own})
 
 
 # -- bilinear and lattice checks ----------------------------------------------------
@@ -169,7 +162,7 @@ def check_kp_bilinear(r: RSpec, m: int, d: int) -> CheckReport:
     # each Hirota derivative lowers the t-bound by 4 and keeps the b-bound: the box (d - 4, d)
     expr = weighted_sum(((c, hirota_D(tau, tau, alpha)) for c, alpha in terms), d - 4, d)
     zero = GradedPoly.zero(expr.t_max, expr.b_max)
-    failure = compare_windowed(expr, zero, 2 * d, d)
+    failure = compare_windowed(expr, zero, expr.t_max, d)
     return _symbol_report("kp", failure, d, r, m, d)
 
 
@@ -193,7 +186,7 @@ def _check_termwise(name: str, a, b, q, order: int) -> CheckReport:
     if q is not None:
         params["q"] = format_rational(q)
     params["order"] = order
-    return _report(name, failure, order, params)
+    return CheckReport(name, order, failure, params)
 
 
 def check_ode(a, b, order: int) -> CheckReport:
@@ -299,7 +292,7 @@ def check_prop4(r: RSpec, b, m: int, d: int) -> CheckReport:
     """Proposition 4: the two sides of ``prop4_pair`` agree at t-weight <= d."""
     left, right = prop4_pair(r, b, m, d, GenericTimes())
     failure = compare_windowed(left, right, d, d)
-    return _report("prop4", failure, d, {"b": format_rational(b), "M": m, "d": d})
+    return CheckReport("prop4", d, failure, {"b": format_rational(b), "M": m, "d": d})
 
 
 # -- truncation checks -------------------------------------------------------------------
@@ -347,4 +340,4 @@ def check_remark1(mode: str, params: dict, d: int) -> CheckReport:
         routes.append(lambda lam: _schur_value(lam, (), times, d))
     echo = {"mode": mode, key: cut, **({} if q is None else {"q": format_rational(q)}), "d": d}
     failure = _vanishing_failure(parts, vanishes, *routes)
-    return _report("remark1", failure, d, echo)
+    return CheckReport("remark1", d, failure, echo)

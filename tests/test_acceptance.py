@@ -47,7 +47,8 @@ def test_criterion_stops_at_its_first_failing_report(monkeypatch):
 
     def hirota(spec, m, d):
         calls.append(m)
-        return CheckReport(name="hirota", passed=len(calls) != 2, max_checked_grade=d - 1)
+        failure = ("t1", "1", "2") if len(calls) == 2 else None
+        return CheckReport(name="hirota", max_checked_grade=d - 1, first_failure=failure)
 
     monkeypatch.setattr(acceptance, "check_hirota", hirota)
     report = acceptance.criterion_02_hirota(SEED)
@@ -60,7 +61,7 @@ def test_toda_criterion_runs_both_gauges_for_every_spec_and_charge(monkeypatch):
 
     def toda(spec, m, d, gauge):
         calls.append((spec, m, gauge))
-        return CheckReport(name="toda", passed=True, max_checked_grade=d - 1)
+        return CheckReport(name="toda", max_checked_grade=d - 1)
 
     monkeypatch.setattr(acceptance, "check_toda", toda)
     assert acceptance.criterion_03_toda(SEED).passed
@@ -99,7 +100,7 @@ def test_a_report_is_named_from_its_criterion_whatever_the_outcome(monkeypatch):
     assert all(r.passed for r in passed) and not any(r.passed for r in raised)
     assert raised[0].first_failure == ("RuntimeError: boom", "", "")
 
-    failing = CheckReport(name="hirota", passed=False, max_checked_grade=4)
+    failing = CheckReport(name="hirota", max_checked_grade=4, first_failure=("t1", "1", "2"))
     monkeypatch.setattr(acceptance, "check_hirota", lambda *args: failing)
     assert run_criterion(acceptance.criterion_02_hirota, SEED).name == "criterion-02-hirota"
 

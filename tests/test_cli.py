@@ -239,8 +239,7 @@ def test_verify_failed_check_exits_one(capsys):
     from taukit.cli import _print_report
     from taukit.verify import CheckReport
 
-    fake = CheckReport(name="x", passed=False, max_checked_grade=1,
-                       first_failure=("t1", "1", "2"))
+    fake = CheckReport(name="x", max_checked_grade=1, first_failure=("t1", "1", "2"))
     assert _print_report(fake, "json") == 1
     capsys.readouterr()
 

@@ -59,6 +59,13 @@ def test_result_cap_is_min():
     assert (p.t_max, p.b_max) == (3, 2)
 
 
+def test_repr_lists_terms_by_weight():
+    assert repr(GradedPoly(3, 3, {(): 1, mono([(T1, 1)]): F(1, 2), mono([(bvar(2), 1)]): -3})) == (
+        "<GradedPoly 1*1 + 1/2*t1 + -3*b2>"
+    )
+    assert repr(GradedPoly.zero(3, 3)) == "<GradedPoly 0>"
+
+
 # -- derivative -------------------------------------------------------------------
 
 

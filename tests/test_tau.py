@@ -661,6 +661,17 @@ def test_sqrt_value_pulls_out_the_square_of_two():
     assert (v.rational, v.radicand) == (2, 2)
 
 
+def test_an_unreduced_sqrt_value_equals_and_hashes_as_its_reduced_form():
+    raw, reduced = SqrtValue(F(1), F(8)), SqrtValue.of(1, 8)
+    assert raw == reduced and hash(raw) == hash(reduced)
+    assert len({raw, reduced}) == 1
+
+
+def test_a_sqrt_value_compares_with_a_plain_rational():
+    assert SqrtValue.of(3) == 3
+    assert SqrtValue.of(-3) != 3
+
+
 # -- q-brackets and coupling coefficients ------------------------------------------------------
 
 

@@ -50,10 +50,19 @@ QSPEC = RSpec(
 
 
 def test_report_json_shape():
-    rep = CheckReport(name="x", passed=True, max_checked_grade=3, params={"d": 3})
+    rep = CheckReport(name="x", max_checked_grade=3, params={"d": 3})
     obj = json.loads(rep.to_json())
     assert set(obj) == {"name", "pass", "grade", "failure", "params"}
     assert obj["pass"] is True and obj["failure"] is None
+
+
+def test_a_report_passes_exactly_when_it_shows_no_failure():
+    assert CheckReport("x", 3, ("t1", "1", "2")).passed is False
+    assert CheckReport("x", 3).passed is True
+    with pytest.raises(TypeError):
+        CheckReport("x", 3, passed=True)
+    with pytest.raises(AttributeError):
+        CheckReport("x", 3).passed = False
 
 
 def test_compare_windowed_finds_first_failure():
@@ -93,6 +102,12 @@ def test_hirota_rejects_empty_window():
     for d in (0, -1):
         with pytest.raises(ValueError, match=f"d = {d}"):
             check_hirota(RATIO, 0, d)
+
+
+def test_degree_one_compares_grade_zero():
+    # the smallest degree the bilinear checks take: its window holds the constant term alone
+    reports = [check_hirota(RATIO, 0, 1)] + [check_toda(RATIO, 0, 1, gauge) for gauge in ("generalized", "standard")]
+    assert all(report.passed and report.max_checked_grade == 0 for report in reports)
 
 
 def test_hirota_pole_propagates():
@@ -304,6 +319,12 @@ def test_toda_standard_rejects_integer_zero(monkeypatch):
     assert built == []
 
 
+def test_toda_standard_scans_only_its_three_couplings():
+    # h(n) = h(n-1)/r(n) reads r at M-1..M+1 alone: D's zero two sites away leaves the gauge defined
+    for m in (-2, 2):
+        assert check_toda(D, m, 4, "standard").passed
+
+
 def test_toda_batteries():
     for gauge in ("generalized", "standard"):
         assert check_toda(RATIO, 1, 4, gauge).passed
@@ -323,6 +344,16 @@ def test_kp_rejects_empty_window():
     for d in (3, 0):
         with pytest.raises(ValueError, match=f"d = {d}"):
             check_kp_bilinear(RATIO, 0, d)
+
+
+def test_kp_compares_every_t_weight_its_b_window_holds(monkeypatch):
+    # a defect c t1^5 b1^5 reaches no coefficient of t-weight 0: its first, D_t1^4 (defect . 1 + 1 . defect)
+    # = 2 * 5! c t1 b1^5, has t-weight 1
+    tau = verify._generic_tau
+    defect = GradedPoly(8, 8, {mono([(tvar(1), 5), (bvar(1), 5)]): F(1, 7)})
+    monkeypatch.setattr(verify, "_generic_tau", lambda r, m, d: tau(r, m, d) + defect)
+    report = check_kp_bilinear(RATIO, 0, 8)
+    assert report.first_failure == ("b1^5*t1", "240/7", "0")
 
 
 def test_kp_trivial_and_families():
