@@ -4,7 +4,9 @@ Shared by the ``taukit suite`` CLI subcommand and the acceptance test
 module.  Randomized draws come from a seeded generator (TAUKIT_SEED);
 every drawn spec is scanned for integer poles in its working range before
 use, and q-parameters are paired with exponents so that every power of q
-stays an exact rational.
+stays an exact rational.  A failing criterion reports its first differing
+values: its first failing check's report, or ``first_mismatch`` over its own
+(where, got, want) pairs.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from itertools import zip_longest
 
 from .partitions import enumerate_up_to, hook_data
 from .poly import FAMILY_B, FAMILY_T, mono, tvar
@@ -54,7 +57,9 @@ from .verify import (
     check_qdiff,
     check_remark1,
     check_toda,
+    compare_windowed,
     det_oracle_tau,
+    first_mismatch,
 )
 
 F = Fraction
@@ -96,12 +101,12 @@ def draw_qlin_rspec(rng: random.Random, q: Fraction, span: int) -> RSpec:
     raise RuntimeError("could not draw a clean q-spec")
 
 
-def _verdict(params: dict, why: str | None = None) -> CheckReport:
-    """A criterion's report at the grade its params name; ``why`` is set on a failure.
+def _verdict(params: dict, failure: tuple | None = None) -> CheckReport:
+    """A criterion's report at the grade its params name, failing with ``failure``, a (where, lhs, rhs), if one is given.
 
     ``run_criterion`` names it, as it names every report a criterion returns.
     """
-    return CheckReport("", params.get("d", 0), None if why is None else (why, "", ""), params)
+    return CheckReport("", params.get("d", 0), failure, params)
 
 
 def _first_failure(reports) -> CheckReport | None:
@@ -138,8 +143,8 @@ def criterion_01_oracle(seed: int) -> CheckReport:
     if failed:
         return failed
     elapsed = time.monotonic() - started
-    why = None if elapsed < 60 else f"elapsed {elapsed:.1f}s, over the 60s limit"
-    return _verdict({"d": d, "elapsed_s": round(elapsed, 2)}, why)
+    failure = None if elapsed < 60 else (f"elapsed {elapsed:.1f}s, over the 60s limit", "", "")
+    return _verdict({"d": d, "elapsed_s": round(elapsed, 2)}, failure)
 
 
 def criterion_02_hirota(seed: int) -> CheckReport:
@@ -171,21 +176,18 @@ def criterion_05_classical(seed: int) -> CheckReport:
     rng = random.Random(f"{seed}/classical")
     order = 10
 
-    for p, s in ((1, 0), (2, 1), (3, 2)):
-        extra_a = [rng.choice(_NONINT_POOL) + rng.choice((0, 1)) for _ in range(p - 1)]
-        bs = [rng.choice(_NONINT_POOL) + rng.choice((0, 1)) for _ in range(s)]
-        a = [F(0)] + extra_a
-        for m in (1, -1):
-            series = pfs_multivar(a, bs, m, GenericTimes(FAMILY_T), order)
-            shifted = [1 + m * v for v in extra_a], [1 + m * v for v in bs]
-            ref = classical_reference(*shifted, order)
-            for n in range(order + 1):
-                got = series.coeff(mono([(tvar(1), n)]))
-                want = ref[n] * m**n
-                if got != want:
-                    why = f"(p,s)=({p},{s}) M={m} coefficient {n}: {got} != {want}"
-                    return _verdict({"order": order}, why)
-    return _verdict({"order": order, "families": "(1,0),(2,1),(3,2)"})
+    def pairs():
+        for p, s in ((1, 0), (2, 1), (3, 2)):
+            extra_a = [rng.choice(_NONINT_POOL) + rng.choice((0, 1)) for _ in range(p - 1)]
+            bs = [rng.choice(_NONINT_POOL) + rng.choice((0, 1)) for _ in range(s)]
+            a = [F(0)] + extra_a
+            for m in (1, -1):
+                series = pfs_multivar(a, bs, m, GenericTimes(FAMILY_T), order)
+                ref = classical_reference([1 + m * v for v in extra_a], [1 + m * v for v in bs], order)
+                for n in range(order + 1):
+                    yield f"(p,s)=({p},{s}) M={m} t1^{n}", series.coeff(mono([(tvar(1), n)])), ref[n] * m**n
+
+    return _verdict({"order": order, "families": "(1,0),(2,1),(3,2)"}, first_mismatch(pairs()))
 
 
 def criterion_06_qdiff(seed: int) -> CheckReport:
@@ -220,18 +222,16 @@ def criterion_08_prop4(seed: int) -> CheckReport:
     rng = random.Random(f"{seed}/prop4")
     d = 5
 
-    for _ in range(3):
-        r = draw_lin_rspec(rng)
-        b = rng.choice(_NONINT_POOL)
-        m = rng.choice((-1, 0, 1))
-        if not check_prop4(r, b, m, d).passed:
-            return _verdict({"d": d}, f"rational variant M={m} b={b}")
-    for q, b in ((F(1, 4), F(1, 2)), (F(1, 8), F(2, 3)), (F(4, 9), F(3, 2))):
-        r = draw_qlin_rspec(rng, q, span=9)
-        m = rng.choice((-1, 0, 1))
-        if not check_prop4(r, b, m, d).passed:
-            return _verdict({"d": d}, f"q variant q={q} b={b} M={m}")
-    return _verdict({"d": d, "draws": "3 rational + 3 q"})
+    def reports():
+        for _ in range(3):
+            r = draw_lin_rspec(rng)
+            b = rng.choice(_NONINT_POOL)
+            yield check_prop4(r, b, rng.choice((-1, 0, 1)), d)
+        for q, b in ((F(1, 4), F(1, 2)), (F(1, 8), F(2, 3)), (F(4, 9), F(3, 2))):
+            r = draw_qlin_rspec(rng, q, span=9)
+            yield check_prop4(r, b, rng.choice((-1, 0, 1)), d)
+
+    return _first_failure(reports()) or _verdict({"d": d, "draws": "3 rational + 3 q"})
 
 
 def criterion_09_remark1(seed: int) -> CheckReport:
@@ -252,19 +252,19 @@ def criterion_10_poch_bridge(seed: int) -> CheckReport:
     d = 6
     parts = enumerate_up_to(d)
 
-    for q in (F(1, 2), F(2, 3)):
-        for a in (F(1), F(2), F(3), F(-1)):
-            spec = _family_symbol((a,), (), q)
-            for lam in parts:
-                if poch_partition(a, lam, q) != content_product(spec, lam, 0):
-                    why = f"poch != content at lam={lam}, a={a}, q={q}"
-                    return _verdict({"d": d}, why)
-        for a in (F(1), F(2), F(3)):
-            for lam in parts:
-                if schur_poly(lam, PrincipalTimes(a, q), d) != schur_principal_value(lam, a, q):
-                    why = f"principal identity fails at lam={lam}, a={a}, q={q}"
-                    return _verdict({"d": d}, why)
-    return _verdict({"d": d, "q": ["1/2", "2/3"]})
+    def pairs():
+        for q in (F(1, 2), F(2, 3)):
+            for a in (F(1), F(2), F(3), F(-1)):
+                spec = _family_symbol((a,), (), q)
+                for lam in parts:
+                    where = f"poch vs content at lam={lam}, a={a}, q={q}"
+                    yield where, poch_partition(a, lam, q), content_product(spec, lam, 0)
+            for a in (F(1), F(2), F(3)):
+                for lam in parts:
+                    where = f"principal value at lam={lam}, a={a}, q={q}"
+                    yield where, schur_poly(lam, PrincipalTimes(a, q), d), schur_principal_value(lam, a, q)
+
+    return _verdict({"d": d, "q": ["1/2", "2/3"]}, first_mismatch(pairs()))
 
 
 def criterion_11_example6(seed: int) -> CheckReport:
@@ -292,29 +292,24 @@ def criterion_11_example6(seed: int) -> CheckReport:
             fact1 = hook_data((n1,) if n1 else ())
             fact2 = hook_data((n2,) if n2 else ())
             want += num / den * y1**n1 * y2**n2 * x**n / (fact1 * fact2)
-    got = tau_general(chain, m, d)
-    if got != want:
-        return _verdict({"d": d}, f"{got} != {want}")
-    return _verdict({"d": d, "M": m})
+    return _verdict({"d": d, "M": m}, first_mismatch([(f"tau(M={m}) to grade {d}", tau_general(chain, m, d), want)]))
 
 
 def criterion_12_aw(seed: int) -> CheckReport:
     q, a, b, c, dd, cosv = F(1, 3), F(1, 5), F(1, 7), F(2, 7), F(1, 11), F(1, 2)
 
-    for n in range(6):
-        # termination: the next term would carry the vanishing factor
-        if poch_partition(F(-n), (n + 1,), q) != 0:
-            return _verdict({}, f"termination factor nonzero at n={n}")
-    for n in (1, 2, 3, 5):
-        base = askey_wilson(n, a, b, c, dd, q, cosv)
-        if askey_wilson(n, a, c, b, dd, q, cosv) != base:
-            return _verdict({}, f"b<->c changes the sum at n={n}")
-        if askey_wilson(n, a, dd, c, b, q, cosv) != base:
-            return _verdict({}, f"b<->d changes the sum at n={n}")
-        pn = askey_wilson(n, a, b, c, dd, q, cosv, with_prefactor=True)
-        if askey_wilson(n, b, a, c, dd, q, cosv, with_prefactor=True) != pn:
-            return _verdict({}, f"a<->b changes p_n at n={n}")
-    return _verdict({"q": "1/3", "point": "a=1/5,b=1/7,c=2/7,d=1/11"})
+    def pairs():
+        for n in range(6):
+            # termination: the next term would carry the vanishing factor
+            yield f"termination factor at n={n}", poch_partition(F(-n), (n + 1,), q), 0
+        for n in (1, 2, 3, 5):
+            base = askey_wilson(n, a, b, c, dd, q, cosv)
+            yield f"sum with b<->c at n={n}", askey_wilson(n, a, c, b, dd, q, cosv), base
+            yield f"sum with b<->d at n={n}", askey_wilson(n, a, dd, c, b, q, cosv), base
+            pn = askey_wilson(n, a, b, c, dd, q, cosv, with_prefactor=True)
+            yield f"p_n with a<->b at n={n}", askey_wilson(n, b, a, c, dd, q, cosv, with_prefactor=True), pn
+
+    return _verdict({"q": "1/3", "point": "a=1/5,b=1/7,c=2/7,d=1/11"}, first_mismatch(pairs()))
 
 
 def criterion_13_two_sided(seed: int) -> CheckReport:
@@ -322,12 +317,14 @@ def criterion_13_two_sided(seed: int) -> CheckReport:
     d = 5
     times = GenericTimes(FAMILY_T), GenericTimes(FAMILY_B)
 
-    for _ in range(3):
-        rt, r = draw_lin_rspec(rng), draw_lin_rspec(rng)
-        m = rng.choice((-1, 0, 1))
-        if tau_two_sided(rt, r, m, d, *times) != tau_series(rspec_mul(rt, r), m, d, *times):
-            return _verdict({"d": d}, f"mismatch at M={m}")
-    return _verdict({"d": d, "draws": 3})
+    def failures():
+        for _ in range(3):
+            rt, r = draw_lin_rspec(rng), draw_lin_rspec(rng)
+            m = rng.choice((-1, 0, 1))
+            diff = compare_windowed(tau_two_sided(rt, r, m, d, *times), tau_series(rspec_mul(rt, r), m, d, *times), d, d)
+            yield diff and (f"M={m} {diff[0]}", *diff[1:])
+
+    return _verdict({"d": d, "draws": 3}, next(filter(None, failures()), None))
 
 
 def criterion_14_cg(seed: int) -> CheckReport:
@@ -338,19 +335,20 @@ def criterion_14_cg(seed: int) -> CheckReport:
         (F(2), F(3, 2), F(3, 2), F(0), F(1, 2)),
     ]
 
-    for l1, l2, l, j, k in tuples:
-        a, b, order = _cg_series(l1, l2, l, j, j + k)
-        if qphi_one_var_coeffs(a, b, 0, q, order) != classical_reference(a, b, order, q=q):
-            why = f"series factor mismatch for spins ({l1},{l2},{l},{j},{k})"
-            return _verdict({"q": "1/2"}, why)
-    # [a] > a for q != 1, so |[a] - a| falls exactly when [a]^2 falls
-    for a_val in (2, 3):
-        sq = [q_bracket(a_val, 1 - F(1, 2**k)).square() for k in range(1, 11)]
-        for i in range(len(sq) - 1):
-            if not a_val**2 < sq[i + 1] < sq[i]:
-                why = f"bracket [{a_val}] not monotone at step {i + 1}"
-                return _verdict({}, why)
-    return _verdict({"q": "1/2", "tuples": 3, "bracket_steps": 10})
+    def pairs():
+        for l1, l2, l, j, k in tuples:
+            a, b, order = _cg_series(l1, l2, l, j, j + k)
+            got, want = qphi_one_var_coeffs(a, b, 0, q, order), classical_reference(a, b, order, q=q)
+            for n, (g, w) in enumerate(zip_longest(got, want)):
+                yield f"spins ({l1},{l2},{l},{j},{k}) x^{n}", g, w
+        # [a] > a for q != 1, so |[a] - a| falls exactly when [a]^2 falls
+        for a_val in (2, 3):
+            sq = [q_bracket(a_val, 1 - F(1, 2**k)).square() for k in range(1, 11)]
+            for i in range(len(sq) - 1):
+                where = f"bracket [{a_val}]^2 at step {i + 1}: {a_val**2} < {sq[i + 1]} < {sq[i]}"
+                yield where, a_val**2 < sq[i + 1] < sq[i], True
+
+    return _verdict({"q": "1/2", "tuples": 3, "bracket_steps": 10}, first_mismatch(pairs()))
 
 
 CRITERIA = [
@@ -376,7 +374,7 @@ def run_criterion(criterion, seed: int = 1729) -> CheckReport:
     try:
         report = criterion(seed)
     except Exception as exc:  # a crash is a failure, not an abort
-        report = _verdict({}, f"{type(exc).__name__}: {exc}")
+        report = _verdict({}, (f"{type(exc).__name__}: {exc}", "", ""))
     name = criterion.__name__.replace("_", "-")
     return CheckReport(name, report.max_checked_grade, report.first_failure, report.params)
 

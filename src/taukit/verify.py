@@ -88,6 +88,11 @@ def compare_windowed(lhs: GradedPoly, rhs: GradedPoly, t_max: int, b_max: int):
     return diff and (format_monomial(diff[0]), format_rational(diff[1]), format_rational(diff[2]))
 
 
+def first_mismatch(triples):
+    """The first (where, lhs, rhs) whose two sides differ, each side as ``str``, or None when every pair agrees."""
+    return next(((where, str(lhs), str(rhs)) for where, lhs, rhs in triples if lhs != rhs), None)
+
+
 def _symbol_report(name, failure, grade, r: RSpec, m: int, d: int, **own) -> CheckReport:
     """A check of the symbol r at charge M and degree d: its params echo rspec, M and d, then the check's own keys."""
     return CheckReport(name, grade, failure, {"rspec": rspec_to_json(r), "M": m, "d": d, **own})
@@ -176,12 +181,7 @@ def _check_termwise(name: str, a, b, q, order: int) -> CheckReport:
     r = _family_symbol(a, b, q)
     q = r.q
     coeffs = qphi_one_var_coeffs(a, b, 0, q, order)
-    failure = None
-    for k in range(order):
-        lhs, rhs = q_number(k + 1, q) * coeffs[k + 1], r_eval(r, k) * coeffs[k]
-        if lhs != rhs:
-            failure = (f"x^{k}", format_rational(lhs), format_rational(rhs))
-            break
+    failure = first_mismatch((f"x^{k}", q_number(k + 1, q) * coeffs[k + 1], r_eval(r, k) * coeffs[k]) for k in range(order))
     params = {"a": [format_rational(v) for v in a], "b": [format_rational(v) for v in b]}
     if q is not None:
         params["q"] = format_rational(q)

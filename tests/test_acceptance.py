@@ -6,6 +6,8 @@ seed comes from TAUKIT_SEED, matching the ``taukit suite`` CLI command.
 """
 
 import os
+from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,10 +36,10 @@ def test_suite_runner_aggregates_under_fresh_seed():
 
 
 def test_fail_reports_the_criterion_grade():
-    failed = _verdict({"d": 6}, "why")
-    assert not failed.passed and failed.first_failure == ("why", "", "")
+    failed = _verdict({"d": 6}, ("t1", "1", "2"))
+    assert not failed.passed and failed.first_failure == ("t1", "1", "2")
     assert failed.max_checked_grade == 6
-    assert _verdict({}, "why").max_checked_grade == 0
+    assert _verdict({}, ("t1", "1", "2")).max_checked_grade == 0
     passed = _verdict({"d": 5})
     assert passed.passed and passed.first_failure is None and passed.max_checked_grade == 5
 
@@ -70,8 +72,6 @@ def test_toda_criterion_runs_both_gauges_for_every_spec_and_charge(monkeypatch):
 
 
 def test_prop4_criterion_fails_where_the_prop4_check_fails(monkeypatch):
-    from fractions import Fraction as F
-
     from taukit import verify
     from taukit.poly import GradedPoly, mono, tvar
 
@@ -81,7 +81,127 @@ def test_prop4_criterion_fails_where_the_prop4_check_fails(monkeypatch):
 
     monkeypatch.setattr(verify, "prop4_pair", pair)
     report = acceptance.criterion_08_prop4(SEED)
-    assert not report.passed and report.first_failure[0].startswith("rational variant M=")
+    assert not report.passed and report.first_failure == ("t1^5", "0", "1/7")
+
+
+def _last_scaled(factor):
+    """A builder of coefficient lists whose last coefficient is multiplied by factor."""
+    def replacement(coeffs):
+        def scaled(*args, **kwargs):
+            values = coeffs(*args, **kwargs)
+            return values[:-1] + [factor * values[-1]]
+
+        return scaled
+
+    return replacement
+
+
+def _aw_plus(extra):
+    """askey_wilson with extra(a, b, c, with_prefactor) added to every value."""
+    return lambda aw: lambda n, a, b, c, dd, q, cos_eta, with_prefactor=False: (
+        aw(n, a, b, c, dd, q, cos_eta, with_prefactor) + extra(a, b, c, with_prefactor)
+    )
+
+
+# (criterion, callee patched through the acceptance module, replacement built from the original, first_failure)
+FAILING_CRITERIA = [
+    (
+        "criterion_01_oracle",
+        "det_oracle_tau",
+        lambda oracle: lambda r, m, d, **kw: (None, CheckReport("oracle", d, ("t1^2 b1", "1", "2") if m == 1 else None)),
+        ("t1^2 b1", "1", "2"),
+    ),
+    (
+        "criterion_01_oracle",
+        "time",
+        lambda time: SimpleNamespace(monotonic=iter((0.0, 75.0)).__next__),
+        ("elapsed 75.0s, over the 60s limit", "", ""),
+    ),
+    (
+        "criterion_05_classical",
+        "classical_reference",
+        _last_scaled(2),
+        ("(p,s)=(1,0) M=1 t1^10", "1/3628800", "1/1814400"),
+    ),
+    (
+        "criterion_08_prop4",
+        "check_prop4",
+        lambda check: lambda r, b, m, d: CheckReport("prop4", d, ("t1", "1", "2") if r.q else None),
+        ("t1", "1", "2"),
+    ),
+    (
+        "criterion_10_poch_bridge",
+        "content_product",
+        lambda content_product: lambda r, lam, m: content_product(r, lam, m + 1),
+        ("poch vs content at lam=(1,), a=1, q=1/2", "1/2", "3/4"),
+    ),
+    (
+        "criterion_10_poch_bridge",
+        "schur_principal_value",
+        lambda value: lambda lam, a, q=None: value(lam, a, q) * (2 if lam else 1),
+        ("principal value at lam=(1,), a=1, q=1/2", "1", "2"),
+    ),
+    (
+        "criterion_11_example6",
+        "tau_general",
+        lambda tau_general: lambda chain, m, d: tau_general(chain, m + 1, d),
+        ("tau(M=1) to grade 5", "5261316053755923631/3924286299648000000", "3468175065309676091/2671854501888000000"),
+    ),
+    (
+        "criterion_12_aw",
+        "poch_partition",
+        lambda poch: lambda a, lam, q=None: poch(a, lam, q) + 1,
+        ("termination factor at n=0", "1", "0"),
+    ),
+    (
+        "criterion_12_aw",
+        "askey_wilson",
+        _aw_plus(lambda a, b, c, with_prefactor: b),
+        ("sum with b<->c at n=1", "49807/141372", "29611/141372"),
+    ),
+    (
+        "criterion_12_aw",
+        "askey_wilson",
+        _aw_plus(lambda a, b, c, with_prefactor: b + c),
+        ("sum with b<->d at n=1", "62659/141372", "70003/141372"),
+    ),
+    (
+        "criterion_12_aw",
+        "askey_wilson",
+        _aw_plus(lambda a, b, c, with_prefactor: a if with_prefactor else 0),
+        ("p_n with a<->b at n=1", "1192/2695", "1346/2695"),
+    ),
+    (
+        "criterion_13_two_sided",
+        "tau_two_sided",
+        lambda two_sided: lambda rt, r, m, d, t, beta: two_sided(rt, r, m + 1, d, t, beta),
+        ("M=0 b1*t1", "92/45", "-16/3"),
+    ),
+    (
+        "criterion_14_cg",
+        "qphi_one_var_coeffs",
+        _last_scaled(0),
+        ("spins (1,1,1,0,0) x^1", "0", "-1"),
+    ),
+    (
+        "criterion_14_cg",
+        "q_bracket",
+        lambda q_bracket: lambda a, q: q_bracket(a, F(1, 2)),
+        ("bracket [2]^2 at step 1: 4 < 9/2 < 9/2", "False", "True"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "criterion, target, replacement, failure",
+    FAILING_CRITERIA,
+    ids=[f"{criterion.split('_')[1]}-{target}-{k}" for k, (criterion, target, _, _) in enumerate(FAILING_CRITERIA)],
+)
+def test_a_failing_criterion_names_its_first_differing_values(monkeypatch, criterion, target, replacement, failure):
+    # seed 1729, not TAUKIT_SEED: the expected values are those of the seed-1729 draws
+    monkeypatch.setattr(acceptance, target, replacement(getattr(acceptance, target)))
+    report = getattr(acceptance, criterion)(1729)
+    assert not report.passed and report.first_failure == failure
 
 
 def test_a_report_is_named_from_its_criterion_whatever_the_outcome(monkeypatch):

@@ -699,7 +699,7 @@ def test_suite_prints_a_failing_criterion_and_exits_one(capsys, monkeypatch):
     assert main(["suite", "--seed", "1729"]) == 1
     assert capsys.readouterr().out == (
         "PASS criterion-12-aw\n"
-        "FAIL criterion-14-cg  (('bracket [2] not monotone at step 1', '', ''))\n"
+        "FAIL criterion-14-cg  (('bracket [2]^2 at step 1: 4 < 4 < 4', 'False', 'True'))\n"
         '{"criterion-12-aw":"pass","criterion-14-cg":"FAIL"}\n'
     )
 

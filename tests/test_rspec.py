@@ -1,6 +1,7 @@
 import contextlib
 import io
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -99,6 +100,13 @@ def test_rspec_refuses_an_irrational_q_power_when_built():
     # an exact root is admitted, and every q-power of it stays rational
     r = RSpec(num=(QLinFactor(F(1), F(-1, 2)),), q=F(1, 4))
     assert [r_eval(r, n) for n in (0, 1, 2)] == [-1, F(1, 2), F(7, 8)]
+
+
+def test_an_irrational_q_power_is_refused_at_the_fractional_part_of_its_shift():
+    # 4/3 and -2/3 reduce to 1/3 mod 1 but not mod 2
+    for shift in (F(4, 3), F(-2, 3)):
+        with pytest.raises(ValueError, match=r"^1/2\*\*1/3 is not rational"):
+            RSpec(num=(QLinFactor(F(1), shift),), q=F(1, 2))
 
 
 # -- content products -------------------------------------------------------------
@@ -425,6 +433,12 @@ def test_json_rejects_malformed():
         rspec_from_json("{not json")
     with pytest.raises(ValueError):
         rspec_from_json('{"constant":"1","num":[{"mystery":{}}],"den":[]}')
+
+
+def test_json_refuses_a_factor_it_has_no_kind_for():
+    foreign = object()
+    with pytest.raises(TypeError, match=re.escape(f"unknown factor {foreign!r}")):
+        rspec_to_json(RSpec(num=(foreign,)))
 
 
 @given(st.integers(-6, 6), st.integers(1, 4))
