@@ -9,9 +9,9 @@ A Schur value is computed from a "times" specification:
 * ``MiwaTimes(x, sign)``: t_m = sign * sum_i x_i^m / m.
 * ``PrincipalTimes(a, q)``: t_m = [a m] / (m [m]) with [x] = q_number(x, q),
   that is (1 - q^{am}) / (m (1 - q^m)), and a/m at ``q=None``.
-* ``PrincipalInfinityTimes(q)``: symbolic marker for the large-a limit of
-  the principal family; Schur values collapse to the one hook product,
-  q^{n(lam)}/H_lam(q), which is 1/H_lam at ``q=None``.
+* ``PrincipalInfinityTimes(q)``: the large-a limit of the principal family,
+  s_lam = q^{n(lam)}/H_lam(q), which is 1/H_lam at ``q=None``, kept in the
+  object's memo and stepped by one hook ratio from its parent's value there.
 
 As everywhere in taukit, the classical case of a q-product is q = None:
 each factor is q_number(x, q), x classically and 1 - q^x otherwise.
@@ -139,10 +139,38 @@ class PrincipalTimes(_EvaluatedTimes):
 
 
 class PrincipalInfinityTimes(Value):
+    # _memo: lam -> s_lam = q^{n(lam)} / H_lam(q).  Where the memo holds lam's parent mu, lam less the last cell of its
+    # last row, s_lam = s_mu q^(l(lam) - 1) / (H_lam(q) / H_mu(q)), one hook ratio; the series loops read each parent
+    # before its children.  Elsewhere (a fresh object, a parent the caller skipped, or one refused at q = -1 whose
+    # child is a staircase with a value) the closed form is read.  Refusals are never stored.
     _fields = ("q",)
 
     def __init__(self, q: Fraction | None = None):
-        self.q = None if q is None else Fraction(q)
+        self.q, self._memo = None if q is None else Fraction(q), {(): Fraction(1)}
+
+    def value(self, lam: Partition) -> Fraction:
+        """s_lam = q^{n(lam)} / H_lam(q), 1 / H_lam at q = None: stepped from the parent's value where it is held."""
+        q, memo = self.q, self._memo
+        if lam not in memo:
+            parent = lam[:-1] + ((lam[-1] - 1,) if lam[-1] > 1 else ())
+            if parent in memo:
+                memo[lam] = memo[parent] * (q or 1) ** (len(lam) - 1) / _hook_ratio(lam, q)
+            else:
+                memo[lam] = Fraction(q or 1) ** n_statistic(lam) / hook_data(lam, q)
+        return memo[lam]
+
+
+def _hook_ratio(lam: Partition, q: Fraction | None) -> Fraction:
+    """H_lam(q) / H_mu(q), mu lam less its cell (l, j) = (l(lam), lam_l): one bracket pair per run of rows above."""
+    # the brackets [x] = q_number(x, q) of the hooks that cell changes: [j] in row l and, telescoped,
+    # [l - r0 + L - j + 1] / [l - r1 + L - j] in column j for each run r0..r1 < l of rows of one length L
+    l, j = len(lam), lam[-1]
+    ratio, r0 = q_number(j, q), 1
+    for r1 in range(1, l):
+        if r1 == l - 1 or lam[r1] != lam[r1 - 1]:  # row r1 (1-based) ends a run
+            ratio *= q_number(l - r0 + lam[r1 - 1] - j + 1, q) / q_number(l - r1 + lam[r1 - 1] - j, q)
+            r0 = r1 + 1
+    return ratio
 
 
 # -- characters: the generic kind ------------------------------------------------
@@ -350,7 +378,7 @@ def _schur_value(outer: Partition, inner: Partition, times, d: int):
     if isinstance(times, PrincipalInfinityTimes):
         if inner:
             raise TypeError("principal-infinity times are defined for straight shapes only")
-        return Fraction(times.q or 1) ** n_statistic(outer) / hook_data(outer, times.q)
+        return times.value(outer)
     return _jacobi_trudi(outer, inner, lambda twisted, top: times._power_sums(d, twisted, top))
 
 
@@ -359,8 +387,8 @@ def schur_poly(lam, times, d: int):
 
     Generic times go through the characters, evaluated times through the
     Jacobi-Trudi determinant of the p_m values (p_k = 0 for k < 0,
-    s_empty = 1).  The infinity marker resolves to q^{n(lam)}/H_lam(q),
-    1/H_lam at q = None.
+    s_empty = 1).  Principal-infinity times give q^{n(lam)}/H_lam(q),
+    1/H_lam at q = None, stepped from the parent's value where it is held.
     """
     return _schur_value(check_partition(lam), (), times, d)
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import isqrt, prod
 
 from .partitions import contains, enumerate_up_to, hook_data
-from .poly import Value, q_number, rational_pow, weighted_sum
+from .poly import Value, q_number, rational_nth_root, rational_pow, weighted_sum
 from .rspec import (
     LinFactor,
     PoleError,
@@ -336,7 +336,9 @@ class SqrtValue(Value):
         return (self.rational > 0) == (other.rational > 0) and self.square() == other.square()
 
     def __hash__(self):
-        return hash((self.rational > 0, self.square()))
+        # a value equal to a rational hashes as that rational, as equality with it asks
+        root = rational_nth_root(self.square(), 2)
+        return hash((self.rational > 0, self.square()) if root is None else (root if self.rational > 0 else -root))
 
 
 # -- q-deformed angular-momentum coupling -------------------------------------------

@@ -9,13 +9,14 @@ that makes a check raise: a crash is not a kill.
 
 import importlib
 from fractions import Fraction as F
+from itertools import groupby
 
 import pytest
 
 from taukit import acceptance
 from taukit.cli import COMMANDS
 from taukit.partitions import hook_data
-from taukit.poly import GradedPoly, bvar, mono_weights
+from taukit.poly import GradedPoly, bvar, mono_weights, q_number
 from taukit.rspec import LinFactor, RSpec
 from taukit.schur import GenericTimes, MiwaTimes, PrincipalInfinityTimes
 from taukit.verify import (
@@ -78,6 +79,18 @@ def _principal_infinity_without_q_power(value):
         if isinstance(times, PrincipalInfinityTimes):
             return 1 / hook_data(outer, times.q)
         return value(outer, inner, times, d)
+
+    return mutant
+
+
+def _runs_upper_bracket_off_by_one(ratio):
+    # each run r0..r1 of rows above the new cell (l, j) reads [l - r0 + L - j + 2] for [l - r0 + L - j + 1]
+    def mutant(lam, q):
+        l, j, out, r0 = len(lam), lam[-1], ratio(lam, q), 1
+        for length, run in groupby(lam[:-1]):
+            out *= q_number(l - r0 + length - j + 2, q) / q_number(l - r0 + length - j + 1, q)
+            r0 += len(list(run))
+        return out
 
     return mutant
 
@@ -208,6 +221,12 @@ MUTANTS = [
         "taukit.tau._schur_value",
         _principal_infinity_without_q_power,
         ("criterion-08",),
+    ),
+    (
+        "the principal-infinity hook ratio with each run's upper bracket off by one",
+        "taukit.schur._hook_ratio",
+        _runs_upper_bracket_off_by_one,
+        ("prop4", "criterion-08"),
     ),
     (
         "det_fraction_matrix negated from size 2 on",

@@ -378,6 +378,80 @@ def test_principal_infinity_hooks():
         assert got == F(1, 2) ** n_statistic(lam) / hook_data(lam, F(1, 2))
 
 
+def _closed_or_refusal(lam, q):
+    """The principal-infinity closed form q^{n(lam)} / H_lam(q), or the (type, message) it is refused with."""
+    if not lam:
+        return F(1)
+    try:
+        return F(q or 1) ** n_statistic(lam) / hook_data(lam, q)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def _value_or_refusal(times, lam):
+    try:
+        return schur_poly(lam, times, 0)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("q", [None, F(1, 2), F(-2, 3), F(3), F(5, 7)])
+def test_principal_infinity_steps_equal_the_hook_closed_form(q, monkeypatch):
+    parts = enumerate_up_to(14)
+    shared = PrincipalInfinityTimes(q)
+    with monkeypatch.context() as patch:
+        # ascending, every parent is held, so every value is a step: the closed form is never read
+        patch.setattr(schur, "hook_data", None)
+        for lam in parts:
+            assert schur_poly(lam, shared, 0) == _closed_or_refusal(lam, q), (lam, q)
+    for lam in parts[::-1]:
+        assert schur_poly(lam, shared, 0) == _closed_or_refusal(lam, q), (lam, q)
+    for lam in parts[::7]:
+        assert schur_poly(lam, PrincipalInfinityTimes(q), 0) == _closed_or_refusal(lam, q), (lam, q)
+
+
+@pytest.mark.parametrize("lam", [(3, 3, 3, 1), (5, 5, 2, 2, 2, 1), (4, 4, 4), (3, 3), (2, 2, 2, 2, 2), (6,), (1,) * 6])
+def test_principal_infinity_hook_ratio_over_runs(lam):
+    parent = lam[:-1] + ((lam[-1] - 1,) if lam[-1] > 1 else ())
+    for q in (None, F(1, 2), F(-2, 3), F(3)):
+        assert schur._hook_ratio(lam, q) == hook_data(lam, q) / hook_data(parent, q)
+        times = PrincipalInfinityTimes(q)
+        schur_poly(parent, times, 0)  # held, so lam is one step from it
+        assert schur_poly(lam, times, 0) == _closed_or_refusal(lam, q)
+    # (3, 2, 1) from (3, 2): [1] times the runs (3) and (2), [5]/[4] and [3]/[2]
+    assert schur._hook_ratio((3, 2, 1), None) == F(45, 24)
+
+
+@pytest.mark.parametrize("q", [F(0), F(1), F(-1)])
+def test_principal_infinity_refusals_match_the_closed_form(q):
+    # at q = -1 only the 2-cores (staircases) have a value, though each one's parent is refused
+    parts = enumerate_up_to(10)
+    shared = PrincipalInfinityTimes(q)
+    for lam in parts:
+        want = _closed_or_refusal(lam, q)
+        assert _value_or_refusal(PrincipalInfinityTimes(q), lam) == want, (lam, q)
+        assert _value_or_refusal(shared, lam) == want, (lam, q)
+        assert _value_or_refusal(shared, lam) == want, (lam, q)  # a refusal is not stored: it is raised again
+    if q == -1:
+        assert (schur_poly((2, 1), shared, 0), schur_poly((3, 2, 1), shared, 0)) == (F(-1, 8), F(1, 64))
+
+
+def test_principal_infinity_steps_once_per_partition(monkeypatch):
+    from taukit.tau import qphi_multivar, qphi_one_var_coeffs
+
+    stepped, hooks = [], []
+    ratio, hook = schur._hook_ratio, schur.hook_data
+    monkeypatch.setattr(schur, "_hook_ratio", lambda lam, q: stepped.append(lam) or ratio(lam, q))
+    monkeypatch.setattr(schur, "hook_data", lambda lam, q=None: hooks.append(lam) or hook(lam, q))
+    qphi_one_var_coeffs([2, 3], [5], 0, F(1, 2), 200)
+    assert (len(hooks), len(stepped)) == (0, 200)
+    stepped.clear()
+    x = (F(1, 3), F(1, 5), F(-1, 7))
+    qphi_multivar([2, 3], [5], 0, F(1, 2), x, 12)
+    live = schur._live(enumerate_up_to(12), (), MiwaTimes(x))
+    assert hooks == [] and 0 < len(stepped) == len(set(stepped)) and set(stepped) <= set(live)
+
+
 def test_principal_value_examples():
     q, a = F(1, 3), F(2)
     assert schur_principal_value((1,), a, q) == (1 - q**a) / (1 - q)

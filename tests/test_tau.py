@@ -655,6 +655,15 @@ def test_sqrt_value_normalization():
         SqrtValue.of(F(1), F(-1))
 
 
+def test_sqrt_value_hashes_as_the_rational_it_equals():
+    rational = SqrtValue(F(1, 2), F(9, 4))  # not in normal form: 1/2 * sqrt(9/4) = 3/4
+    for v, x in ((SqrtValue.of(2), F(2)), (SqrtValue.of(0), 0), (SqrtValue.of(-3, 4), F(-6)), (rational, F(3, 4))):
+        assert v == x and hash(v) == hash(x) and len({v, x}) == 1
+    # an irrational value keeps its own hash, equal across its normal forms
+    assert hash(SqrtValue.of(F(1, 2), F(8))) == hash(SqrtValue.of(1, 2))
+    assert len({SqrtValue.of(1, 2), SqrtValue.of(-1, 2)}) == 2
+
+
 def test_sqrt_value_pulls_out_the_square_of_two():
     # == compares squares, so only the fields show that 8 = 2^2 * 2 was split
     v = SqrtValue.of(1, 8)
